@@ -47,8 +47,6 @@ from .propagator import (
     exact_multiplier_evolution,
     operator_norm_hs,
     semigroup_defect,
-    thin_slab_apply,
-    thin_slab_apply_averaged,
 )
 from .ansatz import (
     ConvergenceReport,

@@ -55,7 +55,9 @@ class AcousticMedium:
     ``c`` and ``rho`` are callables (x, z) -> positive values; the bounds
     are declared, and :func:`validate_medium` spot-checks them on samples.
     The density is carried for medium bookkeeping; the principal one-way
-    symbols depend on the speed only.
+    symbols depend on the speed only.  ``x_independent`` and
+    ``z_independent`` declare that the speed is constant in x or in z; the
+    one-way symbol spec inherits both flags.
     """
 
     c: Callable
@@ -63,6 +65,7 @@ class AcousticMedium:
     c_bounds: tuple
     rho_bounds: tuple
     x_independent: bool = False
+    z_independent: bool = False
 
     def __post_init__(self):
         c0, c1 = self.c_bounds
@@ -77,7 +80,8 @@ def homogeneous_medium(c0: float = 1.0, rho0: float = 1.0) -> AcousticMedium:
     return AcousticMedium(
         c=lambda x, z: np.full(np.shape(x) or (), c0, dtype=float),
         rho=lambda x, z: np.full(np.shape(x) or (), rho0, dtype=float),
-        c_bounds=(c0, c0), rho_bounds=(rho0, rho0), x_independent=True)
+        c_bounds=(c0, c0), rho_bounds=(rho0, rho0), x_independent=True,
+        z_independent=True)
 
 
 def lens_medium(amplitude: float = 0.1, period: float = 2.0 * np.pi,
@@ -90,7 +94,7 @@ def lens_medium(amplitude: float = 0.1, period: float = 2.0 * np.pi,
         c=lambda x, z: c0 * (1.0 + amplitude * np.cos(w0 * np.asarray(x, float))),
         rho=lambda x, z: np.ones(np.shape(x) or (), dtype=float),
         c_bounds=(c0 * (1.0 - amplitude), c0 * (1.0 + amplitude)),
-        rho_bounds=(1.0, 1.0))
+        rho_bounds=(1.0, 1.0), z_independent=True)
 
 
 def validate_medium(medium: AcousticMedium, x_samples, z_samples) -> None:
@@ -190,7 +194,7 @@ def oneway_symbol_spec(medium: AcousticMedium, aperture: ApertureConfig,
         z_regularity=LIPSCHITZ,
         homogeneity_cutoff=np.inf,
         x_independent=medium.x_independent,
-        z_independent=True)
+        z_independent=medium.z_independent)
 
 
 # ---------------------------------------------------------------------------

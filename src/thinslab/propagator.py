@@ -7,13 +7,17 @@ oscillatory kernel
 
 i.e. one FFT of the input followed by a direct O(N^2) frequency sum with an
 output-point-dependent multiplier.  The symbol is either frozen at the slab
-bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre);
-when the symbol does not depend on x the sum collapses exactly to a Fourier
-multiplier and an O(N log N) path is used.
+bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre); a
+z-independent symbol is its own mean and is evaluated once for either
+variant.  When the symbol does not depend on x the sum collapses exactly to
+a Fourier multiplier and an O(N log N) path is used.
 
-Phases are evaluated from integer index products reduced mod n, so the
-kernel sum matches the FFT convention of :mod:`thinslab.spectral` to
-machine precision.
+The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
+output rows, and serves slab application, the operator a(z, x, D_x) itself
+and dense assembly.  Each slab entry costs one complex exp of the fused
+exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,  with the phase taken
+from integer index products reduced mod n, so the kernel sum matches the
+FFT convention of :mod:`thinslab.spectral` to machine precision.
 
 Operator norms on H^s are computed from the dense matrix of a slab: the
 matrix is conjugated into the Fourier basis, weighted with <xi>^s on both
@@ -24,7 +28,6 @@ normal operator with a fixed-seed start vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class SlabError(ValueError):
 
 
 class VariantError(ValueError):
-    """A propagator entry point was called with the wrong slab variant."""
+    """A slab was given a variant other than Frozen or Averaged."""
 
 
 class ContractViolation(ValueError):
@@ -104,8 +107,12 @@ class SlabSpec:
 
 
 def _slab_symbol(slab: SlabSpec, x, xi) -> np.ndarray:
-    """Evaluate the slab's effective symbol (frozen or slab-averaged)."""
-    if isinstance(slab.variant, Frozen):
+    """Evaluate the slab's effective symbol (frozen or slab-averaged).
+
+    A z-independent symbol is its own slab mean, so both variants evaluate
+    it once, at the slab bottom.
+    """
+    if isinstance(slab.variant, Frozen) or slab.spec.z_independent:
         return symbols.eval_symbol(slab.spec, slab.z, x, xi)
     order = slab.variant.quadrature_order
     if order is None:
@@ -115,11 +122,6 @@ def _slab_symbol(slab: SlabSpec, x, xi) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # kernel application
-
-
-@lru_cache(maxsize=64)
-def _phase_table(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _index_meshes(grid: Grid):
@@ -146,29 +148,48 @@ def _pack(coords, grid: Grid):
     return coords[0] if grid.dim == 1 else coords
 
 
-def _frequency_sum(grid: Grid, coeffs_flat: np.ndarray, multiplier) -> np.ndarray:
-    """Direct sum over the frequency lattice with an x-dependent multiplier.
+def _kernel_blocks(grid: Grid, symbol, delta: float | None):
+    """Yield (rows, K) over blocks of output points; K[r, k] is a kernel entry.
 
-    ``multiplier(x_packed, xi_packed) -> (rows, n_freq)`` is evaluated on
-    blocks of output points; phases come from the mod-n root table.
+    ``symbol(x_packed, xi_packed)`` returns a fresh complex (rows, n_freq)
+    table, which becomes K in place.  With a thickness ``delta`` the entry is
+    exp(i theta - delta * a) with theta = 2 pi ((j . k) mod n) / n, one
+    complex exp per entry; with ``delta`` None it is e^(i theta) * a.  The
+    1/sqrt(N) normalisation is left to the caller.
     """
     n = grid.n_points
-    roots = _phase_table(n)
     jesh = _index_meshes(grid)
     kesh = _freq_index_axes(grid)
     xs, xis = _flat_coords(grid)
-    size = grid.size
-    out = np.empty(size, dtype=np.complex128)
-    for start in range(0, size, _CHUNK_ROWS):
-        sl = slice(start, min(start + _CHUNK_ROWS, size))
-        kprod = jesh[0][sl][:, None] * kesh[0][None, :]
+    xif = _pack(tuple(c[None, :] for c in xis), grid)
+    scale = 2.0 * np.pi / n
+    for start in range(0, grid.size, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
+        kernel = symbol(_pack(tuple(c[rows][:, None] for c in xs), grid), xif)
+        turns = np.multiply.outer(jesh[0][rows], kesh[0])
         for d in range(1, grid.dim):
-            kprod = kprod + jesh[d][sl][:, None] * kesh[d][None, :]
-        phase = roots[kprod % n]
-        xb = _pack(tuple(c[sl][:, None] for c in xs), grid)
-        xif = _pack(tuple(c[None, :] for c in xis), grid)
-        out[sl] = (phase * multiplier(xb, xif)) @ coeffs_flat
-    return out / np.sqrt(size)
+            turns += np.multiply.outer(jesh[d][rows], kesh[d])
+        turns &= n - 1                      # mod n: grid sizes are powers of two
+        if delta is None:
+            kernel *= np.exp(1j * scale * turns)
+        else:
+            # -delta * a + i * scale * turns, in place: no float table of angles
+            kernel *= -delta / scale
+            kernel.imag += turns
+            del turns
+            kernel *= scale
+            np.exp(kernel, out=kernel)
+        yield rows, kernel
+
+
+def _frequency_sum(grid: Grid, field: Field, symbol, delta: float | None) -> Field:
+    """Direct O(N^2) sum of the field's Fourier coefficients against the kernel."""
+    coeffs = spectral.forward(field).coeffs.ravel()
+    out = np.empty(grid.size, dtype=np.complex128)
+    for rows, kernel in _kernel_blocks(grid, symbol, delta):
+        out[rows] = kernel @ coeffs
+    out /= np.sqrt(grid.size)
+    return Field(grid, out.reshape(grid.shape))
 
 
 def _apply_multiplier_fast(grid: Grid, field: Field, mult_lattice: np.ndarray) -> Field:
@@ -188,24 +209,7 @@ def apply_slab(slab: SlabSpec, field: Field) -> Field:
         xi = _pack(grid.frequency_meshes(), grid)
         a = _slab_symbol(slab, _zero_x(grid), xi)
         return _apply_multiplier_fast(grid, field, np.exp(-delta * a))
-    coeffs = spectral.forward(field).coeffs.ravel()
-    values = _frequency_sum(
-        grid, coeffs, lambda xb, xif: np.exp(-delta * _slab_symbol(slab, xb, xif)))
-    return Field(grid, values.reshape(grid.shape))
-
-
-def thin_slab_apply(slab: SlabSpec, field: Field) -> Field:
-    """Frozen-symbol slab application."""
-    if not isinstance(slab.variant, Frozen):
-        raise VariantError("thin_slab_apply requires the Frozen variant")
-    return apply_slab(slab, field)
-
-
-def thin_slab_apply_averaged(slab: SlabSpec, field: Field) -> Field:
-    """Slab application with the symbol replaced by its slab mean."""
-    if not isinstance(slab.variant, Averaged):
-        raise VariantError("thin_slab_apply_averaged requires the Averaged variant")
-    return apply_slab(slab, field)
+    return _frequency_sum(grid, field, lambda xb, xif: _slab_symbol(slab, xb, xif), delta)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
@@ -215,10 +219,8 @@ def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
         xi = _pack(grid.frequency_meshes(), grid)
         a = symbols.eval_symbol(spec, z, _zero_x(grid), xi)
         return _apply_multiplier_fast(grid, field, a)
-    coeffs = spectral.forward(field).coeffs.ravel()
-    values = _frequency_sum(
-        grid, coeffs, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif))
-    return Field(grid, values.reshape(grid.shape))
+    return _frequency_sum(
+        grid, field, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif), None)
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field,
@@ -288,22 +290,11 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
             f"grid size {grid.size} exceeds dense-assembly limit {MATRIX_SIZE_LIMIT}")
-    delta = slab.thickness
-    n = grid.n_points
-    roots = _phase_table(n)
-    jesh = _index_meshes(grid)
-    kesh = _freq_index_axes(grid)
-    xs, xis = _flat_coords(grid)
     size = grid.size
     B = np.empty((size, size), dtype=np.complex128)
-    for start in range(0, size, _CHUNK_ROWS):
-        sl = slice(start, min(start + _CHUNK_ROWS, size))
-        kprod = jesh[0][sl][:, None] * kesh[0][None, :]
-        for d in range(1, grid.dim):
-            kprod = kprod + jesh[d][sl][:, None] * kesh[d][None, :]
-        xb = _pack(tuple(c[sl][:, None] for c in xs), grid)
-        xif = _pack(tuple(c[None, :] for c in xis), grid)
-        B[sl] = roots[kprod % n] * np.exp(-delta * _slab_symbol(slab, xb, xif))
+    blocks = _kernel_blocks(grid, lambda xb, xif: _slab_symbol(slab, xb, xif), slab.thickness)
+    for rows, kernel in blocks:
+        B[rows] = kernel
     B /= np.sqrt(size)
     return PropagatorMatrix(grid, _input_forward(B, grid))
 

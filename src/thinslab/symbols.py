@@ -80,8 +80,14 @@ def hoelder(alpha: float) -> ZRegularity:
     return ZRegularity("hoelder", alpha)
 
 
+def _coordinate_shape(x, xi):
+    """Broadcast shape of the coordinates' components (tuples in 2-d)."""
+    parts = (x if isinstance(x, tuple) else (x,)) + (xi if isinstance(xi, tuple) else (xi,))
+    return np.broadcast_shapes(*(np.shape(p) for p in parts))
+
+
 def _zero(z, x, xi):
-    return np.zeros(np.broadcast(x, xi).shape)
+    return np.zeros(_coordinate_shape(x, xi))
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,24 @@ _COMPONENTS = ("b1", "b0", "c1", "c0")
 
 
 def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
-    """Evaluate a = -i*(b1+b0) + (c1+c0) on broadcastable coordinates."""
-    b = np.asarray(spec.b1(z, x, xi), dtype=float) + spec.b0(z, x, xi)
-    c = np.asarray(spec.c1(z, x, xi), dtype=float) + spec.c0(z, x, xi)
-    out = -1j * b + c
-    if not np.all(np.isfinite(out.view(np.float64) if out.dtype == np.complex128 else out)):
-        for name in _COMPONENTS:
-            part = np.asarray(getattr(spec, name)(z, x, xi), dtype=float)
-            if not np.all(np.isfinite(part)):
+    """Evaluate a = -i*(b1+b0) + (c1+c0) on broadcastable coordinates.
+
+    The result is a fresh complex table shaped like the broadcast of the
+    coordinate components (tuples in 2-d).  Components left at the zero
+    default are not evaluated.  The set ones are evaluated before the table
+    is allocated, so the memory their temporaries free is reused for it.
+    """
+    parts = [(name, getattr(spec, name)(z, x, xi)) for name in _COMPONENTS
+             if getattr(spec, name) is not _zero]
+    out = np.zeros(_coordinate_shape(x, xi), dtype=np.complex128)
+    for name, value in parts:
+        if name in ("c1", "c0"):
+            out.real += value
+        else:
+            out.imag -= value
+    if not np.isfinite(out).all():
+        for name, value in parts:
+            if not np.all(np.isfinite(value)):
                 raise EvaluationError(f"symbol component {name!r} returned non-finite values")
         raise EvaluationError("symbol evaluation returned non-finite values")
     return out
@@ -137,8 +153,9 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
                     quadrature_order: int = 4) -> np.ndarray:
     """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds by Gauss-Legendre.
 
-    Exact for z-dependence polynomial of degree < 2*quadrature_order; for
-    z-independent symbols this is a single evaluation in disguise.
+    Exact for z-dependence polynomial of degree < 2*quadrature_order.  It
+    always evaluates the symbol at every node; the slab propagator skips it
+    for z-independent symbols and evaluates them once instead.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
@@ -148,8 +165,12 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
     acc = None
     for t, w in zip(nodes, weights):
-        val = eval_symbol(spec, mid + half * t, x, xi) * (0.5 * w)
-        acc = val if acc is None else acc + val
+        val = eval_symbol(spec, mid + half * t, x, xi)
+        val *= 0.5 * w
+        if acc is None:
+            acc = val
+        else:
+            acc += val
     return acc
 
 

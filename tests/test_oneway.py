@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thinslab import oneway
+from thinslab import oneway, propagator
 from thinslab.oneway import (
     AcousticMedium, ApertureConfig, ApertureError, BandLimitError, MediumError,
     bplus_joint, build_bplus, build_damping, check_band_limit,
@@ -11,7 +11,7 @@ from thinslab.oneway import (
     oneway_symbol_spec, partition_bins, validate_medium,
 )
 from thinslab.spectral import Field, Grid, forward, inverse, SpectralField
-from thinslab.symbols import check_PL
+from thinslab.symbols import averaged_symbol, check_PL, recommended_quadrature_order
 
 from conftest import rel_err
 
@@ -217,3 +217,24 @@ def test_observer_depths():
                       observer=lambda k, zk, f: depths.append(zk))
     assert len(depths) == 8
     assert abs(depths[-1] - 0.5) < 1e-12
+
+
+def test_z_dependent_medium_averaged_slab():
+    # c = 1 + 0.1 z: the averaged slab must run the quadrature, not freeze
+    med = AcousticMedium(c=lambda x, z: (1.0 + 0.1 * z) * np.ones(np.shape(x)),
+                         rho=lambda x, z: np.ones(np.shape(x)),
+                         c_bounds=(1.0, 1.1), rho_bounds=(1.0, 1.0))
+    spec = oneway_symbol_spec(med, AP)
+    assert not spec.z_independent
+    assert oneway_symbol_spec(lens_medium(), AP).z_independent
+    g = Grid(64, 2 * np.pi)
+    rng = np.random.default_rng(6)
+    u = Field(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    z0, z1 = 0.5, 0.625
+    averaged = propagator.apply_slab(propagator.SlabSpec(z0, z1, spec, propagator.Averaged()), u)
+    frozen = propagator.apply_slab(propagator.SlabSpec(z0, z1, spec, propagator.Frozen()), u)
+    xi = g.axis_frequencies()
+    mean_a = averaged_symbol(spec, z0, z1, 0.0, xi, recommended_quadrature_order(spec, z1 - z0))
+    expected = inverse(SpectralField(g, forward(u).coeffs * np.exp(-(z1 - z0) * mean_a)))
+    assert rel_err(averaged.values, expected.values) < 1e-12
+    assert rel_err(frozen.values, averaged.values) > 1e-3

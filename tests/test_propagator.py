@@ -8,7 +8,7 @@ from thinslab.propagator import (
     Averaged, ContractViolation, Frozen, MatrixSizeError, NonConvergenceError,
     SlabError, SlabSpec, VariantError, apply_slab, apply_symbol_operator,
     assemble_matrix, exact_multiplier_evolution, operator_norm_hs, save_matrix,
-    semigroup_defect, thin_slab_apply, thin_slab_apply_averaged,
+    semigroup_defect,
 )
 from thinslab.spectral import Field, Grid, forward, inverse, l2_norm, read_field, sobolev_norm
 from thinslab.symbols import SymbolSpec, get_symbol
@@ -95,7 +95,7 @@ def test_dense_path_matches_kernel_sum_oracle():
     spec = get_symbol("varspeed")
     slab = SlabSpec(0.0, 1.0 / 16.0, spec)
     u = random_field(g, 3)
-    fast = thin_slab_apply(slab, u)
+    fast = apply_slab(slab, u)
     slow = kernel_sum_oracle(spec, 0.0, 1.0 / 16.0, u)
     assert rel_err(fast.values, slow.values) < 1e-12
 
@@ -105,7 +105,7 @@ def test_averaged_path_matches_kernel_sum_oracle():
     spec = get_symbol("varspeed-z")
     slab = SlabSpec(0.25, 0.25 + 1.0 / 16.0, spec, Averaged())
     u = random_field(g, 4)
-    fast = thin_slab_apply_averaged(slab, u)
+    fast = apply_slab(slab, u)
     slow = kernel_sum_oracle(spec, 0.25, 1.0 / 16.0, u, averaged=True)
     assert rel_err(fast.values, slow.values) < 1e-12
 
@@ -124,12 +124,14 @@ def test_multiplier_fast_path_matches_dense(grid64):
 
 
 def test_variant_enforcement(grid64):
-    spec = get_symbol("varspeed")
+    # apply_slab takes the variant from the slab; unknown variants never get there
+    spec = get_symbol("varspeed-z")
     u = random_field(grid64, 6)
     with pytest.raises(VariantError):
-        thin_slab_apply(SlabSpec(0.0, 0.1, spec, Averaged()), u)
-    with pytest.raises(VariantError):
-        thin_slab_apply_averaged(SlabSpec(0.0, 0.1, spec, Frozen()), u)
+        SlabSpec(0.0, 0.1, spec, variant=object())
+    frozen = apply_slab(SlabSpec(0.0, 0.1, spec, Frozen()), u)
+    averaged = apply_slab(SlabSpec(0.0, 0.1, spec, Averaged()), u)
+    assert rel_err(frozen.values, averaged.values) > 1e-3
 
 
 def test_apply_symbol_operator_single_mode(grid64):
@@ -176,7 +178,7 @@ def test_matrix_apply_matches_direct(grid64):
     mat = assemble_matrix(slab, grid64)
     for seed in range(10):
         u = random_field(grid64, seed)
-        assert rel_err(mat.apply(u).values, thin_slab_apply(slab, u).values) < 1e-10
+        assert rel_err(mat.apply(u).values, apply_slab(slab, u).values) < 1e-10
 
 
 def test_matrix_grid_mismatch(grid64):
@@ -278,8 +280,8 @@ def test_frozen_vs_averaged_second_order():
     diffs, deltas = [], []
     for k in (4, 5, 6, 7):
         d = 2.0 ** (-k)
-        a = thin_slab_apply(SlabSpec(0.3, 0.3 + d, spec, Frozen()), u)
-        b = thin_slab_apply_averaged(SlabSpec(0.3, 0.3 + d, spec, Averaged()), u)
+        a = apply_slab(SlabSpec(0.3, 0.3 + d, spec, Frozen()), u)
+        b = apply_slab(SlabSpec(0.3, 0.3 + d, spec, Averaged()), u)
         diffs.append(np.linalg.norm(a.values - b.values))
         deltas.append(d)
     slope = np.polyfit(np.log(deltas), np.log(diffs), 1)[0]
