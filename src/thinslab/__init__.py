@@ -38,7 +38,6 @@ from .propagator import (
     Averaged,
     ContractViolation,
     Frozen,
-    NonConvergenceError,
     PropagatorMatrix,
     SlabSpec,
     apply_slab,

@@ -77,7 +77,6 @@ def main(argv=None) -> int:
         cfg = harness.resolve_config(args.scenario, file_map, _overrides_from_args(args))
         code = harness.run(cfg)
         label = {harness.EXIT_OK: "completed",
-                 harness.EXIT_NONCONVERGENCE: "FAILED (non-convergence)",
                  harness.EXIT_GATE: "FAILED (acceptance gate)",
                  harness.EXIT_CONFIG: "FAILED (configuration)"}[code]
         print(f"scenario {cfg.scenario} {label}; artifacts in {cfg.output_dir}")

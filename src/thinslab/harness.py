@@ -15,8 +15,9 @@ artifacts into the output directory:
 
 Everything except the manifest (which carries wall-clock timings) is
 byte-identical across runs with the same config, seed and build.  Exit
-codes: 0 success, 2 configuration error, 3 numerical non-convergence,
-4 an acceptance gate was violated.
+codes: 0 success, 2 configuration error, 4 an acceptance gate was violated.
+The manifest's status is "ok" only for a completed run; an unexpected
+exception is recorded as status "error" and re-raised.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from . import __version__
 from . import ansatz, oneway, propagator, spectral, symbols
 from .ansatz import ExactMultiplier, FineStep, Subdivision
 from .oneway import ApertureConfig
-from .propagator import Averaged, Frozen, NonConvergenceError, SlabSpec
+from .propagator import Averaged, Frozen, SlabSpec
 from .spectral import Field, Grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NONCONVERGENCE = 3
 EXIT_GATE = 4
 
 
@@ -351,7 +351,10 @@ def norm_sweep(spec, grid: Grid, delta_exponents=range(4, 10), s_values=(0.0, 1.
     """H^s operator norms of one slab over a thickness sweep.
 
     Returns rows (s, delta, norm, excess_rate) with excess_rate =
-    (norm - 1)/delta, the quantity the stability estimate bounds.
+    (norm - 1)/delta, the quantity the stability estimate bounds.  ``seed``
+    is unused: the norms are exact and need no random start vector.  It is
+    kept so that callers which still pass it, such as the benchmark worker,
+    keep working.
     """
     rows = []
     for s in s_values:
@@ -359,7 +362,7 @@ def norm_sweep(spec, grid: Grid, delta_exponents=range(4, 10), s_values=(0.0, 1.
             delta = 2.0 ** (-k)
             slab = SlabSpec(0.0, delta, spec, variant, delta_max=max(delta, 0.125))
             mat = propagator.assemble_matrix(slab, grid)
-            norm = propagator.operator_norm_hs(mat, s, seed=seed)
+            norm = propagator.operator_norm_hs(mat, s)
             rows.append((s, delta, norm, (norm - 1.0) / delta))
     return rows
 
@@ -468,7 +471,7 @@ def _run_evolution(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs
 
     t0 = time.perf_counter()
     norm_grid = Grid(min(cfg.norm_points, cfg.n_points), cfg.period)
-    rows = norm_sweep(spec, norm_grid, seed=cfg.seed)
+    rows = norm_sweep(spec, norm_grid)
     _write_norm_sweep(os.path.join(out, "norm_sweep.csv"), rows)
     outputs.append("norm_sweep.csv")
     timings["norm_sweep"] = time.perf_counter() - t0
@@ -593,7 +596,7 @@ def run(cfg: ExperimentConfig) -> int:
 
     timings = {}
     outputs = []
-    status, error, code = "ok", None, EXIT_OK
+    status, error, code = "error", None, EXIT_OK
     started = time.perf_counter()
     try:
         if entry.kind == "evolution":
@@ -603,13 +606,16 @@ def run(cfg: ExperimentConfig) -> int:
         violations = _check_gates(entry, facts)
         if violations:
             raise GateViolation("; ".join(violations))
+        status = "ok"
     except GateViolation as exc:
         status, error, code = "gate-violation", str(exc), EXIT_GATE
-    except NonConvergenceError as exc:
-        status, error, code = "non-convergence", str(exc), EXIT_NONCONVERGENCE
-    except (ConfigError, propagator.ContractViolation, oneway.BandLimitError,
-            oneway.MediumError, oneway.ApertureError) as exc:
+    except (ConfigError, spectral.GridError, ansatz.SubdivisionError,
+            propagator.SlabError, propagator.ContractViolation, propagator.MatrixSizeError,
+            oneway.BandLimitError, oneway.MediumError, oneway.ApertureError) as exc:
         status, error, code = "config-error", str(exc), EXIT_CONFIG
+    except BaseException as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         timings["total"] = time.perf_counter() - started
         _write_manifest(out, cfg, status, error, timings, outputs)

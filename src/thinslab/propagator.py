@@ -21,8 +21,9 @@ FFT convention of :mod:`thinslab.spectral` to machine precision.
 
 Operator norms on H^s are computed from the dense matrix of a slab: the
 matrix is conjugated into the Fourier basis, weighted with <xi>^s on both
-sides, and its largest singular value estimated by power iteration on the
-normal operator with a fixed-seed start vector.
+sides, and its largest singular value taken from one LAPACK singular-value
+computation.  Dense matrices are capped at MATRIX_SIZE_LIMIT points, so the
+norm is exact and always affordable.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class ContractViolation(ValueError):
 
 class MatrixSizeError(ValueError):
     """Dense assembly refused: grid has more points than the guard allows."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Power iteration did not converge; carries the last estimate."""
-
-    def __init__(self, message, last_estimate, iterations):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -323,56 +315,25 @@ def _weighted_fourier_matrix(entries: np.ndarray, grid: Grid, s: float) -> np.nd
     return T
 
 
-def _largest_singular_value(T: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    n = T.shape[0]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    Th = T.conj().T
-    prev = None
-    for _ in range(max_iter):
-        y = T @ v
-        est = float(np.linalg.norm(y))
-        if est < 1e-300:
-            return 0.0
-        if prev is not None and abs(est - prev) < tol:
-            return est
-        prev = est
-        v = Th @ y
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            return est
-        v /= nv
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations", prev, max_iter)
-
-
-def _hs_norm_of_entries(entries, grid, s, tol, max_iter, seed) -> float:
-    T = _weighted_fourier_matrix(entries, grid, s)
-    return _largest_singular_value(T, tol, max_iter, seed)
-
-
-def operator_norm_hs(matrix: PropagatorMatrix, s: float, tol: float = 1e-11,
-                     max_iter: int = 50000, seed: int = 0) -> float:
+def operator_norm_hs(matrix: PropagatorMatrix, s: float) -> float:
     """H^s -> H^s operator norm of a dense grid operator.
 
     Equals the largest singular value of the <xi>^s-weighted matrix in the
-    Fourier basis; estimated by power iteration on the normal operator.
-    Raises :class:`NonConvergenceError` (with the last estimate attached)
-    if successive Rayleigh estimates do not settle within ``tol``.
+    Fourier basis, computed exactly by LAPACK (singular values only).
     """
-    return _hs_norm_of_entries(matrix.entries, matrix.grid, s, tol, max_iter, seed)
+    return float(np.linalg.norm(_weighted_fourier_matrix(matrix.entries, matrix.grid, s), 2))
 
 
 def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
                      s: float, grid: Grid, variant: object = Frozen(),
-                     delta_max: float = DELTA_MAX_DEFAULT, tol: float = 1e-11,
-                     max_iter: int = 50000, seed: int = 0) -> float:
+                     delta_max: float = DELTA_MAX_DEFAULT, seed: int = 0) -> float:
     """H^s norm of  G_(z_top,z) - G_(z_top,z_mid) o G_(z_mid,z).
 
     Thin-slab propagators are not a semigroup: for x-dependent symbols the
     defect is strictly positive (order Delta^2), while exact multipliers
-    compose exactly and the defect sits at roundoff.
+    compose exactly and the defect sits at roundoff.  ``seed`` is unused:
+    the norm is exact and needs no random start vector.  It is kept so that
+    callers which still pass it, such as the benchmark worker, keep working.
     """
     if not (z < z_mid < z_top):
         raise SlabError(f"need z < z_mid < z_top, got {z}, {z_mid}, {z_top}")
@@ -380,4 +341,4 @@ def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
     lower = assemble_matrix(SlabSpec(z, z_mid, spec, variant, delta_max), grid)
     upper = assemble_matrix(SlabSpec(z_mid, z_top, spec, variant, delta_max), grid)
     defect = whole.entries - upper.entries @ lower.entries
-    return _hs_norm_of_entries(defect, grid, s, tol, max_iter, seed)
+    return operator_norm_hs(PropagatorMatrix(grid, defect), s)

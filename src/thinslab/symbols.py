@@ -518,10 +518,6 @@ def available_symbols():
     return list(_REGISTRY)
 
 
-def symbol_description(name: str) -> str:
-    return _REGISTRY[name][0]
-
-
 def get_symbol(name: str, period: float = 2.0 * np.pi) -> SymbolSpec:
     """Instantiate a canned symbol for the given spatial period."""
     try:

@@ -189,6 +189,34 @@ def test_cli_bad_set_pair(tmp_path):
                      "--set", "oops", "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["varspeed-z", "--Ns", "4,8", "--grid-points", "64"],   # Delta = 1/4 exceeds delta_max
+    ["varspeed-z", "--grid-points", "100"],                  # not a power of two
+    ["translation", "--grid-points", "8192", "--Ns", "1",    # norm matrix over the size limit
+     "--set", "norm_points=8192"],
+], ids=["slab-too-thick", "grid-not-power-of-two", "norm-matrix-too-large"])
+def test_cli_library_validation_is_config_error(tmp_path, flags):
+    out = tmp_path / "bad"
+    code = cli.main(["run", "--output-dir", str(out), "--scenario"] + flags)
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["error"]
+
+
+def test_unexpected_exception_leaves_error_manifest(tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "_run_evolution", broken)
+    cfg = resolve_config("translation", {}, {"output_dir": str(tmp_path / "err")})
+    with pytest.raises(RuntimeError):
+        harness.run(cfg)
+    manifest = json.loads((tmp_path / "err" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "RuntimeError: boom"
+
+
 def test_quick_check(tmp_path):
     code = harness.quick_check(str(tmp_path / "chk"))
     assert code == 0
