@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ _BOUNDARY_TOL = 1e-12
 
 
 class SubdivisionError(ValueError):
-    """Invalid depth subdivision (step size or ordering)."""
+    """Invalid depth subdivision (step size, ordering, or a too-coarse reference)."""
 
 
 class PositionError(ValueError):
@@ -115,9 +113,11 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
 
 @dataclass(frozen=True)
 class ExactMultiplier:
-    """Reference by exact multiplier evolution (x-independent symbols only)."""
+    """Reference by exact multiplier evolution (x-independent symbols only).
 
-    quadrature_order: int | None = None
+    The z-integral uses the Gauss-Legendre order that
+    :func:`thinslab.symbols.recommended_quadrature_order` picks.
+    """
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def reference_solution(spec: SymbolSpec, u0: Field, z: float, mode,
                        delta_max: float = DELTA_MAX_DEFAULT) -> Field:
     """Evaluate the configured reference at depth z."""
     if isinstance(mode, ExactMultiplier):
-        return propagator.exact_multiplier_evolution(spec, 0.0, z, u0, mode.quadrature_order)
+        return propagator.exact_multiplier_evolution(spec, 0.0, z, u0)
     if isinstance(mode, FineStep):
         if mode.n_ref < 1:
             raise ValueError("FineStep needs n_ref >= 1")
@@ -214,22 +214,6 @@ def _fit_slope(deltas, errors):
     return float(slope), resid
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THINSLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_maybe_parallel(fn, items):
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def convergence_study(spec: SymbolSpec, u0: Field, s: float, Ns, variant,
                       reference, Z: float = 1.0,
                       delta_max: float = DELTA_MAX_DEFAULT) -> ConvergenceReport:
@@ -245,9 +229,9 @@ def convergence_study(spec: SymbolSpec, u0: Field, s: float, Ns, variant,
     """
     Ns = tuple(int(n) for n in Ns)
     if len(Ns) < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("Ns must be non-empty and strictly increasing")
+        raise SubdivisionError("Ns must be non-empty and strictly increasing")
     if isinstance(reference, FineStep) and reference.n_ref < 8 * max(Ns):
-        raise ValueError(
+        raise SubdivisionError(
             f"fine-step reference n_ref = {reference.n_ref} must be >= 8x "
             f"the largest study N ({max(Ns)})")
 
@@ -263,7 +247,7 @@ def convergence_study(spec: SymbolSpec, u0: Field, s: float, Ns, variant,
         u = apply_ansatz(spec, sub, u0, variant=variant)
         return spectral.sobolev_norm(Field(u0.grid, u.values - u_ref.values), s)
 
-    errors = tuple(_map_maybe_parallel(run_one, list(Ns)))
+    errors = tuple(run_one(n) for n in Ns)
     u0_norm = spectral.sobolev_norm(u0, s + 1.0)
     normalized = tuple(e / u0_norm for e in errors)
     if cross is not None:

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--depth", dest="Z", type=float, help="total depth")
     run_p.add_argument("--Ns", dest="Ns", help="comma-separated slab counts")
     run_p.add_argument("--variant", choices=("frozen", "averaged"))
-    run_p.add_argument("--reference", help="exact | finestep[:N] | auto")
+    run_p.add_argument("--reference", help="exact | finestep | auto")
     run_p.add_argument("--delta-max", dest="delta_max", type=float)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--set", dest="extra", action="append", default=[],

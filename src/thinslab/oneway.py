@@ -209,10 +209,7 @@ def partition_bins(grid: spectral.Grid, medium: AcousticMedium,
     so each bin's label is valid for every lateral position.
     """
     c_min, c_max = medium.c_bounds
-    sq = np.zeros(grid.shape)
-    for ax in grid.frequency_meshes():
-        sq = sq + ax ** 2
-    mag = np.sqrt(sq)
+    mag = np.sqrt(spectral.xi_squared(grid))
     tau = abs(aperture.tau)
     inside = mag <= np.sin(aperture.theta1) * tau / c_max
     outside = mag > np.sin(aperture.theta2) * tau / c_min
@@ -229,19 +226,19 @@ def energy_partition(field: Field, medium: AcousticMedium,
     return float(power[ins].sum()), float(power[bet].sum()), float(power[out].sum())
 
 
-def check_band_limit(u0: Field, medium: AcousticMedium, aperture: ApertureConfig,
-                     margin: float = 0.98, tol: float = 1e-10) -> None:
-    """Require u0's energy to sit inside |xi| < margin * |tau| / c_max."""
+def check_band_limit(u0: Field, medium: AcousticMedium, aperture: ApertureConfig) -> None:
+    """Require u0's energy to sit inside |xi| < 0.98 |tau| / c_max.
+
+    More than 1e-10 of the energy at or beyond that cutoff raises
+    :class:`BandLimitError`.
+    """
     c_max = medium.c_bounds[1]
-    cutoff = margin * abs(aperture.tau) / c_max
+    cutoff = 0.98 * abs(aperture.tau) / c_max
     coeffs = spectral.forward(u0).coeffs
-    sq = np.zeros(u0.grid.shape)
-    for ax in u0.grid.frequency_meshes():
-        sq = sq + ax ** 2
-    beyond = np.sqrt(sq) >= cutoff
+    beyond = np.sqrt(spectral.xi_squared(u0.grid)) >= cutoff
     total = float(np.sum(np.abs(coeffs) ** 2))
     bad = float(np.sum(np.abs(coeffs[beyond]) ** 2))
-    if total > 0.0 and bad > tol * total:
+    if total > 0.0 and bad > 1e-10 * total:
         raise BandLimitError(
             f"datum has energy fraction {bad / total:.3e} at |xi| >= {cutoff:g} "
             "(evanescent threshold)")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral, symbols
-from .spectral import Field, Grid, SpectralField
+from .spectral import Field, Grid
 from .symbols import SymbolSpec
 
 DELTA_MAX_DEFAULT = 0.125
@@ -184,11 +184,6 @@ def _frequency_sum(grid: Grid, field: Field, symbol, delta: float | None) -> Fie
     return Field(grid, out.reshape(grid.shape))
 
 
-def _apply_multiplier_fast(grid: Grid, field: Field, mult_lattice: np.ndarray) -> Field:
-    coeffs = spectral.forward(field).coeffs * mult_lattice
-    return spectral.inverse(SpectralField(grid, coeffs))
-
-
 def _zero_x(grid: Grid):
     return 0.0 if grid.dim == 1 else (0.0,) * grid.dim
 
@@ -200,7 +195,7 @@ def apply_slab(slab: SlabSpec, field: Field) -> Field:
     if slab.spec.x_independent:
         xi = _pack(grid.frequency_meshes(), grid)
         a = _slab_symbol(slab, _zero_x(grid), xi)
-        return _apply_multiplier_fast(grid, field, np.exp(-delta * a))
+        return spectral.apply_multiplier(field, np.exp(-delta * a))
     return _frequency_sum(grid, field, lambda xb, xif: _slab_symbol(slab, xb, xif), delta)
 
 
@@ -210,29 +205,28 @@ def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     if spec.x_independent:
         xi = _pack(grid.frequency_meshes(), grid)
         a = symbols.eval_symbol(spec, z, _zero_x(grid), xi)
-        return _apply_multiplier_fast(grid, field, a)
+        return spectral.apply_multiplier(field, a)
     return _frequency_sum(
         grid, field, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif), None)
 
 
-def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field,
-                               quadrature_order: int | None = None) -> Field:
+def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
     """Exact evolution for x-independent symbols.
 
     Multiplies each coefficient with exp(-int_z0^z1 a(s, xi_k) ds); the
-    z-integral uses Gauss-Legendre (exact for z-independent symbols and for
-    polynomial z-dependence of degree < 2*order).
+    z-integral uses Gauss-Legendre at the recommended order for the symbol's
+    z-bandwidth (exact for z-independent symbols and for polynomial
+    z-dependence of degree < 2*order).
     """
     if not spec.x_independent:
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    if quadrature_order is None:
-        quadrature_order = symbols.recommended_quadrature_order(spec, z1 - z0)
+    order = symbols.recommended_quadrature_order(spec, z1 - z0)
     grid = field.grid
     xi = _pack(grid.frequency_meshes(), grid)
-    mean_a = symbols.averaged_symbol(spec, z0, z1, _zero_x(grid), xi, quadrature_order)
-    return _apply_multiplier_fast(grid, field, np.exp(-(z1 - z0) * mean_a))
+    mean_a = symbols.averaged_symbol(spec, z0, z1, _zero_x(grid), xi, order)
+    return spectral.apply_multiplier(field, np.exp(-(z1 - z0) * mean_a))
 
 
 # ---------------------------------------------------------------------------

@@ -159,12 +159,19 @@ def l2_norm(field) -> float:
 
 
 @lru_cache(maxsize=64)
-def _bracket_lattice(grid: Grid) -> np.ndarray:
-    """<xi> = (1+|xi|^2)^(1/2) on the shifted frequency lattice."""
+def xi_squared(grid: Grid) -> np.ndarray:
+    """|xi|^2 on the shifted frequency lattice (cached, read-only)."""
     sq = np.zeros(grid.shape)
     for ax in grid.frequency_meshes():
         sq = sq + ax ** 2
-    return np.sqrt(1.0 + sq)
+    sq.flags.writeable = False
+    return sq
+
+
+@lru_cache(maxsize=64)
+def _bracket_lattice(grid: Grid) -> np.ndarray:
+    """<xi> = (1+|xi|^2)^(1/2) on the shifted frequency lattice."""
+    return np.sqrt(1.0 + xi_squared(grid))
 
 
 def sobolev_norm(field: Field, s: float) -> float:
@@ -175,6 +182,12 @@ def sobolev_norm(field: Field, s: float) -> float:
     return float(np.linalg.norm(_bracket_lattice(field.grid) ** s * c))
 
 
+def apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
+    """Fourier multiplier: forward transform, scale each coefficient, invert."""
+    c = forward(field).coeffs * multiplier
+    return inverse(SpectralField(field.grid, c))
+
+
 def apply_weight(field: Field, r: float) -> Field:
     """Apply the order-r weight operator (multiplier <xi>^r).
 
@@ -182,24 +195,22 @@ def apply_weight(field: Field, r: float) -> Field:
     """
     if r == 0:
         return field.copy()
-    c = forward(field).coeffs * _bracket_lattice(field.grid) ** r
-    return inverse(SpectralField(field.grid, c))
+    return apply_multiplier(field, _bracket_lattice(field.grid) ** r)
 
 
-def wave_packet(grid: Grid, x0: float | None = None, sigma: float | None = None,
-                k0: float | None = None) -> Field:
-    """Gaussian-modulated plane wave, the default localized test datum.
+def wave_packet(grid: Grid) -> Field:
+    """Gaussian-modulated plane wave, the localized test datum.
 
-    Defaults: centered at period/2, width sigma = period/40, carrier
+    Centered at period/2, width sigma = period/40, carrier
     k0 = 8 * (2*pi/period).  The envelope decays below 1e-30 at the domain
     edges, so periodic wraparound is negligible for moderate transport.
     """
     if grid.dim != 1:
         raise GridError("wave_packet is defined for 1-d grids")
     p = grid.period
-    x0 = p / 2.0 if x0 is None else x0
-    sigma = p / 40.0 if sigma is None else sigma
-    k0 = 8.0 * (2.0 * np.pi / p) if k0 is None else k0
+    x0 = p / 2.0
+    sigma = p / 40.0
+    k0 = 8.0 * (2.0 * np.pi / p)
     x = grid.axis_points()
     env = np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2))
     return Field(grid, env * np.exp(1j * k0 * x))

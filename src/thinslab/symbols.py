@@ -174,11 +174,15 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     return acc
 
 
-def recommended_quadrature_order(spec: SymbolSpec, thickness: float, base: int = 4) -> int:
-    """Gauss-Legendre order resolving the symbol's z-oscillation on a slab."""
+def recommended_quadrature_order(spec: SymbolSpec, thickness: float) -> int:
+    """Gauss-Legendre order resolving the symbol's z-oscillation on a slab.
+
+    4 + ceil(z_bandwidth * thickness / 2) nodes, capped at 1024; four for a
+    symbol that declares no z-bandwidth.
+    """
     if spec.z_bandwidth <= 0.0:
-        return base
-    return min(1024, base + int(math.ceil(0.5 * spec.z_bandwidth * thickness)))
+        return 4
+    return min(1024, 4 + int(math.ceil(0.5 * spec.z_bandwidth * thickness)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +218,22 @@ def smoothed_abs_d(xi):
 WEIERSTRASS_TERMS = 10
 
 
-def weierstrass(z, alpha: float, terms: int = WEIERSTRASS_TERMS):
+def weierstrass(z, alpha: float):
     """Truncated lacunary cosine series sum_k 2^(-alpha k) cos(2^k pi z).
 
-    With the truncation at ``terms`` the sum is smooth but behaves like an
-    alpha-Hoelder function down to scale 2^-terms; its largest angular
-    frequency is 2^terms * pi.
+    With the truncation at ``WEIERSTRASS_TERMS`` the sum is smooth but
+    behaves like an alpha-Hoelder function down to scale 2^-WEIERSTRASS_TERMS;
+    its largest angular frequency is :func:`weierstrass_bandwidth`.
     """
     z = np.asarray(z, dtype=float)
     acc = np.zeros_like(z)
-    for k in range(terms + 1):
+    for k in range(WEIERSTRASS_TERMS + 1):
         acc = acc + 2.0 ** (-alpha * k) * np.cos((2.0 ** k) * np.pi * z)
     return acc
 
 
-def weierstrass_bandwidth(terms: int = WEIERSTRASS_TERMS) -> float:
-    return (2.0 ** terms) * np.pi
+def weierstrass_bandwidth() -> float:
+    return (2.0 ** WEIERSTRASS_TERMS) * np.pi
 
 
 # ---------------------------------------------------------------------------

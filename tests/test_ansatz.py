@@ -190,12 +190,3 @@ def test_report_csv_and_json(tmp_path, grid64):
     assert data["config"]["note"] == "test"
     assert abs(data["fitted_slope"] - rep.fitted_slope) < 1e-12
 
-
-def test_thread_env_smoke(grid64, monkeypatch):
-    # results do not depend on the worker count
-    spec = get_symbol("varspeed")
-    u0 = wave_packet(grid64)
-    rep1 = convergence_study(spec, u0, 1.0, (8, 16), Frozen(), FineStep(128))
-    monkeypatch.setenv("THINSLAB_THREADS", "4")
-    rep2 = convergence_study(spec, u0, 1.0, (8, 16), Frozen(), FineStep(128))
-    assert rep1.errors == rep2.errors

@@ -63,6 +63,12 @@ def test_resolve_config_rejects_bad_values():
         resolve_config("translation", {"Ns": "8,8"}, {})
     with pytest.raises(ConfigError):
         resolve_config("translation", {"variant": "peculiar"}, {})
+    with pytest.raises(ConfigError):
+        resolve_config("oneway-lens", {}, {"snapshot_every": "0"})
+    with pytest.raises(ConfigError):
+        resolve_config("oneway-lens", {}, {"damping_scale": "-1"})
+    with pytest.raises(ConfigError):
+        resolve_config("varspeed-z", {}, {"variant": "averaged", "quadrature_order": "-1"})
 
 
 def test_config_echo_round_trips_types():
@@ -194,7 +200,11 @@ def test_cli_bad_set_pair(tmp_path):
     ["varspeed-z", "--grid-points", "100"],                  # not a power of two
     ["translation", "--grid-points", "8192", "--Ns", "1",    # norm matrix over the size limit
      "--set", "norm_points=8192"],
-], ids=["slab-too-thick", "grid-not-power-of-two", "norm-matrix-too-large"])
+    ["oneway-lens", "--grid-points", "32"],                  # steep mode 28 beyond the lattice
+    ["varspeed", "--grid-points", "64", "--Ns", "8,16",      # n_ref below 8x the largest N
+     "--set", "n_ref=64"],
+], ids=["slab-too-thick", "grid-not-power-of-two", "norm-matrix-too-large",
+        "steep-mode-off-lattice", "fine-step-reference-too-coarse"])
 def test_cli_library_validation_is_config_error(tmp_path, flags):
     out = tmp_path / "bad"
     code = cli.main(["run", "--output-dir", str(out), "--scenario"] + flags)
