@@ -19,11 +19,8 @@ from .spectral import (
     write_field,
 )
 from .symbols import (
-    CONTINUOUS,
-    LIPSCHITZ,
     LatticeSpec,
     SymbolSpec,
-    ZRegularity,
     available_symbols,
     averaged_symbol,
     check_PL,
@@ -31,7 +28,6 @@ from .symbols import (
     estimate_seminorm,
     eval_symbol,
     get_symbol,
-    hoelder,
     smoothed_abs,
 )
 from .propagator import (

@@ -160,9 +160,8 @@ def residual_norm(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float, s: fl
     """
     if h_z is None:
         h_z = sub.step / 64.0
-    k = int(round(z / sub.step))
-    dist = min(abs(z - kk * sub.step) for kk in (int(math.floor(z / sub.step)),
-                                                 int(math.floor(z / sub.step)) + 1, k))
+    k = int(math.floor(z / sub.step))
+    dist = min(abs(z - kk * sub.step) for kk in (k, k + 1))
     if dist < h_z:
         raise PositionError(
             f"z = {z:g} is within h_z = {h_z:g} of a slab boundary")

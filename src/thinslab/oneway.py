@@ -33,7 +33,7 @@ from . import ansatz, propagator, spectral, symbols
 from .ansatz import Subdivision
 from .propagator import DELTA_MAX_DEFAULT, Frozen
 from .spectral import Field
-from .symbols import SymbolSpec, LIPSCHITZ
+from .symbols import SymbolSpec
 
 
 class MediumError(ValueError):
@@ -50,38 +50,29 @@ class BandLimitError(ValueError):
 
 @dataclass(frozen=True)
 class AcousticMedium:
-    """Sound speed and density with declared bounds.
+    """Sound speed with declared bounds, the only medium property the symbols use.
 
-    ``c`` and ``rho`` are callables (x, z) -> positive values; the bounds
-    are declared, and :func:`validate_medium` spot-checks them on samples.
-    The density is carried for medium bookkeeping; the principal one-way
-    symbols depend on the speed only.  ``x_independent`` and
-    ``z_independent`` declare that the speed is constant in x or in z; the
-    one-way symbol spec inherits both flags.
+    ``c`` is a callable (x, z) -> positive values; ``c_bounds`` are
+    declared, and :func:`validate_medium` spot-checks them on samples.
+    ``x_independent`` and ``z_independent`` declare that the speed is
+    constant in x or in z; the one-way symbol spec inherits both flags.
     """
 
     c: Callable
-    rho: Callable
     c_bounds: tuple
-    rho_bounds: tuple
     x_independent: bool = False
     z_independent: bool = False
 
     def __post_init__(self):
         c0, c1 = self.c_bounds
-        r0, r1 = self.rho_bounds
         if not (0.0 < c0 <= c1):
             raise MediumError(f"need 0 < c_min <= c_max, got {self.c_bounds}")
-        if not (0.0 < r0 <= r1):
-            raise MediumError(f"need 0 < rho_min <= rho_max, got {self.rho_bounds}")
 
 
-def homogeneous_medium(c0: float = 1.0, rho0: float = 1.0) -> AcousticMedium:
+def homogeneous_medium(c0: float = 1.0) -> AcousticMedium:
     return AcousticMedium(
         c=lambda x, z: np.full(np.shape(x) or (), c0, dtype=float),
-        rho=lambda x, z: np.full(np.shape(x) or (), rho0, dtype=float),
-        c_bounds=(c0, c0), rho_bounds=(rho0, rho0), x_independent=True,
-        z_independent=True)
+        c_bounds=(c0, c0), x_independent=True, z_independent=True)
 
 
 def lens_medium(amplitude: float = 0.1, period: float = 2.0 * np.pi,
@@ -92,21 +83,17 @@ def lens_medium(amplitude: float = 0.1, period: float = 2.0 * np.pi,
     w0 = 2.0 * np.pi / period
     return AcousticMedium(
         c=lambda x, z: c0 * (1.0 + amplitude * np.cos(w0 * np.asarray(x, float))),
-        rho=lambda x, z: np.ones(np.shape(x) or (), dtype=float),
         c_bounds=(c0 * (1.0 - amplitude), c0 * (1.0 + amplitude)),
-        rho_bounds=(1.0, 1.0), z_independent=True)
+        z_independent=True)
 
 
 def validate_medium(medium: AcousticMedium, x_samples, z_samples) -> None:
-    """Spot-check the declared bounds on a sample lattice."""
+    """Spot-check the declared speed bounds on a sample lattice."""
     tol = 1e-9
     for z in np.atleast_1d(z_samples):
         c = np.asarray(medium.c(np.asarray(x_samples, float), z), dtype=float)
-        r = np.asarray(medium.rho(np.asarray(x_samples, float), z), dtype=float)
         if np.min(c) < medium.c_bounds[0] - tol or np.max(c) > medium.c_bounds[1] + tol:
             raise MediumError("sampled speed violates the declared bounds")
-        if np.min(r) < medium.rho_bounds[0] - tol or np.max(r) > medium.rho_bounds[1] + tol:
-            raise MediumError("sampled density violates the declared bounds")
 
 
 @dataclass(frozen=True)
@@ -128,7 +115,7 @@ class ApertureConfig:
 def _blend(u):
     """C^2 soft positive part: 0 for u<=0, u for u>=1, quintic-blended between."""
     u = np.asarray(u, dtype=float)
-    return np.where(u >= 1.0, u, u * symbols._smoothstep(u))
+    return u * symbols._smoothstep(u)
 
 
 def bplus_joint(medium: AcousticMedium, aperture: ApertureConfig):
@@ -183,16 +170,14 @@ def oneway_symbol_spec(medium: AcousticMedium, aperture: ApertureConfig,
                        damping_scale: float = 2.0) -> SymbolSpec:
     """Assemble a = -i b_+ + c_1 as a symbol spec for the slab machinery.
 
-    At fixed tau these symbols are bounded in xi rather than homogeneous,
-    so no xi-homogeneity cutoff is claimed; the degree-one scaling holds
-    jointly in (tau, xi) and is checked by the tests through
-    :func:`bplus_joint`.
+    The spec inherits the medium's x- and z-independence flags.  At fixed
+    tau these symbols are bounded in xi rather than homogeneous; the
+    degree-one scaling holds jointly in (tau, xi) and is checked by the
+    tests through :func:`bplus_joint`.
     """
     return SymbolSpec(
         b1=build_bplus(medium, aperture),
         c1=build_damping(medium, aperture, damping_scale),
-        z_regularity=LIPSCHITZ,
-        homogeneity_cutoff=np.inf,
         x_independent=medium.x_independent,
         z_independent=medium.z_independent)
 

@@ -30,7 +30,7 @@ Evaluators are numpy-vectorized callables ``f(z, x, xi)`` with scalar z;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -50,36 +50,6 @@ class PreconditionError(ValueError):
     """A checker precondition (such as q >= 0) is violated."""
 
 
-# ---------------------------------------------------------------------------
-# z-regularity tags
-
-
-@dataclass(frozen=True)
-class ZRegularity:
-    kind: str                  # "continuous" | "lipschitz" | "hoelder"
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("continuous", "lipschitz", "hoelder"):
-            raise ValueError(f"unknown z-regularity kind {self.kind!r}")
-        if self.kind == "hoelder":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValueError("hoelder regularity needs alpha in (0, 1)")
-
-    def tag(self) -> str:
-        if self.kind == "hoelder":
-            return f"hoelder({self.alpha:g})"
-        return self.kind
-
-
-CONTINUOUS = ZRegularity("continuous")
-LIPSCHITZ = ZRegularity("lipschitz")
-
-
-def hoelder(alpha: float) -> ZRegularity:
-    return ZRegularity("hoelder", alpha)
-
-
 def _coordinate_shape(x, xi):
     """Broadcast shape of the coordinates' components (tuples in 2-d)."""
     parts = (x if isinstance(x, tuple) else (x,)) + (xi if isinstance(xi, tuple) else (xi,))
@@ -92,29 +62,21 @@ def _zero(z, x, xi):
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Bundle of the four component evaluators plus structural metadata.
+    """The four component evaluators and the three flags the slab code reads.
 
     ``x_independent`` marks multiplier symbols (exact evolution available),
     ``z_independent`` marks symbols constant in the evolution variable, and
     ``z_bandwidth`` bounds the angular frequency of the z-dependence so
     slab averages can pick an adequate quadrature order automatically.
-    ``homogeneity_cutoff`` is the radius beyond which b1 and c1 scale
-    linearly in xi; ``inf`` means no homogeneity in xi alone is claimed.
     """
 
     b1: Callable = _zero
     b0: Callable = _zero
     c1: Callable = _zero
     c0: Callable = _zero
-    z_regularity: ZRegularity = CONTINUOUS
-    homogeneity_cutoff: float = 1.0
     x_independent: bool = False
     z_independent: bool = False
     z_bandwidth: float = 0.0
-
-    def __post_init__(self):
-        if not (self.homogeneity_cutoff >= 1.0):
-            raise ValueError("homogeneity_cutoff must be >= 1")
 
 
 _COMPONENTS = ("b1", "b0", "c1", "c0")
@@ -446,27 +408,27 @@ _HOELDER_NORMALIZER = 3.5   # bounds |weierstrass(z, 1/2)| for the canned modula
 def _make_translation(period: float) -> SymbolSpec:
     return SymbolSpec(
         b1=lambda z, x, xi: np.broadcast_to(np.asarray(xi, float), np.broadcast(x, xi).shape),
-        z_regularity=LIPSCHITZ, x_independent=True, z_independent=True)
+        x_independent=True, z_independent=True)
 
 
 def _make_halfwave(period: float) -> SymbolSpec:
     return SymbolSpec(
         b1=lambda z, x, xi: np.broadcast_to(smoothed_abs(xi), np.broadcast(x, xi).shape),
         c0=lambda z, x, xi: np.full(np.broadcast(x, xi).shape, 0.25),
-        z_regularity=LIPSCHITZ, x_independent=True, z_independent=True)
+        x_independent=True, z_independent=True)
 
 
 def _make_damped(period: float) -> SymbolSpec:
     return SymbolSpec(
         c1=lambda z, x, xi: np.broadcast_to(smoothed_abs(xi), np.broadcast(x, xi).shape),
-        z_regularity=LIPSCHITZ, x_independent=True, z_independent=True)
+        x_independent=True, z_independent=True)
 
 
 def _make_varspeed(period: float) -> SymbolSpec:
     w0 = 2.0 * np.pi / period
     return SymbolSpec(
         b1=lambda z, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float))) * xi,
-        z_regularity=LIPSCHITZ, z_independent=True)
+        z_independent=True)
 
 
 def _make_varspeed_z(period: float) -> SymbolSpec:
@@ -474,7 +436,7 @@ def _make_varspeed_z(period: float) -> SymbolSpec:
     return SymbolSpec(
         b1=lambda z, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float)))
                             * (1.0 + 0.5 * z) * xi,
-        z_regularity=LIPSCHITZ, z_bandwidth=1.0)
+        z_bandwidth=1.0)
 
 
 def _make_damped_varspeed(period: float) -> SymbolSpec:
@@ -483,7 +445,7 @@ def _make_damped_varspeed(period: float) -> SymbolSpec:
         b1=lambda z, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float))) * xi,
         c1=lambda z, x, xi: 0.3 * (1.0 + 0.5 * np.sin(w0 * np.asarray(x, float)))
                             * smoothed_abs(xi),
-        z_regularity=LIPSCHITZ, z_independent=True)
+        z_independent=True)
 
 
 def _make_hoelder_z(period: float) -> SymbolSpec:
@@ -494,26 +456,17 @@ def _make_hoelder_z(period: float) -> SymbolSpec:
         g = weierstrass(z, alpha) / _HOELDER_NORMALIZER
         return (1.0 + 0.3 * g * np.cos(w0 * np.asarray(x, float))) * xi
 
-    return SymbolSpec(b1=b1, z_regularity=hoelder(alpha),
-                      z_bandwidth=weierstrass_bandwidth())
-
-
-def _make_oneway_bplus(period: float) -> SymbolSpec:
-    from . import oneway
-    medium = oneway.homogeneous_medium()
-    aperture = oneway.ApertureConfig(theta1=np.pi / 12, theta2=np.pi * 50 / 180, tau=32.0)
-    return oneway.oneway_symbol_spec(medium, aperture, damping_scale=0.0)
+    return SymbolSpec(b1=b1, z_bandwidth=weierstrass_bandwidth())
 
 
 _REGISTRY = {
-    "translation": ("constant drift, b1 = xi", _make_translation),
-    "halfwave": ("half-wave multiplier |xi| with constant absorption 1/4", _make_halfwave),
-    "damped": ("pure damping multiplier c1 = |xi|", _make_damped),
-    "varspeed": ("variable speed b1 = (1+0.3 cos)xi", _make_varspeed),
-    "varspeed-z": ("variable speed with linear z drift", _make_varspeed_z),
-    "damped-varspeed": ("variable speed plus variable damping", _make_damped_varspeed),
-    "hoelder-z": ("variable speed with rough (Hoelder 1/2) z modulation", _make_hoelder_z),
-    "oneway-bplus": ("one-way vertical slowness symbol, homogeneous medium", _make_oneway_bplus),
+    "translation": _make_translation,
+    "halfwave": _make_halfwave,
+    "damped": _make_damped,
+    "varspeed": _make_varspeed,
+    "varspeed-z": _make_varspeed_z,
+    "damped-varspeed": _make_damped_varspeed,
+    "hoelder-z": _make_hoelder_z,
 }
 
 
@@ -525,7 +478,7 @@ def available_symbols():
 def get_symbol(name: str, period: float = 2.0 * np.pi) -> SymbolSpec:
     """Instantiate a canned symbol for the given spatial period."""
     try:
-        _, factory = _REGISTRY[name]
+        factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown symbol {name!r}; available: {', '.join(_REGISTRY)}")
     return factory(period)

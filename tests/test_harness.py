@@ -69,6 +69,16 @@ def test_resolve_config_rejects_bad_values():
         resolve_config("oneway-lens", {}, {"damping_scale": "-1"})
     with pytest.raises(ConfigError):
         resolve_config("varspeed-z", {}, {"variant": "averaged", "quadrature_order": "-1"})
+    with pytest.raises(ConfigError):
+        resolve_config("translation", {}, {"s": "nan"})
+    with pytest.raises(ConfigError):
+        resolve_config("translation", {}, {"Z": "inf"})
+    with pytest.raises(ConfigError):
+        resolve_config("varspeed-z", {}, {"delta_max": "nan"})
+    with pytest.raises(ConfigError):
+        resolve_config("translation", {}, {"seed": "-1"})
+    with pytest.raises(ConfigError):
+        resolve_config("oneway-lens", {}, {"damping_scale": "nan"})
 
 
 def test_config_echo_round_trips_types():
@@ -174,6 +184,32 @@ def test_gate_violation_exit_code(tmp_path):
     assert code == harness.EXIT_GATE
     manifest = json.loads((tmp_path / "gate" / "manifest.json").read_text())
     assert manifest["status"] == "gate-violation"
+
+
+@pytest.mark.parametrize("gate,facts", [
+    ("exact_tol", {"max_normalized_error": np.nan}),
+    ("slope_min", {"fitted_slope": np.nan}),
+    ("monotone_tol", {"errors": [1.0, np.nan]}),
+    ("averaged_margin", {"Ns": [8], "errors": [1.0], "averaged_errors": [np.nan]}),
+    ("phase_tol", {"max_phase_error": np.nan}),
+    ("suppression_min", {"suppression": np.nan}),
+    ("preserve_tol", {"inside_change": np.nan}),
+])
+def test_nan_fact_violates_its_gate(gate, facts):
+    entry = harness.Scenario(name="probe", kind="evolution", description="",
+                             regularity="", gates={gate: 0.5})
+    assert len(harness._check_gates(entry, facts)) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_sobolev_index_is_gate_violation(tmp_path):
+    # <xi>^400 overflows, so the errors read inf and nan
+    out = tmp_path / "s400"
+    code = cli.main(["run", "--scenario", "translation", "--grid-points", "64",
+                     "--Ns", "1,8", "--set", "norm_points=64", "--s", "400",
+                     "--output-dir", str(out)])
+    assert code == harness.EXIT_GATE
+    assert json.loads((out / "manifest.json").read_text())["status"] == "gate-violation"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

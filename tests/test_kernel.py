@@ -107,3 +107,23 @@ def test_two_dimensional_slab_with_unset_components(n):
     got = apply_slab(slab, u).values
     assert rel_err(got, naive_slab(slab, u)) < 1e-12
     assert rel_err(got, assemble_matrix(slab, grid).apply(u).values) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_two_dimensional_multiplier_fast_path(n):
+    # x-independent: apply_slab takes the Fourier-multiplier path, not the kernel sum
+    def b1(z, x, xi):
+        return xi[0] + 0.5 * xi[1]
+
+    def c1(z, x, xi):
+        return 0.1 * np.sqrt(xi[0] ** 2 + xi[1] ** 2)
+
+    grid = Grid(n, 2 * np.pi, dim=2)
+    spec = SymbolSpec(b1=b1, c1=c1, x_independent=True, z_independent=True)
+    u = random_field(grid, 16)
+    for variant in (Frozen(), Averaged()):
+        slab = SlabSpec(0.2, 0.2 + 1.0 / 16.0, spec, variant)
+        got = apply_slab(slab, u).values
+        assert rel_err(got, naive_slab(slab, u)) < 1e-12
+        exact = propagator.exact_multiplier_evolution(spec, slab.z, slab.z_prime, u)
+        assert rel_err(got, exact.values) < 1e-12

@@ -11,7 +11,9 @@ from thinslab.oneway import (
     oneway_symbol_spec, partition_bins, validate_medium,
 )
 from thinslab.spectral import Field, Grid, forward, inverse, SpectralField
-from thinslab.symbols import averaged_symbol, check_PL, recommended_quadrature_order
+from thinslab.symbols import (
+    averaged_symbol, check_PL, eval_symbol, recommended_quadrature_order,
+)
 
 from conftest import rel_err
 
@@ -31,15 +33,12 @@ def test_aperture_validation():
 
 def test_medium_validation():
     with pytest.raises(MediumError):
-        AcousticMedium(c=lambda z, x: 1.0, rho=lambda z, x: 1.0,
-                       c_bounds=(0.0, 1.0), rho_bounds=(1.0, 1.0))
+        AcousticMedium(c=lambda z, x: 1.0, c_bounds=(0.0, 1.0))
     with pytest.raises(MediumError):
-        AcousticMedium(c=lambda z, x: 1.0, rho=lambda z, x: 1.0,
-                       c_bounds=(2.0, 1.0), rho_bounds=(1.0, 1.0))
+        AcousticMedium(c=lambda z, x: 1.0, c_bounds=(2.0, 1.0))
     med = lens_medium()
     validate_medium(med, np.linspace(0, 2 * np.pi, 9), [0.0, 1.0])
-    bad = AcousticMedium(c=lambda z, x: 5.0 + 0.0 * np.asarray(x),
-                         rho=med.rho, c_bounds=(0.9, 1.1), rho_bounds=(1.0, 1.0))
+    bad = AcousticMedium(c=lambda z, x: 5.0 + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
     with pytest.raises(MediumError):
         validate_medium(bad, np.linspace(0, 2 * np.pi, 9), [0.0])
 
@@ -118,9 +117,16 @@ def test_oneway_symbol_spec_flags():
     spec = oneway_symbol_spec(homogeneous_medium(), AP)
     assert spec.x_independent
     assert spec.z_independent
-    assert np.isinf(spec.homogeneity_cutoff)
     lens = oneway_symbol_spec(lens_medium(), AP)
     assert not lens.x_independent
+    assert lens.z_independent
+    # the flags agree with evaluation: equal rows at two x, equal tables at two z
+    xa = np.array([[0.5], [2.5]])
+    xi = np.linspace(-40, 40, 17)[None, :]
+    a = eval_symbol(spec, 0.25, xa, xi)
+    assert np.max(np.abs(a[0] - a[1])) < 1e-13
+    assert np.max(np.abs(eval_symbol(spec, 0.1, xa, xi) - eval_symbol(spec, 0.9, xa, xi))) < 1e-13
+    assert np.max(np.abs(eval_symbol(lens, 0.1, xa, xi) - eval_symbol(lens, 0.9, xa, xi))) < 1e-13
 
 
 def test_partition_bins_cover_grid():
@@ -222,8 +228,7 @@ def test_observer_depths():
 def test_z_dependent_medium_averaged_slab():
     # c = 1 + 0.1 z: the averaged slab must run the quadrature, not freeze
     med = AcousticMedium(c=lambda x, z: (1.0 + 0.1 * z) * np.ones(np.shape(x)),
-                         rho=lambda x, z: np.ones(np.shape(x)),
-                         c_bounds=(1.0, 1.1), rho_bounds=(1.0, 1.0))
+                         c_bounds=(1.0, 1.1))
     spec = oneway_symbol_spec(med, AP)
     assert not spec.z_independent
     assert oneway_symbol_spec(lens_medium(), AP).z_independent

@@ -5,10 +5,9 @@ import pytest
 
 from thinslab import symbols
 from thinslab.symbols import (
-    CONTINUOUS, LIPSCHITZ, EvaluationError, LatticeSpec, PreconditionError,
-    SymbolSpec, ZRegularity, available_symbols, averaged_symbol, check_PL,
-    check_QL_family, estimate_seminorm, eval_symbol, get_symbol, hoelder,
-    lattice_derivative, random_nonneg_order1, recommended_quadrature_order,
+    EvaluationError, LatticeSpec, PreconditionError, SymbolSpec, available_symbols,
+    averaged_symbol, check_PL, check_QL_family, estimate_seminorm, eval_symbol,
+    get_symbol, lattice_derivative, random_nonneg_order1, recommended_quadrature_order,
     smoothed_abs, smoothed_abs_d, weierstrass, weierstrass_bandwidth,
 )
 
@@ -18,17 +17,6 @@ XI = np.linspace(-40.0, 40.0, 33)[None, :]
 
 def shaped(z, x, xi):
     return np.ones(np.broadcast(x, xi).shape)
-
-
-def test_regularity_validation():
-    with pytest.raises(ValueError):
-        ZRegularity("weird")
-    with pytest.raises(ValueError):
-        hoelder(1.0)
-    with pytest.raises(ValueError):
-        hoelder(0.0)
-    assert hoelder(0.5).tag() == "hoelder(0.5)"
-    assert LIPSCHITZ.tag() == "lipschitz"
 
 
 def test_eval_combines_components():
@@ -223,8 +211,7 @@ def test_registry_contents():
     names = available_symbols()
     assert names[0] == "translation"
     assert set(names) >= {"translation", "halfwave", "damped", "varspeed",
-                          "varspeed-z", "damped-varspeed", "hoelder-z",
-                          "oneway-bplus"}
+                          "varspeed-z", "damped-varspeed", "hoelder-z"}
     with pytest.raises(KeyError) as err:
         get_symbol("missing")
     assert "translation" in str(err.value)
