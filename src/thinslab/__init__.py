@@ -19,7 +19,6 @@ from .spectral import (
     write_field,
 )
 from .symbols import (
-    LatticeSpec,
     SymbolSpec,
     available_symbols,
     averaged_symbol,

@@ -405,9 +405,9 @@ def _property_cases(cfg: ExperimentConfig, spec, grid) -> list:
     if np.any(np.asarray(c1_vals) != 0.0):
         def q(x, xi):
             return spec.c1(0.0, x, xi)
-        rep = symbols.check_PL(q, L=2.0)
+        rep = symbols.check_PL(q)
         cases.append(("damping-derivative-bound", rep.passed,
-                      f"worst ratio {rep.worst_ratio:.3f} (limit {rep.c_max:g})"))
+                      f"worst ratio {rep.worst_ratio:.3f} (limit {symbols.RATIO_LIMIT:g})"))
     cases.append(family)
     return cases
 
@@ -492,13 +492,18 @@ def _run_evolution(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs
 
     t0 = time.perf_counter()
     cases = _property_cases(cfg, spec, grid)
+    timings["properties"] = time.perf_counter() - t0
+    _write_properties(out, outputs, cases)
+    return facts
+
+
+def _write_properties(out, outputs, cases) -> None:
+    """Write properties.xml; a failed case ends the run as a gate violation."""
     write_junit(os.path.join(out, "properties.xml"), "thinslab.properties", cases)
     outputs.append("properties.xml")
-    timings["properties"] = time.perf_counter() - t0
-    if any(not ok for _, ok, _ in cases):
-        raise GateViolation("; ".join(f"property {n} failed: {m}"
-                                      for n, ok, m in cases if not ok))
-    return facts
+    failed = [f"property {n} failed: {m}" for n, ok, m in cases if not ok]
+    if failed:
+        raise GateViolation("; ".join(failed))
 
 
 def _oneway_parts(cfg: ExperimentConfig):
@@ -535,7 +540,6 @@ def _mixed_mode_datum(grid: Grid, medium, aperture) -> Field:
 
 def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -> dict:
     grid, medium, aperture = _oneway_parts(cfg)
-    oneway.validate_medium(medium, grid.axis_points(), [0.0, cfg.Z])
     facts = {}
 
     t0 = time.perf_counter()
@@ -592,9 +596,12 @@ def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -
         facts["suppression"] = e0[2] / max(eZ[2], 1e-300)
     if e0[0] > 0.0:
         facts["inside_change"] = abs(eZ[0] / e0[0] - 1.0)
-    cases = [("medium-bounds", True, "sampled speed within declared bounds")]
-    write_junit(os.path.join(out, "properties.xml"), "thinslab.properties", cases)
-    outputs.append("properties.xml")
+    try:
+        oneway.validate_medium(medium, grid.axis_points(), [0.0, cfg.Z])
+        bounds = ("medium-bounds", True, "sampled speed within declared bounds")
+    except oneway.MediumError as exc:
+        bounds = ("medium-bounds", False, str(exc))
+    _write_properties(out, outputs, [bounds])
     return facts
 
 
@@ -644,9 +651,16 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def quick_check(output_dir: str, seed: int = 0) -> int:
-    """Fast library self-check; writes properties.xml + manifest, returns exit code."""
+    """Fast library self-check; writes properties.xml + manifest, returns exit code.
+
+    A negative seed writes a config-error manifest and raises ConfigError.
+    """
     cfg = ExperimentConfig(scenario="check", output_dir=output_dir, seed=seed)
     os.makedirs(output_dir, exist_ok=True)
+    if seed < 0:
+        error = f"seed must be >= 0, got {seed}"
+        _write_manifest(output_dir, cfg, "config-error", error, {}, [])
+        raise ConfigError(error)
     timings = {}
     started = time.perf_counter()
     grid = Grid(64, 2.0 * np.pi)
@@ -669,7 +683,7 @@ def quick_check(output_dir: str, seed: int = 0) -> int:
     ok_all = True
     for trial in range(20):
         q, _ = symbols.random_nonneg_order1(np.random.default_rng(seed + trial))
-        rep = symbols.check_PL(q, L=2.0)
+        rep = symbols.check_PL(q)
         ok_all = ok_all and rep.passed
     cases.append(("nonneg-symbol-derivative-bound", ok_all,
                   "20 random nonnegative order-1 symbols within the L=2 bound"))

@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import ansatz, propagator, spectral, symbols
+from . import ansatz, spectral, symbols
 from .ansatz import Subdivision
-from .propagator import DELTA_MAX_DEFAULT, Frozen
+from .propagator import DELTA_MAX_DEFAULT
 from .spectral import Field
 from .symbols import SymbolSpec
 
@@ -69,21 +69,19 @@ class AcousticMedium:
             raise MediumError(f"need 0 < c_min <= c_max, got {self.c_bounds}")
 
 
-def homogeneous_medium(c0: float = 1.0) -> AcousticMedium:
+def homogeneous_medium() -> AcousticMedium:
+    """Unit speed everywhere."""
     return AcousticMedium(
-        c=lambda x, z: np.full(np.shape(x) or (), c0, dtype=float),
-        c_bounds=(c0, c0), x_independent=True, z_independent=True)
+        c=lambda x, z: np.full(np.shape(x) or (), 1.0, dtype=float),
+        c_bounds=(1.0, 1.0), x_independent=True, z_independent=True)
 
 
-def lens_medium(amplitude: float = 0.1, period: float = 2.0 * np.pi,
-                c0: float = 1.0) -> AcousticMedium:
-    """Smooth lateral lens c(x) = c0 * (1 + amplitude * cos(2 pi x / period))."""
-    if not (0.0 <= amplitude < 1.0):
-        raise MediumError("lens amplitude must be in [0, 1)")
+def lens_medium(period: float = 2.0 * np.pi) -> AcousticMedium:
+    """Smooth lateral lens c(x) = 1 + 0.1 * cos(2 pi x / period)."""
     w0 = 2.0 * np.pi / period
     return AcousticMedium(
-        c=lambda x, z: c0 * (1.0 + amplitude * np.cos(w0 * np.asarray(x, float))),
-        c_bounds=(c0 * (1.0 - amplitude), c0 * (1.0 + amplitude)),
+        c=lambda x, z: 1.0 + 0.1 * np.cos(w0 * np.asarray(x, float)),
+        c_bounds=(0.9, 1.1),
         z_independent=True)
 
 
@@ -92,7 +90,7 @@ def validate_medium(medium: AcousticMedium, x_samples, z_samples) -> None:
     tol = 1e-9
     for z in np.atleast_1d(z_samples):
         c = np.asarray(medium.c(np.asarray(x_samples, float), z), dtype=float)
-        if np.min(c) < medium.c_bounds[0] - tol or np.max(c) > medium.c_bounds[1] + tol:
+        if not (np.min(c) >= medium.c_bounds[0] - tol and np.max(c) <= medium.c_bounds[1] + tol):
             raise MediumError("sampled speed violates the declared bounds")
 
 
@@ -231,11 +229,10 @@ def check_band_limit(u0: Field, medium: AcousticMedium, aperture: ApertureConfig
 
 def downward_continue(medium: AcousticMedium, aperture: ApertureConfig, u0: Field,
                       Z: float, n_slabs: int, damping_scale: float = 2.0,
-                      variant: object = Frozen(),
                       delta_max: float = DELTA_MAX_DEFAULT,
                       observer=None) -> Field:
-    """March u0 down through [0, Z] with the one-way thin-slab composition."""
+    """March u0 down through [0, Z] with the frozen one-way thin-slab composition."""
     check_band_limit(u0, medium, aperture)
     spec = oneway_symbol_spec(medium, aperture, damping_scale)
     sub = Subdivision(Z, n_slabs, delta_max)
-    return ansatz.apply_ansatz(spec, sub, u0, variant=variant, observer=observer)
+    return ansatz.apply_ansatz(spec, sub, u0, observer=observer)

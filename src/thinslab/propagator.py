@@ -285,12 +285,6 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
     return PropagatorMatrix(grid, _input_forward(B, grid))
 
 
-def save_matrix(path, matrix: PropagatorMatrix) -> None:
-    """Export the dense matrix in the field binary format (row-major)."""
-    flat_grid = Grid(n_points=matrix.grid.size, period=matrix.grid.period, dim=2)
-    spectral.write_field(path, Field(flat_grid, matrix.entries))
-
-
 # ---------------------------------------------------------------------------
 # H^s operator norms
 
@@ -320,7 +314,7 @@ def operator_norm_hs(matrix: PropagatorMatrix, s: float) -> float:
 
 def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
                      s: float, grid: Grid, variant: object = Frozen(),
-                     delta_max: float = DELTA_MAX_DEFAULT, seed: int = 0) -> float:
+                     seed: int = 0) -> float:
     """H^s norm of  G_(z_top,z) - G_(z_top,z_mid) o G_(z_mid,z).
 
     Thin-slab propagators are not a semigroup: for x-dependent symbols the
@@ -331,8 +325,8 @@ def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
     """
     if not (z < z_mid < z_top):
         raise SlabError(f"need z < z_mid < z_top, got {z}, {z_mid}, {z_top}")
-    whole = assemble_matrix(SlabSpec(z, z_top, spec, variant, delta_max), grid)
-    lower = assemble_matrix(SlabSpec(z, z_mid, spec, variant, delta_max), grid)
-    upper = assemble_matrix(SlabSpec(z_mid, z_top, spec, variant, delta_max), grid)
+    whole = assemble_matrix(SlabSpec(z, z_top, spec, variant), grid)
+    lower = assemble_matrix(SlabSpec(z, z_mid, spec, variant), grid)
+    upper = assemble_matrix(SlabSpec(z_mid, z_top, spec, variant), grid)
     defect = whole.entries - upper.entries @ lower.entries
     return operator_norm_hs(PropagatorMatrix(grid, defect), s)

@@ -133,7 +133,7 @@ def test_criterion_7_symbol_class_suite():
     all_pass = True
     for trial in range(100):
         q, _ = S.random_nonneg_order1(np.random.default_rng(1000 + trial))
-        rep = S.check_PL(q, L=2.0)
+        rep = S.check_PL(q)
         worst = max(worst, rep.worst_ratio)
         all_pass = all_pass and rep.passed
     ql = S.check_QL_family(lambda x, xi: S.smoothed_abs(xi)

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from thinslab import cli, harness
+from thinslab import cli, harness, oneway
 from thinslab.harness import (
     ConfigError, ExperimentConfig, config_echo, get_scenario, list_scenarios,
     parse_config_file, resolve_config, write_junit,
@@ -269,3 +269,30 @@ def test_quick_check(tmp_path):
     assert (tmp_path / "chk" / "properties.xml").exists()
     manifest = json.loads((tmp_path / "chk" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
+
+
+def test_check_negative_seed_is_config_error(tmp_path):
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--seed", "-1", "--output-dir", str(out)]) == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "seed" in manifest["error"]
+    assert not (out / "properties.xml").exists()
+
+
+def test_medium_out_of_bounds_is_gate_violation(tmp_path, monkeypatch):
+    # the speed reaches 1.2 while the medium declares it stays in [0.9, 1.1]
+    def stray_lens(period):
+        return oneway.AcousticMedium(
+            c=lambda x, z: 1.0 + 0.2 * np.cos(np.asarray(x, float)),
+            c_bounds=(0.9, 1.1), z_independent=True)
+
+    monkeypatch.setattr(oneway, "lens_medium", stray_lens)
+    out = tmp_path / "lens"
+    assert cli.main(["run", "--scenario", "oneway-lens", "--output-dir", str(out)]) == harness.EXIT_GATE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-violation"
+    assert "medium-bounds" in manifest["error"]
+    props = (out / "properties.xml").read_text()
+    assert 'failures="1"' in props
+    assert "sampled speed violates the declared bounds" in props

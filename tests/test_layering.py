@@ -34,3 +34,26 @@ def test_imports_point_down_the_layer_order():
             if ORDER.index(target) >= rank:
                 wrong.append(f"{path.name}:{line} imports {target}")
     assert not wrong, wrong
+
+
+def _imported_names(tree):
+    """Yield (line, name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} imports {name}"
+                   for line, name in _imported_names(tree) if name not in read]
+    assert not unused, unused

@@ -41,6 +41,9 @@ def test_medium_validation():
     bad = AcousticMedium(c=lambda z, x: 5.0 + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
     with pytest.raises(MediumError):
         validate_medium(bad, np.linspace(0, 2 * np.pi, 9), [0.0])
+    nan = AcousticMedium(c=lambda z, x: np.nan + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
+    with pytest.raises(MediumError):
+        validate_medium(nan, np.linspace(0, 2 * np.pi, 9), [0.0])
 
 
 def test_bplus_vertical_incidence():
@@ -109,7 +112,7 @@ def test_damping_scale_validation():
 def test_damping_satisfies_derivative_bound():
     # the angular damping is a nonnegative order-1 symbol: square-root bound holds
     c1 = build_damping(lens_medium(), AP, scale=2.0)
-    rep = check_PL(lambda x, xi: c1(0.0, x, xi), L=2.0)
+    rep = check_PL(lambda x, xi: c1(0.0, x, xi))
     assert rep.passed
 
 

@@ -7,11 +7,11 @@ from thinslab import propagator
 from thinslab.propagator import (
     Averaged, ContractViolation, Frozen, MatrixSizeError,
     SlabError, SlabSpec, VariantError, apply_slab, apply_symbol_operator,
-    assemble_matrix, exact_multiplier_evolution, operator_norm_hs, save_matrix,
+    assemble_matrix, exact_multiplier_evolution, operator_norm_hs,
     semigroup_defect,
 )
 from thinslab.spectral import (
-    Field, Grid, _bracket_lattice, forward, inverse, l2_norm, read_field, sobolev_norm,
+    Field, Grid, _bracket_lattice, forward, inverse, l2_norm, sobolev_norm,
 )
 from thinslab.symbols import SymbolSpec, get_symbol
 
@@ -202,17 +202,6 @@ def test_x_independent_matrix_diagonal_in_fourier(grid64):
     T = propagator._fourier_representation(mat.entries, grid64)
     off = T - np.diag(np.diag(T))
     assert np.max(np.abs(off)) < 1e-10
-
-
-def test_save_matrix_round_trip(tmp_path, grid64):
-    slab = SlabSpec(0.0, 0.125, get_symbol("varspeed"))
-    mat = assemble_matrix(slab, grid64)
-    path = tmp_path / "mat.tslb"
-    save_matrix(path, mat)
-    back = read_field(path)
-    assert back.grid.dim == 2
-    assert back.grid.n_points == 64
-    assert np.array_equal(back.values, mat.entries)
 
 
 def test_operator_norm_identity(grid64):

@@ -5,7 +5,7 @@ import pytest
 
 from thinslab import symbols
 from thinslab.symbols import (
-    EvaluationError, LatticeSpec, PreconditionError, SymbolSpec, available_symbols,
+    EvaluationError, PreconditionError, SymbolSpec, available_symbols,
     averaged_symbol, check_PL, check_QL_family, estimate_seminorm, eval_symbol,
     get_symbol, lattice_derivative, random_nonneg_order1, recommended_quadrature_order,
     smoothed_abs, smoothed_abs_d, weierstrass, weierstrass_bandwidth,
@@ -106,35 +106,39 @@ def test_weierstrass_hoelder_bound():
         assert lhs <= (C + 2.0) * abs(z1 - z2) ** alpha + 1e-12
 
 
+def test_lattice_is_fixed_and_read_only():
+    assert symbols.LATTICE_X.shape == (64, 1)
+    assert symbols.LATTICE_XI.shape == (1, 127)
+    assert symbols.LATTICE_XI[0, 63] == 0.0
+    assert symbols.LATTICE_XI[0, -1] == 64.0
+    with pytest.raises(ValueError):
+        symbols.LATTICE_X[0, 0] = 1.0
+
+
 def test_lattice_derivative_trig():
-    spec = LatticeSpec()
-    Xl, XIl = spec.build()
+    Xl, XIl = symbols.LATTICE_X, symbols.LATTICE_XI
 
     def f(x, xi):
         return np.sin(x) * (1.0 + np.abs(xi))
 
-    d10 = lattice_derivative(f, Xl, XIl, 1, 0, spec.fd_step_x, spec.fd_step_xi)
+    d10 = lattice_derivative(f, 1, 0)
     expected = np.cos(Xl) * (1.0 + np.abs(XIl))
     assert np.max(np.abs(d10 - expected) / (1.0 + np.abs(XIl))) < 1e-7
 
 
 def test_lattice_derivative_polynomial_xi():
-    spec = LatticeSpec()
-    Xl, XIl = spec.build()
+    XIl = symbols.LATTICE_XI
 
     def f(x, xi):
         return xi ** 2 * np.ones(np.broadcast(x, xi).shape)
 
-    d01 = lattice_derivative(f, Xl, XIl, 0, 1, spec.fd_step_x, spec.fd_step_xi)
+    d01 = lattice_derivative(f, 0, 1)
     rel = np.abs(d01 - 2.0 * XIl) / (1.0 + np.abs(XIl))
     assert np.max(rel) < 1e-6
 
 
 def test_lattice_derivative_constant_is_zero():
-    spec = LatticeSpec()
-    Xl, XIl = spec.build()
-    d = lattice_derivative(lambda x, xi: 3.0 * np.ones(np.broadcast(x, xi).shape),
-                           Xl, XIl, 1, 1, spec.fd_step_x, spec.fd_step_xi)
+    d = lattice_derivative(lambda x, xi: 3.0 * np.ones(np.broadcast(x, xi).shape), 1, 1)
     assert np.max(np.abs(d)) < 1e-8
 
 
@@ -142,25 +146,18 @@ def test_estimate_seminorm_order_one():
     # f = sin(x)(1+|xi|): the (1,0) seminorm at m=1 is sup|cos x| = 1
     est = estimate_seminorm(lambda x, xi: np.sin(x) * (1.0 + np.abs(xi)),
                             alpha=1, beta=0, m=1)
-    assert abs(est.value - 1.0) < 1e-6
+    assert abs(est - 1.0) < 1e-6
 
 
 def test_estimate_seminorm_xi_derivative():
     # f = xi: (0,1) derivative is 1; weight (1+|xi|)^(-1+1) = 1
     est = estimate_seminorm(lambda x, xi: xi * np.ones(np.broadcast(x, xi).shape),
                             alpha=0, beta=1, m=1)
-    assert abs(est.value - 1.0) < 1e-6
-
-
-def test_lattice_spec_validation():
-    with pytest.raises(ValueError):
-        LatticeSpec(x_count=3)
-    with pytest.raises(ValueError):
-        LatticeSpec(xi_count=2)
+    assert abs(est - 1.0) < 1e-6
 
 
 def test_check_PL_zero_symbol():
-    rep = check_PL(lambda x, xi: np.zeros(np.broadcast(x, xi).shape), L=2.0)
+    rep = check_PL(lambda x, xi: np.zeros(np.broadcast(x, xi).shape))
     assert rep.passed
     assert rep.worst_ratio == 0.0
 
@@ -170,39 +167,64 @@ def test_check_PL_degenerate_minimum():
     def q(x, xi):
         return (1.0 - np.cos(x)) * smoothed_abs(xi)
 
-    rep = check_PL(q, L=2.0)
+    rep = check_PL(q)
     assert rep.passed
     assert rep.worst_ratio < 50.0
 
 
 def test_check_PL_rejects_negative():
     with pytest.raises(PreconditionError) as err:
-        check_PL(lambda x, xi: -np.ones(np.broadcast(x, xi).shape), L=2.0)
+        check_PL(lambda x, xi: -np.ones(np.broadcast(x, xi).shape))
     assert "q >= 0" in str(err.value)
 
 
-def test_check_PL_max_order_limit():
-    with pytest.raises(ValueError):
-        check_PL(lambda x, xi: np.zeros(np.broadcast(x, xi).shape), max_order=4)
+def _nan_everywhere(x, xi):
+    return np.full(np.broadcast(x, xi).shape, np.nan)
+
+
+def _nan_at_high_frequency(x, xi):
+    q = smoothed_abs(xi) * np.ones(np.broadcast(x, xi).shape)
+    return np.where(np.abs(xi) > 30.0, np.nan, q)
+
+
+def _nan_off_lattice(x, xi):
+    # finite where x is a multiple of 2 pi / 64, so only the x-differences see NaN
+    steps = np.asarray(x) / (2.0 * np.pi / 64)
+    q = smoothed_abs(xi) * np.ones(np.broadcast(x, xi).shape)
+    return np.where(np.abs(steps - np.round(steps)) > 1e-9, np.nan, q)
+
+
+@pytest.mark.parametrize("checker", [check_PL, check_QL_family])
+@pytest.mark.parametrize("q", [_nan_everywhere, _nan_at_high_frequency])
+def test_checkers_reject_nan_on_lattice(checker, q):
+    with pytest.raises(EvaluationError):
+        checker(q)
+
+
+def test_checkers_fail_nan_off_lattice():
+    assert np.isfinite(_nan_off_lattice(symbols.LATTICE_X, symbols.LATTICE_XI)).all()
+    rep = check_PL(_nan_off_lattice)
+    assert not rep.passed
+    assert np.isnan(rep.worst_ratio)
+    assert not check_QL_family(_nan_off_lattice).uniform
 
 
 def test_check_QL_uniform_for_smoothed_abs():
     rep = check_QL_family(lambda x, xi: smoothed_abs(xi)
                           * np.ones(np.broadcast(x, xi).shape))
     assert rep.uniform
-    assert rep.deltas == (0.0, 1e-3, 1e-2, 0.1, 1.0)
 
 
 def test_check_QL_frozen_seminorm_against_scan():
     # at Delta=1 the (0,1) seminorm of exp(-|xi|_sm) in the rho=1/2 class:
     # sup (1+|xi|)^(1/2) |d/dxi exp(-|xi|_sm)| computed by direct dense scan
-    lat = LatticeSpec()
     rep = check_QL_family(lambda x, xi: smoothed_abs(xi)
-                          * np.ones(np.broadcast(x, xi).shape), lattice=lat)
-    xi = np.linspace(-lat.xi_max, lat.xi_max, 400001)
+                          * np.ones(np.broadcast(x, xi).shape))
+    xi_max = symbols.LATTICE_XI.max()
+    xi = np.linspace(-xi_max, xi_max, 400001)
     scan = np.max((1.0 + np.abs(xi)) ** 0.5
                   * np.abs(smoothed_abs_d(xi)) * np.exp(-smoothed_abs(xi)))
-    idx = rep.deltas.index(1.0)
+    idx = symbols.FAMILY_DELTAS.index(1.0)
     got = rep.sup_seminorms[(0, 1)][idx]
     assert abs(got - scan) < 5e-3 * scan
 
