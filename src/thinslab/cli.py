@@ -4,7 +4,8 @@
 ``thinslab list`` prints the scenario table, ``thinslab check`` runs the
 quick self-test suite.  Config resolution: scenario defaults, then
 ``--config FILE`` (flat ``key = value`` lines), then individual flags and
-``--set key=value`` pairs, last writer wins.
+``--set key=value`` pairs, last writer wins.  A rejected configuration
+still leaves a config-error manifest when its output directory is known.
 """
 
 from __future__ import annotations
@@ -45,20 +46,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args) -> dict:
-    keys = ("output_dir", "n_points", "s", "Z", "Ns", "variant", "reference",
-            "delta_max", "seed")
-    overrides = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for pair in args.extra:
+_FLAG_KEYS = ("output_dir", "n_points", "s", "Z", "Ns", "variant", "reference",
+              "delta_max", "seed")
+
+
+def _set_pairs(extra) -> dict:
+    out = {}
+    for pair in extra:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
-        overrides[key.strip()] = value.strip()
-    return overrides
+        out[key.strip()] = value.strip()
+    return out
+
+
+def _resolve(args):
+    """Resolve the run's config; a rejected one leaves a config-error manifest.
+
+    The flags cannot fail to parse, so an explicit ``--output-dir`` is known
+    even when a ``--set`` pair or the config file is bad.
+    """
+    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None}
+    file_map = {}
+    try:
+        overrides.update(_set_pairs(args.extra))
+        if args.config:
+            file_map = harness.parse_config_file(args.config)
+        return harness.resolve_config(args.scenario, file_map, overrides)
+    except ConfigError as exc:
+        harness.write_config_error(args.scenario, (file_map, overrides), str(exc))
+        raise
 
 
 def main(argv=None) -> int:
@@ -73,8 +91,7 @@ def main(argv=None) -> int:
             state = "passed" if code == harness.EXIT_OK else "FAILED"
             print(f"self-check {state}; report in {args.output_dir}/properties.xml")
             return code
-        file_map = harness.parse_config_file(args.config) if args.config else {}
-        cfg = harness.resolve_config(args.scenario, file_map, _overrides_from_args(args))
+        cfg = _resolve(args)
         code = harness.run(cfg)
         label = {harness.EXIT_OK: "completed",
                  harness.EXIT_GATE: "FAILED (acceptance gate)",

@@ -138,19 +138,40 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def resolve_config(scenario: str, file_map: dict | None = None,
-                   overrides: dict | None = None) -> ExperimentConfig:
-    """Layer scenario defaults, config file, and CLI overrides (last wins)."""
-    entry = get_scenario(scenario)
-    cfg = ExperimentConfig(scenario=scenario, output_dir=f"thinslab-out/{scenario}")
-    cfg = replace(cfg, **entry.defaults)
-    for layer in (file_map or {}), (overrides or {}):
+def _layered(cfg: ExperimentConfig, layers, strict: bool = True) -> ExperimentConfig:
+    """Apply each layer's settings in order, last writer wins.
+
+    A setting that does not parse raises ConfigError, or is left out when
+    ``strict`` is False.
+    """
+    for layer in layers:
         coerced = {}
         for key, raw in layer.items():
             if key == "scenario":
                 continue
-            coerced[key] = _coerce(key, raw)
+            try:
+                coerced[key] = _coerce(key, raw)
+            except ConfigError:
+                if strict:
+                    raise
         cfg = replace(cfg, **coerced)
+    return cfg
+
+
+def _scenario_config(scenario: str) -> ExperimentConfig:
+    """The scenario's defaults, or the bare defaults for an unknown scenario."""
+    cfg = ExperimentConfig(scenario=scenario)
+    entry = _SCENARIOS.get(scenario)
+    if entry is None:
+        return cfg
+    return replace(cfg, output_dir=f"thinslab-out/{scenario}", **entry.defaults)
+
+
+def resolve_config(scenario: str, file_map: dict | None = None,
+                   overrides: dict | None = None) -> ExperimentConfig:
+    """Layer scenario defaults, config file, and CLI overrides (last wins)."""
+    get_scenario(scenario)
+    cfg = _layered(_scenario_config(scenario), ((file_map or {}), (overrides or {})))
     if any(n < 1 for n in cfg.Ns) or list(cfg.Ns) != sorted(set(cfg.Ns)):
         raise ConfigError(f"Ns must be strictly increasing positive ints, got {cfg.Ns}")
     if cfg.variant not in ("frozen", "averaged"):
@@ -159,15 +180,33 @@ def resolve_config(scenario: str, file_map: dict | None = None,
         raise ConfigError(f"snapshot_every must be >= 1, got {cfg.snapshot_every}")
     if cfg.damping_scale < 0.0:
         raise ConfigError(f"damping_scale must be >= 0, got {cfg.damping_scale}")
-    if cfg.quadrature_order < 0:
-        raise ConfigError(f"quadrature_order must be >= 0 (0 = auto), "
-                          f"got {cfg.quadrature_order}")
+    if not 0 <= cfg.quadrature_order <= symbols.MAX_QUADRATURE_ORDER:
+        raise ConfigError(f"quadrature_order must be in 0..{symbols.MAX_QUADRATURE_ORDER} "
+                          f"(0 = auto), got {cfg.quadrature_order}")
     for name in ("s", "Z", "delta_max", "damping_scale"):
         if not np.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
+
+
+def write_config_error(scenario: str, layers, error: str) -> None:
+    """Leave a config-error manifest for settings that resolve_config rejected.
+
+    The manifest goes to the output directory the settings name, else to
+    the scenario's default one; its config echo holds every setting that
+    parses.  Nothing is written for an unknown scenario without an output
+    directory, or for a directory that cannot be created.
+    """
+    cfg = _layered(_scenario_config(scenario), layers, strict=False)
+    if not cfg.output_dir:
+        return
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        _write_manifest(cfg.output_dir, cfg, "config-error", error, {}, [])
+    except OSError:
+        pass
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:

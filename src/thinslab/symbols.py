@@ -103,6 +103,9 @@ def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     return out
 
 
+MAX_QUADRATURE_ORDER = 1024   # leggauss builds an order x order companion matrix
+
+
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int):
     return leggauss(order)
@@ -112,36 +115,60 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
                     quadrature_order: int = 4) -> np.ndarray:
     """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds by Gauss-Legendre.
 
-    Exact for z-dependence polynomial of degree < 2*quadrature_order.  It
-    always evaluates the symbol at every node; the slab propagator skips it
-    for z-independent symbols and evaluates them once instead.
+    Exact for z-dependence polynomial of degree < 2*quadrature_order; the
+    order may be at most ``MAX_QUADRATURE_ORDER``.  No complex table is built
+    per node: at each node the set components are evaluated, c1 + c0 and
+    b1 + b0 are each scaled by half the Gauss weight, and the first is added
+    to a real, the second subtracted from an imaginary float table.  These
+    are the operations :func:`eval_symbol` and the scaling do on a complex
+    table, so the mean is the same bit for bit.  The complex result is built
+    and checked once; if it is not finite, each node is re-evaluated through
+    :func:`eval_symbol`, whose error names the component, and a mean that
+    overflows only in the sum over nodes raises a generic EvaluationError.
+    It always evaluates the symbol at every node; the slab propagator skips
+    it for z-independent symbols and evaluates them once instead.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
-    if quadrature_order < 1:
-        raise ValueError("quadrature_order must be >= 1")
+    if not 1 <= quadrature_order <= MAX_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature_order must be in 1..{MAX_QUADRATURE_ORDER}, "
+                         f"got {quadrature_order}")
     nodes, weights = _gl_nodes(quadrature_order)
     mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-    acc = None
+    shape = _coordinate_shape(x, xi)
+    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    groups = []
+    for acc, update, names in ((imag, np.subtract, ("b1", "b0")), (real, np.add, ("c1", "c0"))):
+        funcs = [getattr(spec, name) for name in names if getattr(spec, name) is not _zero]
+        if funcs:
+            groups.append((acc, update, funcs))
     for t, w in zip(nodes, weights):
-        val = eval_symbol(spec, mid + half * t, x, xi)
-        val *= 0.5 * w
-        if acc is None:
-            acc = val
-        else:
-            acc += val
-    return acc
+        z = mid + half * t
+        for acc, update, funcs in groups:
+            if len(funcs) == 2:
+                np.add(funcs[0](z, x, xi), funcs[1](z, x, xi), out=term, dtype=float)
+                term *= 0.5 * w
+            else:
+                np.multiply(funcs[0](z, x, xi), 0.5 * w, out=term)
+            update(acc, term, out=acc)
+    mean = np.empty(shape, dtype=np.complex128)
+    mean.real, mean.imag = real, imag
+    if not np.isfinite(mean).all():
+        for t in nodes:
+            eval_symbol(spec, mid + half * t, x, xi)
+        raise EvaluationError("slab mean of the symbol is not finite")
+    return mean
 
 
 def recommended_quadrature_order(spec: SymbolSpec, thickness: float) -> int:
     """Gauss-Legendre order resolving the symbol's z-oscillation on a slab.
 
-    4 + ceil(z_bandwidth * thickness / 2) nodes, capped at 1024; four for a
-    symbol that declares no z-bandwidth.
+    4 + ceil(z_bandwidth * thickness / 2) nodes, capped at
+    ``MAX_QUADRATURE_ORDER``; four for a symbol that declares no z-bandwidth.
     """
     if spec.z_bandwidth <= 0.0:
         return 4
-    return min(1024, 4 + int(math.ceil(0.5 * spec.z_bandwidth * thickness)))
+    return min(MAX_QUADRATURE_ORDER, 4 + int(math.ceil(0.5 * spec.z_bandwidth * thickness)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +202,7 @@ def smoothed_abs_d(xi):
 
 
 WEIERSTRASS_TERMS = 10
+_WEIERSTRASS_FREQUENCIES = np.array([2.0 ** k * np.pi for k in range(WEIERSTRASS_TERMS + 1)])
 
 
 def weierstrass(z, alpha: float):
@@ -182,13 +210,15 @@ def weierstrass(z, alpha: float):
 
     With the truncation at ``WEIERSTRASS_TERMS`` the sum is smooth but
     behaves like an alpha-Hoelder function down to scale 2^-WEIERSTRASS_TERMS;
-    its largest angular frequency is :func:`weierstrass_bandwidth`.
+    its largest angular frequency is :func:`weierstrass_bandwidth`.  All
+    terms come from one ``cos`` over a trailing k axis; a cumulative sum adds
+    them in order of k, so any z (scalar or array, of any shape) gets the
+    value of the term-by-term loop bit for bit.
     """
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for k in range(WEIERSTRASS_TERMS + 1):
-        acc = acc + 2.0 ** (-alpha * k) * np.cos((2.0 ** k) * np.pi * z)
-    return acc
+    terms = np.cos(np.multiply.outer(np.asarray(z, dtype=float), _WEIERSTRASS_FREQUENCIES))
+    # Python's pow: numpy's vectorized power can differ from it in the last bit
+    terms *= [2.0 ** (-alpha * k) for k in range(WEIERSTRASS_TERMS + 1)]
+    return np.cumsum(terms, axis=-1).take(-1, axis=-1)
 
 
 def weierstrass_bandwidth() -> float:

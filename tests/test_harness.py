@@ -70,6 +70,8 @@ def test_resolve_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         resolve_config("varspeed-z", {}, {"variant": "averaged", "quadrature_order": "-1"})
     with pytest.raises(ConfigError):
+        resolve_config("varspeed-z", {}, {"variant": "averaged", "quadrature_order": "1025"})
+    with pytest.raises(ConfigError):
         resolve_config("translation", {}, {"s": "nan"})
     with pytest.raises(ConfigError):
         resolve_config("translation", {}, {"Z": "inf"})
@@ -229,6 +231,22 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_bad_set_pair(tmp_path):
     assert cli.main(["run", "--scenario", "translation",
                      "--set", "oops", "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags,word", [
+    (["--seed", "-1"], "seed"),
+    (["--s", "nan"], "s must be finite"),
+    (["--set", "quadrature_order=1025"], "1024"),
+], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap"])
+def test_cli_rejected_config_leaves_manifest(tmp_path, flags, word):
+    out = tmp_path / "D"
+    code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out)] + flags)
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["scenario"] == "translation"
+    assert word in manifest["error"]
+    assert manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("flags", [

@@ -88,11 +88,14 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
 
 
 def test_nan_component_named_through_slab(grid64):
-    spec = SymbolSpec(b1=lambda z, x, xi: np.cos(x) * xi,
-                      c0=lambda z, x, xi: np.where(xi > 3.0, np.nan, 0.0) + 0.0 * x)
-    with pytest.raises(EvaluationError) as err:
-        apply_slab(SlabSpec(0.0, 0.1, spec), random_field(grid64, 14))
-    assert "'c0'" in str(err.value)
+    # z-dependent, so the averaged variant runs the slab quadrature
+    spec = SymbolSpec(b1=lambda z, x, xi: (1.0 + 0.5 * z) * np.cos(x) * xi,
+                      c0=lambda z, x, xi: np.where(xi > 3.0, np.nan, 0.0) + 0.0 * x,
+                      z_bandwidth=1.0)
+    for variant in (Frozen(), Averaged()):
+        with pytest.raises(EvaluationError) as err:
+            apply_slab(SlabSpec(0.0, 0.1, spec, variant), random_field(grid64, 14))
+        assert "'c0'" in str(err.value)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

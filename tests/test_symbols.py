@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from thinslab import symbols
+from thinslab.spectral import Grid
 from thinslab.symbols import (
     EvaluationError, PreconditionError, SymbolSpec, available_symbols,
     averaged_symbol, check_PL, check_QL_family, estimate_seminorm, eval_symbol,
@@ -59,6 +61,82 @@ def test_averaged_symbol_orders_validation():
         averaged_symbol(spec, 1.0, 1.0, X, XI)
     with pytest.raises(ValueError):
         averaged_symbol(spec, 0.0, 1.0, X, XI, quadrature_order=0)
+    with pytest.raises(ValueError) as err:
+        averaged_symbol(spec, 0.0, 1.0, X, XI, quadrature_order=1025)
+    assert "1..1024" in str(err.value)
+
+
+def node_mean(spec, z0, z1, x, xi, order):
+    """Slab mean as one scaled eval_symbol table per Gauss node, summed in node order."""
+    nodes, weights = leggauss(order)
+    mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    acc = None
+    for t, w in zip(nodes, weights):
+        val = eval_symbol(spec, mid + half * t, x, xi)
+        val *= 0.5 * w
+        acc = val if acc is None else acc + val
+    return acc
+
+
+def _all_four_components():
+    return SymbolSpec(
+        b1=lambda z, x, xi: (1.0 + 0.3 * np.sin(3.0 * z + x)) * xi,
+        b0=lambda z, x, xi: np.cos(z * x) + 0.0 * xi,
+        c1=lambda z, x, xi: (1.0 + z) * smoothed_abs(xi) + 0.0 * x,
+        c0=lambda z, x, xi: 0.1 * np.exp(z) + 0.0 * (x + xi),
+        z_bandwidth=3.0)
+
+
+def _two_dimensional_b1_only():
+    def b1(z, x, xi):
+        return (1.0 + 0.2 * np.cos(x[0] + z) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
+
+    return SymbolSpec(b1=b1, z_bandwidth=1.0)
+
+
+@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z", "all-four", "2d-b1-only"])
+def test_averaged_symbol_equals_node_mean_exactly(name):
+    if name == "2d-b1-only":
+        spec = _two_dimensional_b1_only()
+        grid = Grid(8, 2 * np.pi, dim=2)
+        x = tuple(m.ravel()[:, None] for m in grid.meshes())
+        xi = tuple(m.ravel()[None, :] for m in grid.frequency_meshes())
+    else:
+        spec = _all_four_components() if name == "all-four" else get_symbol(name)
+        x, xi = X, XI
+    for z0, z1 in ((0.0, 1.0 / 64.0), (0.3, 0.3 + 1.0 / 512.0), (0.1, 0.35)):
+        order = recommended_quadrature_order(spec, z1 - z0)
+        got = averaged_symbol(spec, z0, z1, x, xi, order)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, node_mean(spec, z0, z1, x, xi, order))
+
+
+def test_averaged_symbol_names_component_nan_past_midslab():
+    spec = SymbolSpec(b1=lambda z, x, xi: xi * shaped(z, x, xi),
+                      c0=lambda z, x, xi: np.full(np.broadcast(x, xi).shape,
+                                                  np.nan if z > 0.5 else 0.1))
+    with pytest.raises(EvaluationError) as err:
+        averaged_symbol(spec, 0.0, 1.0, X, XI)
+    assert "'c0'" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_averaged_symbol_rejects_overflow_in_the_node_sum():
+    # every node value is the largest float: the weighted sum rounds up to
+    # inf for some orders, while no single node is at fault
+    big = np.finfo(float).max
+    spec = SymbolSpec(c0=lambda z, x, xi: np.full(np.broadcast(x, xi).shape, big))
+    overflowed = 0
+    for order in range(1, 17):
+        expected = node_mean(spec, 0.0, 1.0, X, XI, order)
+        if np.isfinite(expected).all():
+            assert np.array_equal(averaged_symbol(spec, 0.0, 1.0, X, XI, order), expected)
+            continue
+        overflowed += 1
+        with pytest.raises(EvaluationError) as err:
+            averaged_symbol(spec, 0.0, 1.0, X, XI, order)
+        assert "'c0'" not in str(err.value)
+    assert overflowed > 0
 
 
 def test_recommended_order_scales_with_bandwidth():
@@ -91,6 +169,18 @@ def test_weierstrass_values_and_bandwidth():
                        for k in range(11))
         assert abs(weierstrass(z, 0.5) - expected) < 1e-13
     assert weierstrass_bandwidth() == 2.0 ** 10 * np.pi
+
+
+@pytest.mark.parametrize("z", [np.array(0.3), 0.77, np.linspace(-1.0, 1.0, 5),
+                               np.array([[0.1], [0.45], [2.3]])],
+                         ids=["0-d", "scalar", "shape-5", "shape-3x1"])
+def test_weierstrass_equals_sequential_sum(z):
+    for alpha in (0.25, 0.5, 0.75, 1.0, 0.3):
+        expected = sum(2.0 ** (-alpha * k) * np.cos(2.0 ** k * np.pi * np.asarray(z, float))
+                       for k in range(symbols.WEIERSTRASS_TERMS + 1))
+        got = weierstrass(z, alpha)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
 
 
 def test_weierstrass_hoelder_bound():
