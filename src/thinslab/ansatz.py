@@ -328,7 +328,23 @@ def report_summary(report: ConvergenceReport, config_echo: dict | None = None) -
     return summary
 
 
-def write_report_json(path, report: ConvergenceReport, config_echo: dict | None = None) -> None:
+def _strict_json(value):
+    """Replace non-finite floats, nested anywhere, by "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def write_json(path, data) -> None:
+    """Write strict JSON: sorted keys, non-finite floats as strings, final newline."""
     with open(path, "w") as fh:
-        json.dump(report_summary(report, config_echo), fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(data), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def write_report_json(path, report: ConvergenceReport, config_echo: dict | None = None) -> None:
+    write_json(path, report_summary(report, config_echo))

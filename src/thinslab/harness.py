@@ -22,7 +22,6 @@ exception is recorded as status "error" and re-raised.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -365,9 +364,7 @@ def _write_manifest(out_dir, cfg, status, error, timings, outputs) -> None:
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "outputs": sorted(outputs),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ansatz.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +641,8 @@ def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -
     return facts
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Execute one scenario; always leaves a manifest in the output dir."""
-    entry = get_scenario(cfg.scenario)
-    out = cfg.output_dir
+def _prepare_output_dir(out) -> None:
+    """Create the artifact directory and check that a file can be written in it."""
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write-probe")
@@ -656,6 +651,13 @@ def run(cfg: ExperimentConfig) -> int:
         os.remove(probe)
     except OSError as exc:
         raise ConfigError(f"output directory {out!r} is not writable: {exc}")
+
+
+def run(cfg: ExperimentConfig) -> int:
+    """Execute one scenario; always leaves a manifest in the output dir."""
+    entry = get_scenario(cfg.scenario)
+    out = cfg.output_dir
+    _prepare_output_dir(out)
 
     timings = {}
     outputs = []
@@ -692,10 +694,11 @@ def run(cfg: ExperimentConfig) -> int:
 def quick_check(output_dir: str, seed: int = 0) -> int:
     """Fast library self-check; writes properties.xml + manifest, returns exit code.
 
-    A negative seed writes a config-error manifest and raises ConfigError.
+    An output directory that cannot be written raises ConfigError; so does a
+    negative seed, after writing a config-error manifest.
     """
     cfg = ExperimentConfig(scenario="check", output_dir=output_dir, seed=seed)
-    os.makedirs(output_dir, exist_ok=True)
+    _prepare_output_dir(output_dir)
     if seed < 0:
         error = f"seed must be >= 0, got {seed}"
         _write_manifest(output_dir, cfg, "config-error", error, {}, [])

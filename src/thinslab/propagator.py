@@ -10,7 +10,8 @@ output-point-dependent multiplier.  The symbol is either frozen at the slab
 bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre); a
 z-independent symbol is its own mean and is evaluated once for either
 variant.  When the symbol does not depend on x the sum collapses exactly to
-a Fourier multiplier and an O(N log N) path is used.
+a Fourier multiplier; :func:`_frequency_sum` takes that O(N log N) path for
+slabs, for the operator a(z, x, D_x) and for the exact multiplier evolution.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
 output rows, and serves slab application, the operator a(z, x, D_x) itself
@@ -19,11 +20,11 @@ exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,  with the phase taken
 from integer index products reduced mod n, so the kernel sum matches the
 FFT convention of :mod:`thinslab.spectral` to machine precision.
 
-Operator norms on H^s are computed from the dense matrix of a slab: the
-matrix is conjugated into the Fourier basis, weighted with <xi>^s on both
-sides, and its largest singular value taken from one LAPACK singular-value
-computation.  Dense matrices are capped at MATRIX_SIZE_LIMIT points, so the
-norm is exact and always affordable.
+Dense slab matrices live in the Fourier basis: assembly transforms the
+kernel table once over its output points, and the H^s operator norm weights
+that matrix with <xi>^s on both sides and takes its largest singular value
+from one LAPACK singular-value computation.  Dense matrices are capped at
+MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral, symbols
-from .spectral import Field, Grid
+from .spectral import Field, Grid, SpectralField
 from .symbols import SymbolSpec
 
 DELTA_MAX_DEFAULT = 0.125
@@ -174,8 +175,19 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None):
         yield rows, kernel
 
 
-def _frequency_sum(grid: Grid, field: Field, symbol, delta: float | None) -> Field:
-    """Direct O(N^2) sum of the field's Fourier coefficients against the kernel."""
+def _frequency_sum(field: Field, symbol, delta: float | None, x_independent: bool) -> Field:
+    """Sum the field's Fourier coefficients against the kernel of ``symbol``.
+
+    The general path is the direct O(N^2) sum over :func:`_kernel_blocks`.
+    An x-independent symbol is evaluated once on the frequency lattice and
+    applied as the Fourier multiplier exp(-delta * a), or a itself when
+    ``delta`` is None.
+    """
+    grid = field.grid
+    if x_independent:
+        zero_x = 0.0 if grid.dim == 1 else (0.0,) * grid.dim
+        a = symbol(zero_x, _pack(grid.frequency_meshes(), grid))
+        return spectral.apply_multiplier(field, a if delta is None else np.exp(-delta * a))
     coeffs = spectral.forward(field).coeffs.ravel()
     out = np.empty(grid.size, dtype=np.complex128)
     for rows, kernel in _kernel_blocks(grid, symbol, delta):
@@ -184,30 +196,16 @@ def _frequency_sum(grid: Grid, field: Field, symbol, delta: float | None) -> Fie
     return Field(grid, out.reshape(grid.shape))
 
 
-def _zero_x(grid: Grid):
-    return 0.0 if grid.dim == 1 else (0.0,) * grid.dim
-
-
 def apply_slab(slab: SlabSpec, field: Field) -> Field:
     """Apply one thin-slab propagator (either variant) to a field."""
-    grid = field.grid
-    delta = slab.thickness
-    if slab.spec.x_independent:
-        xi = _pack(grid.frequency_meshes(), grid)
-        a = _slab_symbol(slab, _zero_x(grid), xi)
-        return spectral.apply_multiplier(field, np.exp(-delta * a))
-    return _frequency_sum(grid, field, lambda xb, xif: _slab_symbol(slab, xb, xif), delta)
+    return _frequency_sum(field, lambda xb, xif: _slab_symbol(slab, xb, xif),
+                          slab.thickness, slab.spec.x_independent)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    grid = field.grid
-    if spec.x_independent:
-        xi = _pack(grid.frequency_meshes(), grid)
-        a = symbols.eval_symbol(spec, z, _zero_x(grid), xi)
-        return spectral.apply_multiplier(field, a)
-    return _frequency_sum(
-        grid, field, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif), None)
+    return _frequency_sum(field, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif),
+                          None, spec.x_independent)
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -223,10 +221,9 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
     order = symbols.recommended_quadrature_order(spec, z1 - z0)
-    grid = field.grid
-    xi = _pack(grid.frequency_meshes(), grid)
-    mean_a = symbols.averaged_symbol(spec, z0, z1, _zero_x(grid), xi, order)
-    return spectral.apply_multiplier(field, np.exp(-(z1 - z0) * mean_a))
+    return _frequency_sum(
+        field, lambda xb, xif: symbols.averaged_symbol(spec, z0, z1, xb, xif, order),
+        z1 - z0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +232,11 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
 
 @dataclass
 class PropagatorMatrix:
-    """Dense point-space matrix of a slab propagator (or any grid operator)."""
+    """Dense matrix of a slab propagator (or any grid operator) in the Fourier basis.
+
+    ``entries[k, l]`` maps coefficient l of :func:`spectral.forward` to
+    coefficient k, both indexed in the flattened increasing-frequency order.
+    """
 
     grid: Grid
     entries: np.ndarray
@@ -250,29 +251,18 @@ class PropagatorMatrix:
     def apply(self, field: Field) -> Field:
         if field.grid != self.grid:
             raise ValueError("field grid does not match matrix grid")
-        out = self.entries @ field.values.ravel()
-        return Field(self.grid, out.reshape(self.grid.shape))
-
-
-def _input_forward(mat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Right-multiply by the forward-DFT matrix: rows become coefficient rows."""
-    # (M F)[i, :] = conj(inverse_transform(conj(M[i, :])))
-    axes = tuple(range(1, grid.dim + 1))
-    t = np.conj(mat).reshape((-1,) + grid.shape)
-    t = np.fft.ifftn(np.fft.ifftshift(t, axes=axes), axes=axes) * np.sqrt(grid.size)
-    return np.conj(t).reshape(mat.shape)
-
-
-def _output_forward(mat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Left-multiply by the forward-DFT matrix (transform the output index)."""
-    axes = tuple(range(grid.dim))
-    t = mat.reshape(grid.shape + (-1,))
-    t = np.fft.fftshift(np.fft.fftn(t, axes=axes), axes=axes) / np.sqrt(grid.size)
-    return t.reshape(mat.shape)
+        coeffs = self.entries @ spectral.forward(field).coeffs.ravel()
+        return spectral.inverse(SpectralField(self.grid, coeffs.reshape(self.grid.shape)))
 
 
 def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
-    """Dense matrix whose column j is the slab applied to the j-th basis field."""
+    """Dense Fourier-basis matrix of one slab.
+
+    The kernel table B (output points x input coefficients) is built by
+    :func:`_kernel_blocks` and transformed once over its output points, so
+    the stored matrix is F B, column l the coefficients of the slab applied
+    to the l-th Fourier mode.
+    """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
             f"grid size {grid.size} exceeds dense-assembly limit {MATRIX_SIZE_LIMIT}")
@@ -281,35 +271,28 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
     blocks = _kernel_blocks(grid, lambda xb, xif: _slab_symbol(slab, xb, xif), slab.thickness)
     for rows, kernel in blocks:
         B[rows] = kernel
-    B /= np.sqrt(size)
-    return PropagatorMatrix(grid, _input_forward(B, grid))
+    axes = tuple(range(grid.dim))
+    FB = np.fft.fftshift(np.fft.fftn(B.reshape(grid.shape + (size,)), axes=axes), axes=axes)
+    FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k
+    return PropagatorMatrix(grid, FB.reshape(size, size))
 
 
 # ---------------------------------------------------------------------------
 # H^s operator norms
 
 
-def _fourier_representation(entries: np.ndarray, grid: Grid) -> np.ndarray:
-    """Conjugate a point-space matrix into the Fourier basis: F M F^H."""
-    A = _output_forward(entries, grid)
-    return _output_forward(A.conj().T, grid).conj().T
-
-
-def _weighted_fourier_matrix(entries: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    T = _fourier_representation(entries, grid)
-    if s != 0:
-        w = spectral._bracket_lattice(grid).ravel() ** s
-        T = (w[:, None] * T) / w[None, :]
-    return T
-
-
 def operator_norm_hs(matrix: PropagatorMatrix, s: float) -> float:
     """H^s -> H^s operator norm of a dense grid operator.
 
-    Equals the largest singular value of the <xi>^s-weighted matrix in the
-    Fourier basis, computed exactly by LAPACK (singular values only).
+    Equals the largest singular value of W T W^-1, with T the Fourier-basis
+    matrix and W = diag(<xi>^s), computed exactly by LAPACK (singular
+    values only).
     """
-    return float(np.linalg.norm(_weighted_fourier_matrix(matrix.entries, matrix.grid, s), 2))
+    T = matrix.entries
+    if s != 0:
+        w = spectral._bracket_lattice(matrix.grid).ravel() ** s
+        T = (w[:, None] * T) / w[None, :]
+    return float(np.linalg.norm(T, 2))
 
 
 def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,

@@ -203,6 +203,14 @@ def test_nan_fact_violates_its_gate(gate, facts):
     assert len(harness._check_gates(entry, facts)) == 1
 
 
+def _load_strict(path):
+    """Parse a JSON artifact, failing on the non-standard NaN and Infinity literals."""
+    def reject(literal):
+        raise ValueError(f"non-standard JSON literal {literal} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_sobolev_index_is_gate_violation(tmp_path):
     # <xi>^400 overflows, so the errors read inf and nan
@@ -211,7 +219,21 @@ def test_overflowing_sobolev_index_is_gate_violation(tmp_path):
                      "--Ns", "1,8", "--set", "norm_points=64", "--s", "400",
                      "--output-dir", str(out)])
     assert code == harness.EXIT_GATE
-    assert json.loads((out / "manifest.json").read_text())["status"] == "gate-violation"
+    assert _load_strict(out / "manifest.json")["status"] == "gate-violation"
+    report = _load_strict(out / "convergence.json")
+    assert report["u0_norm"] == "inf"
+    assert report["fit_residual"] == "nan"
+    assert "inf" in report["errors"]
+
+
+def test_non_finite_setting_is_written_as_string(tmp_path):
+    out = tmp_path / "tau"
+    code = cli.main(["run", "--scenario", "oneway-lens", "--set", "tau=nan",
+                     "--output-dir", str(out)])
+    assert code == harness.EXIT_CONFIG
+    manifest = _load_strict(out / "manifest.json")
+    assert manifest["status"] == "config-error"
+    assert manifest["config"]["tau"] == "nan"
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -296,6 +318,13 @@ def test_check_negative_seed_is_config_error(tmp_path):
     assert manifest["status"] == "config-error"
     assert "seed" in manifest["error"]
     assert not (out / "properties.xml").exists()
+
+
+def test_check_into_unwritable_directory_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory")
+    assert cli.main(["check", "--output-dir", str(blocker / "sub")]) == harness.EXIT_CONFIG
+    assert "is not writable" in capsys.readouterr().err
 
 
 def test_medium_out_of_bounds_is_gate_violation(tmp_path, monkeypatch):

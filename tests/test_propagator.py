@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from thinslab import propagator
 from thinslab.propagator import (
     Averaged, ContractViolation, Frozen, MatrixSizeError,
     SlabError, SlabSpec, VariantError, apply_slab, apply_symbol_operator,
@@ -163,15 +162,51 @@ def test_exact_multiplier_z_dependent(grid64):
     assert rel_err(got.values, expected.values) < 1e-12
 
 
-def test_matrix_columns_are_basis_images(grid64):
-    spec = get_symbol("damped-varspeed")
-    slab = SlabSpec(0.0, 0.125, spec)
-    mat = assemble_matrix(slab, grid64)
-    for j in (0, 17, 63):
-        e = np.zeros(64)
+def _explicit_dft(grid):
+    """Unitary DFT matrix, rows in the increasing-frequency order of spectral.forward.
+
+    On a 2-D grid it is the Kronecker square of the 1-D matrix, matching the
+    row-major flattening of the coefficient array.
+    """
+    n = grid.n_points
+    k = np.arange(n) - n // 2
+    F = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n) / np.sqrt(n)
+    return F if grid.dim == 1 else np.kron(F, F)
+
+
+def _oracle_fourier_matrix(slab, grid):
+    """F P F^H, column j of P the slab applied to the j-th point basis field."""
+    P = np.empty((grid.size, grid.size), dtype=np.complex128)
+    for j in range(grid.size):
+        e = np.zeros(grid.size)
         e[j] = 1.0
-        col = apply_slab(slab, Field(grid64, e)).values
-        assert rel_err(mat.entries[:, j], col) < 1e-11
+        P[:, j] = apply_slab(slab, Field(grid, e.reshape(grid.shape))).values.ravel()
+    F = _explicit_dft(grid)
+    return F @ P @ F.conj().T
+
+
+def _two_dimensional_spec():
+    def b1(z, x, xi):
+        return (1.0 + 0.2 * np.cos(x[0]) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
+
+    def c1(z, x, xi):
+        return (0.3 + 0.1 * np.sin(x[0])) * np.sqrt(xi[0] ** 2 + xi[1] ** 2)
+
+    return SymbolSpec(b1=b1, c1=c1, z_independent=True)
+
+
+def test_matrix_columns_are_basis_images(grid64):
+    # column l holds the coefficients of the slab applied to the l-th Fourier mode
+    cases = ((grid64, get_symbol("damped-varspeed"), (0, 17, 63)),
+             (Grid(8, 2 * np.pi, dim=2), _two_dimensional_spec(), (0, 19, 63)))
+    for grid, spec, columns in cases:
+        slab = SlabSpec(0.0, 0.125, spec)
+        mat = assemble_matrix(slab, grid)
+        F = _explicit_dft(grid)
+        for l in columns:
+            mode = Field(grid, F.conj()[l].reshape(grid.shape))
+            col = F @ apply_slab(slab, mode).values.ravel()
+            assert rel_err(mat.entries[:, l], col) < 1e-11
 
 
 def test_matrix_apply_matches_direct(grid64):
@@ -198,10 +233,11 @@ def test_matrix_size_guard():
 
 def test_x_independent_matrix_diagonal_in_fourier(grid64):
     slab = SlabSpec(0.0, 0.125, get_symbol("halfwave"))
-    mat = assemble_matrix(slab, grid64)
-    T = propagator._fourier_representation(mat.entries, grid64)
+    T = assemble_matrix(slab, grid64).entries
     off = T - np.diag(np.diag(T))
     assert np.max(np.abs(off)) < 1e-10
+    oracle = np.diag(_oracle_fourier_matrix(slab, grid64))
+    assert np.max(np.abs(np.diag(T) - oracle)) < 1e-10
 
 
 def test_operator_norm_identity(grid64):
@@ -219,24 +255,17 @@ def test_operator_norm_scalar_damping(grid64):
     assert abs(operator_norm_hs(mat, 0.0) - np.exp(-0.125 * gamma)) < 1e-10
 
 
-def _explicit_dft(grid):
-    """Unitary DFT matrix, rows in the increasing-frequency order of spectral.forward."""
-    n = grid.n_points
-    k = np.arange(n) - n // 2
-    return np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n) / np.sqrt(n)
-
-
 def test_operator_norm_against_svd_oracle(grid64, grid128):
-    # H^s norm = largest singular value of W F M F^H W^-1, W = diag(<xi>^s),
-    # with F written out entry by entry rather than taken from the package
+    # H^s norm = largest singular value of W F P F^H W^-1, W = diag(<xi>^s),
+    # with P from slab applications and F written out entry by entry
     for grid in (grid64, grid128):
-        F = _explicit_dft(grid)
         for name, s in (("varspeed", 0.0), ("varspeed", 1.0),
                         ("damped-varspeed", 1.0), ("hoelder-z", 0.0)):
-            mat = assemble_matrix(SlabSpec(0.0, 1.0 / 32.0, get_symbol(name)), grid)
+            slab = SlabSpec(0.0, 1.0 / 32.0, get_symbol(name))
             w = _bracket_lattice(grid) ** s
-            T = (w[:, None] * (F @ mat.entries @ F.conj().T)) / w[None, :]
+            T = (w[:, None] * _oracle_fourier_matrix(slab, grid)) / w[None, :]
             oracle = float(np.linalg.svd(T, compute_uv=False)[0])
+            mat = assemble_matrix(slab, grid)
             assert abs(operator_norm_hs(mat, s) - oracle) <= 1e-12 * oracle
 
 
@@ -290,10 +319,11 @@ def test_semigroup_defect_direct_matrix_oracle(grid64):
     spec = get_symbol("varspeed")
     z, zm, zt = 0.0, 0.0625, 0.125
     got = semigroup_defect(spec, z, zm, zt, 1.0, grid64)
-    whole = assemble_matrix(SlabSpec(z, zt, spec), grid64).entries
-    lower = assemble_matrix(SlabSpec(z, zm, spec), grid64).entries
-    upper = assemble_matrix(SlabSpec(zm, zt, spec), grid64).entries
-    T = propagator._weighted_fourier_matrix(whole - upper @ lower, grid64, 1.0)
+    whole = _oracle_fourier_matrix(SlabSpec(z, zt, spec), grid64)
+    lower = _oracle_fourier_matrix(SlabSpec(z, zm, spec), grid64)
+    upper = _oracle_fourier_matrix(SlabSpec(zm, zt, spec), grid64)
+    w = _bracket_lattice(grid64)
+    T = (w[:, None] * (whole - upper @ lower)) / w[None, :]
     oracle = float(np.linalg.svd(T, compute_uv=False)[0])
     assert abs(got - oracle) < 1e-8
     assert got > 1e-4
