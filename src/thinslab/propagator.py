@@ -10,8 +10,9 @@ output-point-dependent multiplier.  The symbol is either frozen at the slab
 bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre); a
 z-independent symbol is its own mean and is evaluated once for either
 variant.  When the symbol does not depend on x the sum collapses exactly to
-a Fourier multiplier; :func:`_frequency_sum` takes that O(N log N) path for
-slabs, for the operator a(z, x, D_x) and for the exact multiplier evolution.
+a Fourier multiplier, built in one place, :func:`_multiplier`;
+:func:`_frequency_sum` applies it in O(N log N) for slabs, for the operator
+a(z, x, D_x) and for the exact multiplier evolution.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
 output rows, and serves slab application, the operator a(z, x, D_x) itself
@@ -20,16 +21,21 @@ exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,  with the phase taken
 from integer index products reduced mod n, so the kernel sum matches the
 FFT convention of :mod:`thinslab.spectral` to machine precision.
 
-Dense slab matrices live in the Fourier basis: assembly transforms the
-kernel table once over its output points, and the H^s operator norm weights
-that matrix with <xi>^s on both sides and takes its largest singular value
-from one LAPACK singular-value computation.  Dense matrices are capped at
-MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
+Dense slab matrices live in the Fourier basis.  An x-independent slab is
+the diagonal matrix of its multiplier, with no kernel table and no FFT;
+any other slab's kernel table is transformed once over its output points.
+The H^s operator norm of a matrix with no nonzero off-diagonal entry is its
+largest |diagonal entry|, since the weights <xi>^s commute with it; any
+other matrix is weighted with <xi>^s on both sides and gets its largest
+singular value from one LAPACK singular-value computation.  Dense matrices
+are capped at MATRIX_SIZE_LIMIT points, so the norm is exact and always
+affordable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -175,19 +181,27 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None):
         yield rows, kernel
 
 
+def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
+    """Fourier multiplier of an x-independent symbol on the frequency lattice.
+
+    The symbol is evaluated once, at x = 0; the multiplier is
+    exp(-delta * a), or a itself when ``delta`` is None.
+    """
+    zero_x = 0.0 if grid.dim == 1 else (0.0,) * grid.dim
+    a = symbol(zero_x, _pack(grid.frequency_meshes(), grid))
+    return a if delta is None else np.exp(-delta * a)
+
+
 def _frequency_sum(field: Field, symbol, delta: float | None, x_independent: bool) -> Field:
     """Sum the field's Fourier coefficients against the kernel of ``symbol``.
 
     The general path is the direct O(N^2) sum over :func:`_kernel_blocks`.
-    An x-independent symbol is evaluated once on the frequency lattice and
-    applied as the Fourier multiplier exp(-delta * a), or a itself when
-    ``delta`` is None.
+    An x-independent symbol takes the O(N log N) path instead: its
+    :func:`_multiplier` scales the field's Fourier coefficients.
     """
     grid = field.grid
     if x_independent:
-        zero_x = 0.0 if grid.dim == 1 else (0.0,) * grid.dim
-        a = symbol(zero_x, _pack(grid.frequency_meshes(), grid))
-        return spectral.apply_multiplier(field, a if delta is None else np.exp(-delta * a))
+        return spectral.apply_multiplier(field, _multiplier(grid, symbol, delta))
     coeffs = spectral.forward(field).coeffs.ravel()
     out = np.empty(grid.size, dtype=np.complex128)
     for rows, kernel in _kernel_blocks(grid, symbol, delta):
@@ -258,18 +272,22 @@ class PropagatorMatrix:
 def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
     """Dense Fourier-basis matrix of one slab.
 
-    The kernel table B (output points x input coefficients) is built by
-    :func:`_kernel_blocks` and transformed once over its output points, so
-    the stored matrix is F B, column l the coefficients of the slab applied
-    to the l-th Fourier mode.
+    Column l holds the coefficients of the slab applied to the l-th Fourier
+    mode.  An x-independent slab is the exact diagonal matrix of its
+    :func:`_multiplier`, with every off-diagonal entry zero, built without a
+    kernel table or an FFT.  Otherwise the kernel table B (output points x
+    input coefficients) is built by :func:`_kernel_blocks` and transformed
+    once over its output points, so the stored matrix is F B.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
             f"grid size {grid.size} exceeds dense-assembly limit {MATRIX_SIZE_LIMIT}")
+    symbol = partial(_slab_symbol, slab)
+    if slab.spec.x_independent:
+        return PropagatorMatrix(grid, np.diag(_multiplier(grid, symbol, slab.thickness).ravel()))
     size = grid.size
     B = np.empty((size, size), dtype=np.complex128)
-    blocks = _kernel_blocks(grid, lambda xb, xif: _slab_symbol(slab, xb, xif), slab.thickness)
-    for rows, kernel in blocks:
+    for rows, kernel in _kernel_blocks(grid, symbol, slab.thickness):
         B[rows] = kernel
     axes = tuple(range(grid.dim))
     FB = np.fft.fftshift(np.fft.fftn(B.reshape(grid.shape + (size,)), axes=axes), axes=axes)
@@ -285,10 +303,14 @@ def operator_norm_hs(matrix: PropagatorMatrix, s: float) -> float:
     """H^s -> H^s operator norm of a dense grid operator.
 
     Equals the largest singular value of W T W^-1, with T the Fourier-basis
-    matrix and W = diag(<xi>^s), computed exactly by LAPACK (singular
-    values only).
+    matrix and W = diag(<xi>^s).  A T with no nonzero off-diagonal entry
+    commutes with W, so its norm is max |T_kk| for every s; any other T
+    gets one exact LAPACK call (singular values only).
     """
     T = matrix.entries
+    diagonal = np.diagonal(T)
+    if np.count_nonzero(T) == np.count_nonzero(diagonal):
+        return float(np.max(np.abs(diagonal)))
     if s != 0:
         w = spectral._bracket_lattice(matrix.grid).ravel() ** s
         T = (w[:, None] * T) / w[None, :]

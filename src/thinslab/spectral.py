@@ -233,7 +233,11 @@ def write_field(path, field: Field) -> None:
 
 
 def read_field(path) -> Field:
-    """Read a field written by :func:`write_field`."""
+    """Read a field written by :func:`write_field`.
+
+    Every malformed file raises :class:`FormatError`, including a header
+    that names an invalid grid and a payload with non-finite samples.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size + 8:
@@ -244,14 +248,20 @@ def read_field(path) -> Field:
     if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     (period,) = struct.unpack_from("<d", raw, _HEADER.size)
-    grid = Grid(n_points=n_points, period=period, dim=dim)
+    try:
+        grid = Grid(n_points=n_points, period=period, dim=dim)
+    except GridError as exc:
+        raise FormatError(f"bad header: {exc}") from exc
     expected = 2 * grid.size * 8
     payload = raw[_HEADER.size + 8:]
     if len(payload) != expected:
         raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
     inter = np.frombuffer(payload, dtype="<f8")
     values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return Field(grid, values)
+    try:
+        return Field(grid, values)
+    except GridError as exc:
+        raise FormatError(f"bad payload: {exc}") from exc
 
 
 def export_magnitude_csv(path, field: Field) -> None:

@@ -7,11 +7,13 @@ import shutil
 import numpy as np
 import pytest
 
-from thinslab import cli, harness, oneway
+from thinslab import cli, harness, oneway, propagator, symbols
 from thinslab.harness import (
     ConfigError, ExperimentConfig, config_echo, get_scenario, list_scenarios,
     parse_config_file, resolve_config, write_junit,
 )
+from thinslab.propagator import Frozen, SlabSpec
+from thinslab.spectral import Grid
 
 
 def test_scenario_registry():
@@ -343,3 +345,57 @@ def test_medium_out_of_bounds_is_gate_violation(tmp_path, monkeypatch):
     props = (out / "properties.xml").read_text()
     assert 'failures="1"' in props
     assert "sampled speed violates the declared bounds" in props
+
+
+@pytest.mark.parametrize("modes", ["0,500", "0,256"])
+def test_aliased_phase_mode_is_config_error(tmp_path, modes):
+    # on 256 points mode 500 aliases to -12 and mode 256 to 0, so both pass the
+    # band-limit guard while the closed form is taken at the unaliased mode
+    out = tmp_path / "oh"
+    code = cli.main(["run", "--scenario", "oneway-homogeneous", "--set", f"modes={modes}",
+                     "--output-dir", str(out)])
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "|mode| < 128" in manifest["error"]
+    assert not (out / "phase_errors.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_phase_error_reaches_its_gate(tmp_path, monkeypatch):
+    # without the band-limit guard, evanescent mode 40 has no real closed-form
+    # wavenumber: its error is NaN, which must fail the gate, not drop out of a max
+    monkeypatch.setattr(oneway, "check_band_limit", lambda *args: None)
+    out = tmp_path / "oh"
+    cfg = resolve_config("oneway-homogeneous", {}, {
+        "n_points": "128", "n_slabs": "8", "modes": "0,40", "output_dir": str(out)})
+    assert harness.run(cfg) == harness.EXIT_GATE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-violation"
+    assert "max phase error nan" in manifest["error"]
+    assert (out / "phase_errors.csv").read_text().splitlines()[2] == "40,nan"
+
+
+def test_norm_sweep_rows_match_single_assemblies():
+    spec = symbols.get_symbol("varspeed")
+    grid = Grid(32, 2.0 * np.pi)
+    rows = harness.norm_sweep(spec, grid)
+    deltas = [2.0 ** (-k) for k in range(4, 10)]
+    assert [(s, d) for s, d, _, _ in rows] == [(s, d) for s in (0.0, 1.0) for d in deltas]
+    for s, delta, norm, rate in rows:
+        mat = propagator.assemble_matrix(SlabSpec(0.0, delta, spec, Frozen()), grid)
+        assert norm == propagator.operator_norm_hs(mat, s)
+        assert rate == (norm - 1.0) / delta
+
+
+def test_norm_sweep_assembles_once_per_thickness(monkeypatch):
+    assemble = propagator.assemble_matrix
+    thicknesses = []
+
+    def counting(slab, grid):
+        thicknesses.append(slab.thickness)
+        return assemble(slab, grid)
+
+    monkeypatch.setattr(propagator, "assemble_matrix", counting)
+    harness.norm_sweep(symbols.get_symbol("varspeed"), Grid(32, 2.0 * np.pi))
+    assert thicknesses == [2.0 ** (-k) for k in range(4, 10)]

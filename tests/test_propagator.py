@@ -1,10 +1,13 @@
 """Single-slab application, dense matrices, and H^s operator norms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from thinslab import propagator
 from thinslab.propagator import (
-    Averaged, ContractViolation, Frozen, MatrixSizeError,
+    Averaged, ContractViolation, Frozen, MatrixSizeError, PropagatorMatrix,
     SlabError, SlabSpec, VariantError, apply_slab, apply_symbol_operator,
     assemble_matrix, exact_multiplier_evolution, operator_norm_hs,
     semigroup_defect,
@@ -231,13 +234,77 @@ def test_matrix_size_guard():
         assemble_matrix(SlabSpec(0.0, 0.1, get_symbol("translation")), g)
 
 
-def test_x_independent_matrix_diagonal_in_fourier(grid64):
-    slab = SlabSpec(0.0, 0.125, get_symbol("halfwave"))
-    T = assemble_matrix(slab, grid64).entries
-    off = T - np.diag(np.diag(T))
-    assert np.max(np.abs(off)) < 1e-10
-    oracle = np.diag(_oracle_fourier_matrix(slab, grid64))
-    assert np.max(np.abs(np.diag(T) - oracle)) < 1e-10
+def test_x_independent_matrix_diagonal_in_fourier(grid64, monkeypatch):
+    # the exact multiplier diagonal, against the direct kernel sum of the same
+    # symbol declared x-dependent, without building a kernel table
+    def drifting(z, x, xi):
+        return (1.0 + z) * xi * np.ones(np.broadcast(x, xi).shape)
+
+    def planar(z, x, xi):
+        return (xi[0] + 0.5 * xi[1]) * np.ones(np.broadcast(x[0], xi[0]).shape)
+
+    def planar_damping(z, x, xi):
+        return 0.3 * np.sqrt(xi[0] ** 2 + xi[1] ** 2) * np.ones(np.broadcast(x[0], xi[0]).shape)
+
+    def no_kernel(*args):
+        raise AssertionError("x-independent assembly built a kernel table")
+
+    cases = [(grid64, get_symbol(name), 0.0) for name in ("translation", "halfwave", "damped")]
+    cases.append((grid64, SymbolSpec(b1=drifting, x_independent=True, z_bandwidth=1.0), 0.25))
+    cases.append((Grid(8, 2 * np.pi, dim=2),
+                  SymbolSpec(b1=planar, c1=planar_damping, x_independent=True,
+                             z_independent=True), 0.0))
+    for grid, spec, z in cases:
+        for variant in (Frozen(), Averaged()):
+            slab = SlabSpec(z, z + 0.125, spec, variant)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagator, "_kernel_blocks", no_kernel)
+                T = assemble_matrix(slab, grid).entries
+            assert not np.any(T - np.diag(np.diag(T)))
+            direct = replace(slab, spec=replace(spec, x_independent=False))
+            oracle = _oracle_fourier_matrix(direct, grid)
+            for l in range(grid.size):
+                assert rel_err(T[:, l], oracle[:, l]) < 1e-12
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Record every np.linalg.norm call, the one LAPACK call of operator_norm_hs."""
+    calls = []
+    norm = np.linalg.norm
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    return calls
+
+
+def test_operator_norm_of_diagonal_matrix(grid64, norm_calls):
+    # <xi>^s commutes with a diagonal matrix: max |T_kk| for every s, no SVD
+    rng = np.random.default_rng(16)
+    diagonal = rng.standard_normal(grid64.size) + 1j * rng.standard_normal(grid64.size)
+    mat = PropagatorMatrix(grid64, np.diag(diagonal))
+    for s in (0.0, 1.0, 2.5):
+        w = _bracket_lattice(grid64) ** s
+        T = (w[:, None] * mat.entries) / w[None, :]
+        oracle = float(np.linalg.svd(T, compute_uv=False)[0])
+        assert abs(operator_norm_hs(mat, s) - oracle) <= 1e-14 * oracle
+    assert norm_calls == []
+
+
+def test_operator_norm_with_one_off_diagonal_entry(grid64, norm_calls):
+    entries = np.eye(grid64.size, dtype=np.complex128)
+    entries[3, 40] = 0.5
+    mat = PropagatorMatrix(grid64, entries)
+    for s in (0.0, 1.0):
+        w = _bracket_lattice(grid64) ** s
+        oracle = float(np.linalg.svd((w[:, None] * entries) / w[None, :], compute_uv=False)[0])
+        got = operator_norm_hs(mat, s)
+        assert abs(got - oracle) <= 1e-12 * oracle
+        assert got > 1.0 + 1e-3
+    assert len(norm_calls) == 2
 
 
 def test_operator_norm_identity(grid64):

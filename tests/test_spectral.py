@@ -193,6 +193,23 @@ def test_binary_rejects_corruption(tmp_path, grid64):
         read_field(trunc)
 
 
+@pytest.mark.parametrize("offset,fmt,value", [
+    (6, "<H", 3),                  # dim
+    (8, "<I", 100),                # n_points not a power of two
+    (8, "<I", 0),
+    (16, "<d", float("nan")),      # period
+    (24, "<d", float("inf")),      # first sample's real part
+], ids=["dim-3", "n-points-100", "n-points-0", "nan-period", "non-finite-sample"])
+def test_binary_rejects_invalid_grid_or_sample(tmp_path, grid64, offset, fmt, value):
+    path = tmp_path / "u.tslb"
+    write_field(path, random_field(grid64, 15))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_field(path)
+
+
 def test_magnitude_csv(tmp_path, grid64):
     u = wave_packet(grid64)
     path = tmp_path / "u.csv"
