@@ -9,15 +9,10 @@ is x-independent, otherwise a fine-step composition with slab-averaged
 symbols) and fit a log-log rate.  The residual probe measures how far the
 composition is from solving the evolution equation by combining a centered
 z-difference with a discrete application of the generator.
-
-Energy bookkeeping, error normalization, and the CSV/JSON serialization of
-study reports live here as well; numbers are written with 17 significant
-digits so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -264,8 +259,6 @@ def convergence_study(spec: SymbolSpec, u0: Field, s: float, Ns, variant,
 class UniformBoundReport:
     """Sup of norm amplification over subdivisions, depths and data."""
 
-    s: float
-    Ns: tuple
     per_n: tuple        # sup ratio for each subdivision
     sup_ratio: float
 
@@ -276,10 +269,9 @@ def uniform_bound_check(spec: SymbolSpec, u0_family, s: float, Ns) -> UniformBou
     The stability estimate makes this sup bounded independently of N; the
     tests assert the per-N values barely move across subdivisions.
     """
-    Ns = tuple(int(n) for n in Ns)
     per_n = []
     for n in Ns:
-        sub = Subdivision(1.0, n)
+        sub = Subdivision(1.0, int(n))
         worst = 0.0
         for u0 in u0_family:
             denom = spectral.sobolev_norm(u0, s)
@@ -291,60 +283,4 @@ def uniform_bound_check(spec: SymbolSpec, u0_family, s: float, Ns) -> UniformBou
             apply_ansatz(spec, sub, u0, observer=observe)
             worst = max(worst, max(ratios))
         per_n.append(worst)
-    return UniformBoundReport(s=s, Ns=Ns, per_n=tuple(per_n),
-                              sup_ratio=max(per_n))
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def write_report_csv(path, report: ConvergenceReport) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("N,delta,error_Hs,normalized_error\n")
-        for n, d, e, ne in zip(report.Ns, report.deltas, report.errors,
-                               report.normalized_errors):
-            fh.write(f"{n},{d:.17g},{e:.17g},{ne:.17g}\n")
-
-
-def report_summary(report: ConvergenceReport, config_echo: dict | None = None) -> dict:
-    summary = {
-        "s": report.s,
-        "Z": report.Z,
-        "Ns": list(report.Ns),
-        "deltas": list(report.deltas),
-        "errors": list(report.errors),
-        "normalized_errors": list(report.normalized_errors),
-        "fitted_slope": None if math.isnan(report.fitted_slope) else report.fitted_slope,
-        "fit_residual": report.fit_residual,
-        "reference_kind": report.reference_kind,
-        "exact": report.exact,
-        "dropped_coarsest": report.dropped_coarsest,
-        "reference_cross_check": report.reference_cross_check,
-        "u0_norm": report.u0_norm,
-    }
-    if config_echo is not None:
-        summary["config"] = dict(sorted(config_echo.items()))
-    return summary
-
-
-def _strict_json(value):
-    """Replace non-finite floats, nested anywhere, by "nan", "inf" or "-inf"."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-    if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    return value
-
-
-def write_json(path, data) -> None:
-    """Write strict JSON: sorted keys, non-finite floats as strings, final newline."""
-    with open(path, "w") as fh:
-        json.dump(_strict_json(data), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def write_report_json(path, report: ConvergenceReport, config_echo: dict | None = None) -> None:
-    write_json(path, report_summary(report, config_echo))
+    return UniformBoundReport(per_n=tuple(per_n), sup_ratio=max(per_n))

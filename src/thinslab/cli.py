@@ -6,6 +6,8 @@ quick self-test suite.  Config resolution: scenario defaults, then
 ``--config FILE`` (flat ``key = value`` lines), then individual flags and
 ``--set key=value`` pairs, last writer wins.  A rejected configuration
 still leaves a config-error manifest when its output directory is known.
+``run`` and ``check`` both print one result line, ``<name> <label>;
+artifacts in <dir>``, and return the exit code of the recorded run.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def _resolve(args):
         raise
 
 
+_LABELS = {harness.EXIT_OK: "completed",
+           harness.EXIT_GATE: "FAILED (acceptance gate)",
+           harness.EXIT_CONFIG: "FAILED (configuration)"}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -87,16 +94,13 @@ def main(argv=None) -> int:
             sys.stdout.write(harness.list_scenarios())
             return harness.EXIT_OK
         if args.command == "check":
-            code = harness.quick_check(args.output_dir, seed=args.seed)
-            state = "passed" if code == harness.EXIT_OK else "FAILED"
-            print(f"self-check {state}; report in {args.output_dir}/properties.xml")
-            return code
-        cfg = _resolve(args)
-        code = harness.run(cfg)
-        label = {harness.EXIT_OK: "completed",
-                 harness.EXIT_GATE: "FAILED (acceptance gate)",
-                 harness.EXIT_CONFIG: "FAILED (configuration)"}[code]
-        print(f"scenario {cfg.scenario} {label}; artifacts in {cfg.output_dir}")
+            name, out = "self-check", args.output_dir
+            code = harness.quick_check(out, seed=args.seed)
+        else:
+            cfg = _resolve(args)
+            name, out = f"scenario {cfg.scenario}", cfg.output_dir
+            code = harness.run(cfg)
+        print(f"{name} {_LABELS[code]}; artifacts in {out}")
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

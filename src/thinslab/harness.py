@@ -4,7 +4,9 @@ A scenario bundles a canned symbol (or one-way medium) with default grid,
 study and gate settings.  ``run`` resolves configuration in three layers
 (scenario defaults, then a flat key=value config file, then CLI overrides,
 last writer wins), executes the experiment, and writes deterministic
-artifacts into the output directory:
+artifacts into the output directory.  Every artifact writer lives here: one
+CSV writer with 17 significant digits per value, strict JSON, JUnit XML and
+the manifest.  The artifacts are:
 
 * ``convergence.csv`` / ``convergence.json``  - study errors and fit,
 * ``norm_sweep.csv``                          - H^s slab norms over a thickness sweep,
@@ -14,17 +16,20 @@ artifacts into the output directory:
 * ``manifest.json``                           - config echo, version, timings, status.
 
 Everything except the manifest (which carries wall-clock timings) is
-byte-identical across runs with the same config, seed and build.  Exit
-codes: 0 success, 2 configuration error, 4 an acceptance gate was violated.
-The manifest's status is "ok" only for a completed run; an unexpected
-exception is recorded as status "error" and re-raised.
+byte-identical across runs with the same config, seed and build.  ``run``
+and ``quick_check`` share one recorded path: exit codes 0 success, 2
+configuration error, 4 an acceptance gate or property was violated.  The
+manifest's status is "ok" only for a completed run; an unexpected exception
+is recorded as status "error" and re-raised.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -354,6 +359,38 @@ def write_junit(path, suite_name: str, cases) -> None:
         fh.write("\n")
 
 
+def _write_csv(out, outputs, name, header: str, rows) -> None:
+    """Write out/name with every value at 17 significant digits, and list it."""
+    with open(os.path.join(out, name), "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    outputs.append(name)
+
+
+def _write_report_csv(out, outputs, name, report: ansatz.ConvergenceReport) -> None:
+    _write_csv(out, outputs, name, "N,delta,error_Hs,normalized_error",
+               zip(report.Ns, report.deltas, report.errors, report.normalized_errors))
+
+
+def _strict_json(value):
+    """Replace non-finite floats, nested anywhere, by "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def _write_json(path, data) -> None:
+    """Write strict JSON: sorted keys, non-finite floats as strings, final newline."""
+    with open(path, "w") as fh:
+        json.dump(_strict_json(data), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, cfg, status, error, timings, outputs) -> None:
     manifest = {
         "version": __version__,
@@ -364,7 +401,7 @@ def _write_manifest(out_dir, cfg, status, error, timings, outputs) -> None:
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "outputs": sorted(outputs),
     }
-    ansatz.write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +445,6 @@ def norm_sweep(spec, grid: Grid, seed: int = 0):
             norms[s, delta] = propagator.operator_norm_hs(mat, s)
     return [(s, delta, norms[s, delta], (norms[s, delta] - 1.0) / delta)
             for s in sobolev for delta in deltas]
-
-
-def _write_norm_sweep(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("s,delta,norm_hs,excess_rate\n")
-        for s, d, n, r in rows:
-            fh.write(f"{s:.17g},{d:.17g},{n:.17g},{r:.17g}\n")
 
 
 def _shared_cases(grid: Grid, seed: int):
@@ -489,7 +519,7 @@ def _check_gates(entry: Scenario, facts: dict) -> list:
     return bad
 
 
-def _run_evolution(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -> dict:
+def _run_evolution(cfg: ExperimentConfig, out, timings, outputs) -> dict:
     grid = Grid(cfg.n_points, cfg.period)
     spec = symbols.get_symbol(cfg.scenario, cfg.period)
     u0 = spectral.wave_packet(grid)
@@ -505,39 +535,38 @@ def _run_evolution(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs
         "errors": list(report.normalized_errors),
         "Ns": list(report.Ns),
     }
-    ansatz.write_report_csv(os.path.join(out, "convergence.csv"), report)
-    ansatz.write_report_json(os.path.join(out, "convergence.json"), report,
-                             config_echo(cfg))
-    outputs += ["convergence.csv", "convergence.json"]
+    _write_report_csv(out, outputs, "convergence.csv", report)
+    slope = None if math.isnan(report.fitted_slope) else report.fitted_slope
+    _write_json(os.path.join(out, "convergence.json"),
+                dict(asdict(report), fitted_slope=slope, config=config_echo(cfg)))
+    outputs.append("convergence.json")
 
     if cfg.compare_variants:
         other = Averaged(cfg.quadrature_order or None) if cfg.variant == "frozen" else Frozen()
         report2 = ansatz.convergence_study(spec, u0, cfg.s, cfg.Ns, other, reference,
                                            Z=cfg.Z, delta_max=cfg.delta_max)
         name = "convergence_averaged" if cfg.variant == "frozen" else "convergence_frozen"
-        ansatz.write_report_csv(os.path.join(out, name + ".csv"), report2)
-        outputs.append(name + ".csv")
+        _write_report_csv(out, outputs, name + ".csv", report2)
         if cfg.variant == "frozen":
             facts["averaged_errors"] = list(report2.normalized_errors)
     timings["convergence"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     norm_grid = Grid(min(cfg.norm_points, cfg.n_points), cfg.period)
-    rows = norm_sweep(spec, norm_grid)
-    _write_norm_sweep(os.path.join(out, "norm_sweep.csv"), rows)
-    outputs.append("norm_sweep.csv")
+    _write_csv(out, outputs, "norm_sweep.csv", "s,delta,norm_hs,excess_rate",
+               norm_sweep(spec, norm_grid))
     timings["norm_sweep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cases = _property_cases(cfg, spec, grid)
     timings["properties"] = time.perf_counter() - t0
-    _write_properties(out, outputs, cases)
+    _write_properties(out, outputs, "thinslab.properties", cases)
     return facts
 
 
-def _write_properties(out, outputs, cases) -> None:
+def _write_properties(out, outputs, suite: str, cases) -> None:
     """Write properties.xml; a failed case ends the run as a gate violation."""
-    write_junit(os.path.join(out, "properties.xml"), "thinslab.properties", cases)
+    write_junit(os.path.join(out, "properties.xml"), suite, cases)
     outputs.append("properties.xml")
     failed = [f"property {n} failed: {m}" for n, ok, m in cases if not ok]
     if failed:
@@ -576,7 +605,7 @@ def _mixed_mode_datum(grid: Grid, medium, aperture) -> Field:
     return spectral.inverse(spectral.SpectralField(grid, coeffs))
 
 
-def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -> dict:
+def _run_oneway(cfg: ExperimentConfig, out, timings, outputs) -> dict:
     grid, medium, aperture = _oneway_parts(cfg)
     facts = {}
 
@@ -601,11 +630,7 @@ def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -
             got = uz.values / u0.values
             err = float(np.max(np.abs(got - expected)))
             rows.append((mode, err))
-        with open(os.path.join(out, "phase_errors.csv"), "w", newline="") as fh:
-            fh.write("mode,max_abs_error\n")
-            for mode, err in rows:
-                fh.write(f"{mode},{err:.17g}\n")
-        outputs.append("phase_errors.csv")
+        _write_csv(out, outputs, "phase_errors.csv", "mode,max_abs_error", rows)
         facts["max_phase_error"] = float(np.max([err for _, err in rows]))   # NaN propagates
 
     partition_rows = []
@@ -626,11 +651,10 @@ def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -
     uZ = oneway.downward_continue(medium, aperture, u0, cfg.Z, cfg.n_slabs,
                                   damping_scale=cfg.damping_scale,
                                   delta_max=cfg.delta_max, observer=observe)
-    with open(os.path.join(out, "energy_partition.csv"), "w", newline="") as fh:
-        fh.write("depth,energy_inside_theta1,energy_between,energy_outside_theta2\n")
-        for row in partition_rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    outputs += ["energy_partition.csv"] + snapshots
+    _write_csv(out, outputs, "energy_partition.csv",
+               "depth,energy_inside_theta1,energy_between,energy_outside_theta2",
+               partition_rows)
+    outputs += snapshots
     timings["continuation"] = time.perf_counter() - t0
 
     eZ = oneway.energy_partition(uZ, medium, aperture)
@@ -643,12 +667,19 @@ def _run_oneway(cfg: ExperimentConfig, entry: Scenario, out, timings, outputs) -
         bounds = ("medium-bounds", True, "sampled speed within declared bounds")
     except oneway.MediumError as exc:
         bounds = ("medium-bounds", False, str(exc))
-    _write_properties(out, outputs, [bounds])
+    _write_properties(out, outputs, "thinslab.properties", [bounds])
     return facts
 
 
-def _prepare_output_dir(out) -> None:
-    """Create the artifact directory and check that a file can be written in it."""
+def _recorded(cfg: ExperimentConfig, body) -> int:
+    """Call body(out, timings, outputs) and leave a manifest; return the exit code.
+
+    A gate violation, or a configuration the library rejects, ends the run
+    with its status and exit code; any other exception is recorded as status
+    "error" and re-raised.  An output directory that cannot be written
+    raises ConfigError before anything is recorded.
+    """
+    out = cfg.output_dir
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write-probe")
@@ -657,26 +688,12 @@ def _prepare_output_dir(out) -> None:
         os.remove(probe)
     except OSError as exc:
         raise ConfigError(f"output directory {out!r} is not writable: {exc}")
-
-
-def run(cfg: ExperimentConfig) -> int:
-    """Execute one scenario; always leaves a manifest in the output dir."""
-    entry = get_scenario(cfg.scenario)
-    out = cfg.output_dir
-    _prepare_output_dir(out)
-
     timings = {}
     outputs = []
     status, error, code = "error", None, EXIT_OK
     started = time.perf_counter()
     try:
-        if entry.kind == "evolution":
-            facts = _run_evolution(cfg, entry, out, timings, outputs)
-        else:
-            facts = _run_oneway(cfg, entry, out, timings, outputs)
-        violations = _check_gates(entry, facts)
-        if violations:
-            raise GateViolation("; ".join(violations))
+        body(out, timings, outputs)
         status = "ok"
     except GateViolation as exc:
         status, error, code = "gate-violation", str(exc), EXIT_GATE
@@ -693,6 +710,19 @@ def run(cfg: ExperimentConfig) -> int:
     return code
 
 
+def run(cfg: ExperimentConfig) -> int:
+    """Execute one scenario; always leaves a manifest in the output dir."""
+    entry = get_scenario(cfg.scenario)
+    experiment = _run_evolution if entry.kind == "evolution" else _run_oneway
+
+    def body(out, timings, outputs):
+        violations = _check_gates(entry, experiment(cfg, out, timings, outputs))
+        if violations:
+            raise GateViolation("; ".join(violations))
+
+    return _recorded(cfg, body)
+
+
 # ---------------------------------------------------------------------------
 # quick self-check
 
@@ -700,48 +730,38 @@ def run(cfg: ExperimentConfig) -> int:
 def quick_check(output_dir: str, seed: int = 0) -> int:
     """Fast library self-check; writes properties.xml + manifest, returns exit code.
 
-    An output directory that cannot be written raises ConfigError; so does a
-    negative seed, after writing a config-error manifest.
+    It shares ``run``'s recorded path: a failed case exits 4, a negative seed
+    exits 2 with a config-error manifest, and an output directory that
+    cannot be written raises ConfigError.
     """
-    cfg = ExperimentConfig(scenario="check", output_dir=output_dir, seed=seed)
-    _prepare_output_dir(output_dir)
-    if seed < 0:
-        error = f"seed must be >= 0, got {seed}"
-        _write_manifest(output_dir, cfg, "config-error", error, {}, [])
-        raise ConfigError(error)
-    timings = {}
-    started = time.perf_counter()
-    grid = Grid(64, 2.0 * np.pi)
-    u, round_trip, family = _shared_cases(grid, seed)
-    cases = [round_trip]
+    def body(out, timings, outputs):
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        grid = Grid(64, 2.0 * np.pi)
+        u, round_trip, family = _shared_cases(grid, seed)
+        cases = [round_trip]
 
-    w = spectral.apply_weight(u, 1.5)
-    iso = abs(spectral.sobolev_norm(w, -0.5) - spectral.sobolev_norm(u, 1.0))
-    cases.append(("weight-isometry", iso < 1e-12 * spectral.sobolev_norm(u, 1.0),
-                  f"defect {iso:.3e}"))
+        w = spectral.apply_weight(u, 1.5)
+        iso = abs(spectral.sobolev_norm(w, -0.5) - spectral.sobolev_norm(u, 1.0))
+        cases.append(("weight-isometry", iso < 1e-12 * spectral.sobolev_norm(u, 1.0),
+                      f"defect {iso:.3e}"))
 
-    spec = symbols.get_symbol("translation")
-    u0 = spectral.wave_packet(grid)
-    sub = Subdivision(1.0, 16)
-    moved = ansatz.apply_ansatz(spec, sub, u0, variant=Averaged())
-    exact = propagator.exact_multiplier_evolution(spec, 0.0, 1.0, u0)
-    drift = np.linalg.norm(moved.values - exact.values) / np.linalg.norm(u0.values)
-    cases.append(("multiplier-exactness", drift < 1e-10, f"relative error {drift:.3e}"))
+        spec = symbols.get_symbol("translation")
+        u0 = spectral.wave_packet(grid)
+        sub = Subdivision(1.0, 16)
+        moved = ansatz.apply_ansatz(spec, sub, u0, variant=Averaged())
+        exact = propagator.exact_multiplier_evolution(spec, 0.0, 1.0, u0)
+        drift = np.linalg.norm(moved.values - exact.values) / np.linalg.norm(u0.values)
+        cases.append(("multiplier-exactness", drift < 1e-10, f"relative error {drift:.3e}"))
 
-    ok_all = True
-    for trial in range(20):
-        q, _ = symbols.random_nonneg_order1(np.random.default_rng(seed + trial))
-        rep = symbols.check_PL(q)
-        ok_all = ok_all and rep.passed
-    cases.append(("nonneg-symbol-derivative-bound", ok_all,
-                  "20 random nonnegative order-1 symbols within the L=2 bound"))
-    cases.append(family)
+        ok_all = True
+        for trial in range(20):
+            q, _ = symbols.random_nonneg_order1(np.random.default_rng(seed + trial))
+            rep = symbols.check_PL(q)
+            ok_all = ok_all and rep.passed
+        cases.append(("nonneg-symbol-derivative-bound", ok_all,
+                      "20 random nonnegative order-1 symbols within the L=2 bound"))
+        cases.append(family)
+        _write_properties(out, outputs, "thinslab.check", cases)
 
-    write_junit(os.path.join(output_dir, "properties.xml"), "thinslab.check", cases)
-    timings["total"] = time.perf_counter() - started
-    failed = [n for n, ok, _ in cases if not ok]
-    status = "ok" if not failed else "gate-violation"
-    _write_manifest(output_dir, cfg, status,
-                    None if not failed else f"failed: {', '.join(failed)}",
-                    timings, ["properties.xml"])
-    return EXIT_OK if not failed else EXIT_GATE
+    return _recorded(ExperimentConfig(scenario="check", output_dir=output_dir, seed=seed), body)

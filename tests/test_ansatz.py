@@ -8,8 +8,8 @@ import pytest
 from thinslab import ansatz
 from thinslab.ansatz import (
     ExactMultiplier, FineStep, PositionError, Subdivision, SubdivisionError,
-    apply_ansatz, convergence_study, reference_solution, report_summary,
-    residual_norm, uniform_bound_check, write_report_csv, write_report_json,
+    apply_ansatz, convergence_study, reference_solution, residual_norm,
+    uniform_bound_check,
 )
 from thinslab.propagator import (
     Averaged, Frozen, apply_slab, exact_multiplier_evolution, SlabSpec,
@@ -165,26 +165,3 @@ def test_uniform_bound_damping_contracts(grid64):
     family = [wave_packet(grid64), random_field(grid64, 1)]
     rep = uniform_bound_check(spec, family, 0.0, (8, 16, 32))
     assert rep.sup_ratio <= 1.0 + 0.01
-
-
-def test_report_csv_and_json(tmp_path, grid64):
-    spec = get_symbol("varspeed")
-    u0 = wave_packet(grid64)
-    rep = convergence_study(spec, u0, 1.0, (8, 16), Frozen(), FineStep(128))
-    csv_path = tmp_path / "r.csv"
-    write_report_csv(csv_path, rep)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "N,delta,error_Hs,normalized_error"
-    assert len(lines) == 3
-    n, d, e, ne = lines[1].split(",")
-    assert int(n) == 8 and float(d) == 0.125
-    assert abs(float(ne) - rep.normalized_errors[0]) == 0.0
-
-    json_path = tmp_path / "r.json"
-    write_report_json(json_path, rep, {"note": "test"})
-    import json
-    data = json.loads(json_path.read_text())
-    assert data["reference_kind"] == "fine-step:128"
-    assert data["config"]["note"] == "test"
-    assert abs(data["fitted_slope"] - rep.fitted_slope) < 1e-12
-

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from thinslab import cli, harness, oneway, propagator, symbols
+from thinslab import ansatz, cli, harness, oneway, propagator, spectral, symbols
 from thinslab.harness import (
     ConfigError, ExperimentConfig, config_echo, get_scenario, list_scenarios,
     parse_config_file, resolve_config, write_junit,
@@ -139,6 +139,40 @@ def test_rerun_is_byte_identical(tmp_path):
     _run_tiny_translation(out)
     for name, blob in keep.items():
         assert (out / name).read_bytes() == blob, name
+
+
+def test_run_report_csv_and_json(tmp_path):
+    out = tmp_path / "vs"
+    cfg = resolve_config("varspeed", {}, {
+        "n_points": "64", "Ns": "8,16", "n_ref": "128", "norm_points": "64",
+        "output_dir": str(out)})
+    assert harness.run(cfg) == harness.EXIT_OK
+    lines = (out / "convergence.csv").read_text().strip().splitlines()
+    assert lines[0] == "N,delta,error_Hs,normalized_error"
+    assert len(lines) == 3
+    n, d, e, ne = lines[1].split(",")
+    assert int(n) == 8 and float(d) == 0.125
+
+    data = json.loads((out / "convergence.json").read_text())
+    assert float(ne) == data["normalized_errors"][0]
+    assert data["reference_kind"] == "fine-step:128"
+    rep = ansatz.convergence_study(symbols.get_symbol("varspeed", cfg.period),
+                                   spectral.wave_packet(Grid(64, cfg.period)), cfg.s,
+                                   cfg.Ns, Frozen(), ansatz.FineStep(128))
+    assert data["fitted_slope"] == rep.fitted_slope
+    assert data["config"] == config_echo(cfg)
+
+
+@pytest.mark.parametrize("flags", [
+    ["hoelder-z", "--grid-points", "64", "--Ns", "8,16", "--set", "n_ref=128",
+     "--set", "norm_points=64"],
+    ["oneway-homogeneous", "--grid-points", "128", "--set", "n_slabs=8"],
+], ids=["hoelder-z", "oneway-homogeneous"])
+def test_manifest_lists_every_artifact(tmp_path, flags):
+    out = tmp_path / "fresh"
+    assert cli.main(["run", "--output-dir", str(out), "--scenario"] + flags) == harness.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(set(os.listdir(out)) - {"manifest.json"})
 
 
 def test_run_oneway_artifacts(tmp_path):
@@ -311,6 +345,17 @@ def test_quick_check(tmp_path):
     assert (tmp_path / "chk" / "properties.xml").exists()
     manifest = json.loads((tmp_path / "chk" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
+
+
+def test_check_failed_case_is_gate_violation(tmp_path, monkeypatch):
+    monkeypatch.setattr(symbols, "check_PL",
+                        lambda q: symbols.PLReport(worst_ratio=99.0, passed=False))
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--output-dir", str(out)]) == harness.EXIT_GATE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-violation"
+    assert "nonneg-symbol-derivative-bound" in manifest["error"]
+    assert 'failures="1"' in (out / "properties.xml").read_text()
 
 
 def test_check_negative_seed_is_config_error(tmp_path):

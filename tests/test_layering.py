@@ -57,3 +57,10 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} imports {name}"
                    for line, name in _imported_names(tree) if name not in read]
     assert not unused, unused
+
+
+def test_only_harness_imports_json():
+    # the artifact format is known to one module
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "json" in {name for _, name in _imported_names(ast.parse(path.read_text()))}]
+    assert importers == ["harness"]
