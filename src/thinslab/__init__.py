@@ -9,10 +9,8 @@ from .spectral import (
     GridError,
     SpectralField,
     apply_weight,
-    export_magnitude_csv,
     forward,
     inverse,
-    l2_norm,
     read_field,
     sobolev_norm,
     wave_packet,

@@ -4,10 +4,12 @@
 ``thinslab list`` prints the scenario table, ``thinslab check`` runs the
 quick self-test suite.  Config resolution: scenario defaults, then
 ``--config FILE`` (flat ``key = value`` lines), then individual flags and
-``--set key=value`` pairs, last writer wins.  A rejected configuration
-still leaves a config-error manifest when its output directory is known.
-``run`` and ``check`` both print one result line, ``<name> <label>;
-artifacts in <dir>``, and return the exit code of the recorded run.
+``--set key=value`` pairs, last writer wins.  A rejected configuration is
+recorded like any other run when its output directory is known.  ``run``
+and ``check`` both print one result line, ``<name> <label>; artifacts in
+<dir>``, and return the exit code of the recorded run.  ``config error:``
+goes to stderr only when no manifest can be written: an unknown scenario
+without ``--output-dir``, or an output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -62,11 +64,13 @@ def _set_pairs(extra) -> dict:
     return out
 
 
-def _resolve(args):
-    """Resolve the run's config; a rejected one leaves a config-error manifest.
+def _run(args):
+    """Resolve and run the scenario; return (output directory, exit code).
 
-    The flags cannot fail to parse, so an explicit ``--output-dir`` is known
-    even when a ``--set`` pair or the config file is bad.
+    A configuration that resolve_config rejects is recorded as a config-error
+    run instead.  The flags cannot fail to parse, so an explicit
+    ``--output-dir`` is known even when a ``--set`` pair or the config file
+    is bad.
     """
     overrides = {key: getattr(args, key) for key in _FLAG_KEYS
                  if getattr(args, key, None) is not None}
@@ -75,10 +79,10 @@ def _resolve(args):
         overrides.update(_set_pairs(args.extra))
         if args.config:
             file_map = harness.parse_config_file(args.config)
-        return harness.resolve_config(args.scenario, file_map, overrides)
+        cfg = harness.resolve_config(args.scenario, file_map, overrides)
     except ConfigError as exc:
-        harness.write_config_error(args.scenario, (file_map, overrides), str(exc))
-        raise
+        return harness.record_rejection(args.scenario, (file_map, overrides), exc)
+    return cfg.output_dir, harness.run(cfg)
 
 
 _LABELS = {harness.EXIT_OK: "completed",
@@ -97,9 +101,8 @@ def main(argv=None) -> int:
             name, out = "self-check", args.output_dir
             code = harness.quick_check(out, seed=args.seed)
         else:
-            cfg = _resolve(args)
-            name, out = f"scenario {cfg.scenario}", cfg.output_dir
-            code = harness.run(cfg)
+            name = f"scenario {args.scenario}"
+            out, code = _run(args)
         print(f"{name} {_LABELS[code]}; artifacts in {out}")
         return code
     except ConfigError as exc:

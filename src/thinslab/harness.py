@@ -16,11 +16,13 @@ the manifest.  The artifacts are:
 * ``manifest.json``                           - config echo, version, timings, status.
 
 Everything except the manifest (which carries wall-clock timings) is
-byte-identical across runs with the same config, seed and build.  ``run``
-and ``quick_check`` share one recorded path: exit codes 0 success, 2
-configuration error, 4 an acceptance gate or property was violated.  The
-manifest's status is "ok" only for a completed run; an unexpected exception
-is recorded as status "error" and re-raised.
+byte-identical across runs with the same config, seed and build.  ``run``,
+``quick_check`` and ``record_rejection`` (for settings that
+``resolve_config`` rejected) share one recorded path, the only writer of
+the manifest: exit codes 0 success, 2 configuration error, 4 an acceptance
+gate or property was violated.  The manifest's status is "ok" only for a
+completed run; an unexpected exception is recorded as status "error" and
+re-raised.
 """
 
 from __future__ import annotations
@@ -193,24 +195,6 @@ def resolve_config(scenario: str, file_map: dict | None = None,
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
-
-
-def write_config_error(scenario: str, layers, error: str) -> None:
-    """Leave a config-error manifest for settings that resolve_config rejected.
-
-    The manifest goes to the output directory the settings name, else to
-    the scenario's default one; its config echo holds every setting that
-    parses.  Nothing is written for an unknown scenario without an output
-    directory, or for a directory that cannot be created.
-    """
-    cfg = _layered(_scenario_config(scenario), layers, strict=False)
-    if not cfg.output_dir:
-        return
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_manifest(cfg.output_dir, cfg, "config-error", error, {}, [])
-    except OSError:
-        pass
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -391,19 +375,6 @@ def _write_json(path, data) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, cfg, status, error, timings, outputs) -> None:
-    manifest = {
-        "version": __version__,
-        "scenario": cfg.scenario,
-        "config": config_echo(cfg),
-        "status": status,
-        "error": error,
-        "timings": {k: round(v, 6) for k, v in timings.items()},
-        "outputs": sorted(outputs),
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
 # ---------------------------------------------------------------------------
 # experiment pieces
 
@@ -500,7 +471,7 @@ def _check_gates(entry: Scenario, facts: dict) -> list:
                 break
     if "averaged_margin" in g and facts.get("averaged_errors"):
         margin = g["averaged_margin"]
-        for n, fe, ae in zip(facts["Ns"], facts["errors"], facts["averaged_errors"]):
+        for n, fe, ae in zip(facts["Ns"], facts["frozen_errors"], facts["averaged_errors"]):
             if not (ae <= margin * fe):
                 bad.append(f"averaged error {ae:.3e} not below {margin:g}x frozen {fe:.3e} "
                            f"at N={n}")
@@ -542,13 +513,13 @@ def _run_evolution(cfg: ExperimentConfig, out, timings, outputs) -> dict:
     outputs.append("convergence.json")
 
     if cfg.compare_variants:
-        other = Averaged(cfg.quadrature_order or None) if cfg.variant == "frozen" else Frozen()
-        report2 = ansatz.convergence_study(spec, u0, cfg.s, cfg.Ns, other, reference,
-                                           Z=cfg.Z, delta_max=cfg.delta_max)
-        name = "convergence_averaged" if cfg.variant == "frozen" else "convergence_frozen"
-        _write_report_csv(out, outputs, name + ".csv", report2)
-        if cfg.variant == "frozen":
-            facts["averaged_errors"] = list(report2.normalized_errors)
+        other = "averaged" if cfg.variant == "frozen" else "frozen"
+        report2 = ansatz.convergence_study(spec, u0, cfg.s, cfg.Ns,
+                                           _variant_object(replace(cfg, variant=other)),
+                                           reference, Z=cfg.Z, delta_max=cfg.delta_max)
+        _write_report_csv(out, outputs, f"convergence_{other}.csv", report2)
+        errors = {cfg.variant: facts["errors"], other: list(report2.normalized_errors)}
+        facts["frozen_errors"], facts["averaged_errors"] = errors["frozen"], errors["averaged"]
     timings["convergence"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -706,7 +677,15 @@ def _recorded(cfg: ExperimentConfig, body) -> int:
         raise
     finally:
         timings["total"] = time.perf_counter() - started
-        _write_manifest(out, cfg, status, error, timings, outputs)
+        _write_json(os.path.join(out, "manifest.json"), {
+            "version": __version__,
+            "scenario": cfg.scenario,
+            "config": config_echo(cfg),
+            "status": status,
+            "error": error,
+            "timings": {k: round(v, 6) for k, v in timings.items()},
+            "outputs": sorted(outputs),
+        })
     return code
 
 
@@ -721,6 +700,28 @@ def run(cfg: ExperimentConfig) -> int:
             raise GateViolation("; ".join(violations))
 
     return _recorded(cfg, body)
+
+
+def record_rejection(scenario: str, layers, rejection: ConfigError) -> tuple:
+    """Record settings that resolve_config rejected as a config-error run.
+
+    The run goes to the output directory the settings name, else to the
+    scenario's default one; its config echo holds every setting that parses.
+    Returns (output directory, exit code).  The rejection itself is raised
+    when no manifest can be written: for an unknown scenario without an
+    output directory, or for a directory that cannot be written.
+    """
+    cfg = _layered(_scenario_config(scenario), layers, strict=False)
+    if not cfg.output_dir:
+        raise rejection
+
+    def body(out, timings, outputs):
+        raise rejection
+
+    try:
+        return cfg.output_dir, _recorded(cfg, body)
+    except ConfigError:
+        raise rejection from None
 
 
 # ---------------------------------------------------------------------------

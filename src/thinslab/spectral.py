@@ -27,7 +27,6 @@ interleaved re/im f64 pairs in row-major order.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -152,12 +151,6 @@ def inverse(spectral: SpectralField) -> Field:
     return Field(spectral.grid, v * np.sqrt(spectral.grid.size))
 
 
-def l2_norm(field) -> float:
-    """l2 norm of a point-space or spectral field (Parseval makes them equal)."""
-    data = field.coeffs if isinstance(field, SpectralField) else field.values
-    return float(np.linalg.norm(data))
-
-
 @lru_cache(maxsize=64)
 def xi_squared(grid: Grid) -> np.ndarray:
     """|xi|^2 on the shifted frequency lattice (cached, read-only)."""
@@ -262,18 +255,3 @@ def read_field(path) -> Field:
         return Field(grid, values)
     except GridError as exc:
         raise FormatError(f"bad payload: {exc}") from exc
-
-
-def export_magnitude_csv(path, field: Field) -> None:
-    """Write |u(x)| sample magnitudes as CSV for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if field.grid.dim == 1:
-            writer.writerow(["x", "abs_u"])
-            for x, v in zip(field.grid.axis_points(), field.values):
-                writer.writerow([f"{x:.17g}", f"{abs(v):.17g}"])
-        else:
-            writer.writerow(["x1", "x2", "abs_u"])
-            x1, x2 = field.grid.meshes()
-            for a, b, v in zip(x1.ravel(), x2.ravel(), field.values.ravel()):
-                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{abs(v):.17g}"])

@@ -181,24 +181,11 @@ def _smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _smoothstep_d(t):
-    t = np.clip(t, 0.0, 1.0)
-    return 30.0 * t * t * (t - 1.0) ** 2
-
-
 def smoothed_abs(xi):
     """|xi| flattened to 0 below 1/4 and exactly |xi| above 1 (C^2 ramp)."""
     r = np.abs(xi)
     t = (r - 0.25) / 0.75
     return _smoothstep(t) * r
-
-
-def smoothed_abs_d(xi):
-    """d/dxi of :func:`smoothed_abs` (odd in xi); used by test oracles."""
-    r = np.abs(xi)
-    t = (r - 0.25) / 0.75
-    dr = _smoothstep(t) + r * _smoothstep_d(t) / 0.75
-    return np.sign(xi) * dr
 
 
 WEIERSTRASS_TERMS = 10

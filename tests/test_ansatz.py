@@ -14,7 +14,7 @@ from thinslab.ansatz import (
 from thinslab.propagator import (
     Averaged, Frozen, apply_slab, exact_multiplier_evolution, SlabSpec,
 )
-from thinslab.spectral import Field, Grid, l2_norm, sobolev_norm, wave_packet
+from thinslab.spectral import Field, Grid, sobolev_norm, wave_packet
 from thinslab.symbols import SymbolSpec, get_symbol
 
 from conftest import random_field, rel_err

@@ -224,11 +224,28 @@ def test_gate_violation_exit_code(tmp_path):
     assert manifest["status"] == "gate-violation"
 
 
+@pytest.mark.parametrize("variant", ["frozen", "averaged"])
+def test_averaged_margin_gate_checks_either_primary_variant(tmp_path, monkeypatch, variant):
+    entry = get_scenario("hoelder-z")
+    monkeypatch.setitem(harness._SCENARIOS, "hoelder-z", harness.Scenario(
+        name=entry.name, kind=entry.kind, description=entry.description,
+        regularity=entry.regularity, defaults=entry.defaults,
+        gates=dict(entry.gates, averaged_margin=1e-6)))
+    out = tmp_path / variant
+    cfg = resolve_config("hoelder-z", {}, {
+        "n_points": "64", "Ns": "8,16", "n_ref": "128", "norm_points": "64",
+        "variant": variant, "output_dir": str(out)})
+    assert harness.run(cfg) == harness.EXIT_GATE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-violation"
+    assert "averaged error" in manifest["error"]
+
+
 @pytest.mark.parametrize("gate,facts", [
     ("exact_tol", {"max_normalized_error": np.nan}),
     ("slope_min", {"fitted_slope": np.nan}),
     ("monotone_tol", {"errors": [1.0, np.nan]}),
-    ("averaged_margin", {"Ns": [8], "errors": [1.0], "averaged_errors": [np.nan]}),
+    ("averaged_margin", {"Ns": [8], "frozen_errors": [1.0], "averaged_errors": [np.nan]}),
     ("phase_tol", {"max_phase_error": np.nan}),
     ("suppression_min", {"suppression": np.nan}),
     ("preserve_tol", {"inside_change": np.nan}),
@@ -295,8 +312,11 @@ def test_cli_bad_set_pair(tmp_path):
     (["--seed", "-1"], "seed"),
     (["--s", "nan"], "s must be finite"),
     (["--set", "quadrature_order=1025"], "1024"),
-], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap"])
-def test_cli_rejected_config_leaves_manifest(tmp_path, flags, word):
+    (["--set", "n_points=many"], "n_points"),
+    (["--set", "oops"], "KEY=VALUE"),
+], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap",
+        "unparsable-value", "set-pair-without-equals"])
+def test_cli_rejected_config_leaves_manifest(tmp_path, capsys, flags, word):
     out = tmp_path / "D"
     code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out)] + flags)
     assert code == harness.EXIT_CONFIG
@@ -305,6 +325,21 @@ def test_cli_rejected_config_leaves_manifest(tmp_path, flags, word):
     assert manifest["scenario"] == "translation"
     assert word in manifest["error"]
     assert manifest["outputs"] == []
+    assert "total" in manifest["timings"]
+    printed = capsys.readouterr()
+    assert printed.out == f"scenario translation FAILED (configuration); artifacts in {out}\n"
+    assert printed.err == ""
+
+
+def test_cli_rejected_config_into_unwritable_directory(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory")
+    out = blocker / "sub"
+    code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out),
+                     "--seed", "-1"])
+    assert code == harness.EXIT_CONFIG
+    assert not out.exists()
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,6 +1,7 @@
 """Each module imports only the modules below it in the layer order."""
 
 import ast
+import inspect
 import pathlib
 
 import thinslab
@@ -64,3 +65,32 @@ def test_only_harness_imports_json():
     importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
                  if "json" in {name for _, name in _imported_names(ast.parse(path.read_text()))}]
     assert importers == ["harness"]
+
+
+# exported for library users although no other package module calls them
+LIBRARY_API = {
+    "read_field": "reads the TSLB snapshots that the one-way scenarios write",
+    "residual_norm": "measures the Ansatz residual of acceptance criterion 6",
+    "uniform_bound_check": "measures the composition stability of acceptance criterion 5",
+    "semigroup_defect": "witnesses criterion 8 and drives the stability-norms workload",
+    "available_symbols": "lists the registered symbol names for get_symbol",
+}
+
+
+def test_every_export_is_used_or_declared_library_api():
+    # an export that only tests call is test code living in the library
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    exported = [name for name in thinslab.__all__
+                if inspect.isfunction(getattr(thinslab, name))
+                or inspect.isclass(getattr(thinslab, name))]
+    unused = [name for name in exported if name not in named and name not in LIBRARY_API]
+    assert not unused, unused
+    assert set(LIBRARY_API) <= set(exported) - named

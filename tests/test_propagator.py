@@ -13,7 +13,7 @@ from thinslab.propagator import (
     semigroup_defect,
 )
 from thinslab.spectral import (
-    Field, Grid, _bracket_lattice, forward, inverse, l2_norm, sobolev_norm,
+    Field, Grid, _bracket_lattice, forward, inverse, sobolev_norm,
 )
 from thinslab.symbols import SymbolSpec, get_symbol
 

@@ -8,7 +8,7 @@ import pytest
 from thinslab import spectral
 from thinslab.spectral import (
     Field, FormatError, Grid, GridError, SpectralField, apply_weight,
-    export_magnitude_csv, forward, inverse, l2_norm, read_field, sobolev_norm,
+    forward, inverse, read_field, sobolev_norm,
     wave_packet, write_field,
 )
 
@@ -57,7 +57,7 @@ def test_parseval_many_seeds(grid64):
     for seed in range(500):
         u = random_field(grid64, seed)
         c = forward(u)
-        worst = max(worst, abs(l2_norm(c) - l2_norm(u)))
+        worst = max(worst, abs(np.linalg.norm(c.coeffs) - np.linalg.norm(u.values)))
     assert worst < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_parseval_2d():
     worst = 0.0
     for seed in range(500):
         u = random_field(g, seed)
-        worst = max(worst, abs(l2_norm(forward(u)) - l2_norm(u)))
+        worst = max(worst, abs(np.linalg.norm(forward(u).coeffs) - np.linalg.norm(u.values)))
     assert worst < 1e-12
 
 
@@ -100,7 +100,8 @@ def test_sobolev_norm_single_modes(grid64):
 def test_sobolev_norm_zero_is_l2(grid64):
     for seed in range(20):
         u = random_field(grid64, seed)
-        assert abs(sobolev_norm(u, 0.0) - l2_norm(u)) < 1e-12 * l2_norm(u)
+        l2 = np.linalg.norm(u.values)
+        assert abs(sobolev_norm(u, 0.0) - l2) < 1e-12 * l2
 
 
 def test_weight_shifts_sobolev_index(grid64):
@@ -208,15 +209,3 @@ def test_binary_rejects_invalid_grid_or_sample(tmp_path, grid64, offset, fmt, va
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_field(path)
-
-
-def test_magnitude_csv(tmp_path, grid64):
-    u = wave_packet(grid64)
-    path = tmp_path / "u.csv"
-    export_magnitude_csv(path, u)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,abs_u"
-    assert len(lines) == 65
-    x0, a0 = (float(t) for t in lines[1].split(","))
-    assert x0 == 0.0
-    assert abs(a0 - abs(u.values[0])) < 1e-15

@@ -10,11 +10,20 @@ from thinslab.symbols import (
     EvaluationError, PreconditionError, SymbolSpec, available_symbols,
     averaged_symbol, check_PL, check_QL_family, estimate_seminorm, eval_symbol,
     get_symbol, lattice_derivative, random_nonneg_order1, recommended_quadrature_order,
-    smoothed_abs, smoothed_abs_d, weierstrass, weierstrass_bandwidth,
+    smoothed_abs, weierstrass, weierstrass_bandwidth,
 )
 
 X = np.linspace(0.0, 2 * np.pi, 17)[:-1][:, None]
 XI = np.linspace(-40.0, 40.0, 33)[None, :]
+
+
+def smoothed_abs_d(xi):
+    """d/dxi of the smoothed modulus (odd in xi), derived by hand as an oracle."""
+    r = np.abs(xi)
+    t = np.clip((r - 0.25) / 0.75, 0.0, 1.0)
+    ramp = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    ramp_d = 30.0 * t * t * (t - 1.0) ** 2
+    return np.sign(xi) * (ramp + r * ramp_d / 0.75)
 
 
 def shaped(z, x, xi):
