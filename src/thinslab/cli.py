@@ -1,15 +1,17 @@
 """Command line entry point.
 
-``thinslab run --scenario NAME [options]`` executes a canned experiment,
-``thinslab list`` prints the scenario table, ``thinslab check`` runs the
-quick self-test suite.  Config resolution: scenario defaults, then
-``--config FILE`` (flat ``key = value`` lines), then individual flags and
-``--set key=value`` pairs, last writer wins.  A rejected configuration is
-recorded like any other run when its output directory is known.  ``run``
-and ``check`` both print one result line, ``<name> <label>; artifacts in
-<dir>``, and return the exit code of the recorded run.  ``config error:``
-goes to stderr only when no manifest can be written: an unknown scenario
-without ``--output-dir``, or an output directory that cannot be written.
+``thinslab run --scenario NAME [--config FILE] [--output-dir DIR]
+[--set KEY=VALUE ...]`` executes a canned experiment, ``thinslab list``
+prints the scenario table, ``thinslab check [--output-dir DIR] [--seed N]``
+runs the quick self-test suite.  Every run setting is a ``KEY=VALUE``
+string that the harness parses: scenario defaults, then ``--config FILE``
+(flat ``key = value`` lines), then ``--output-dir`` and the ``--set``
+pairs, last writer wins.  A rejected configuration is recorded like any
+other run when its output directory is known.  ``run`` and ``check`` both
+print one result line, ``<name> <label>; artifacts in <dir>``, and return
+the exit code of the recorded run.  ``config error:`` goes to stderr only
+when no manifest can be written: an unknown scenario without
+``--output-dir``, or an output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True, help="scenario name (see 'list')")
     run_p.add_argument("--config", help="flat key = value config file")
     run_p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
-    run_p.add_argument("--grid-points", dest="n_points", type=int)
-    run_p.add_argument("--s", dest="s", type=float, help="Sobolev index")
-    run_p.add_argument("--depth", dest="Z", type=float, help="total depth")
-    run_p.add_argument("--Ns", dest="Ns", help="comma-separated slab counts")
-    run_p.add_argument("--variant", choices=("frozen", "averaged"))
-    run_p.add_argument("--reference", help="exact | finestep | auto")
-    run_p.add_argument("--delta-max", dest="delta_max", type=float)
-    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--set", dest="extra", action="append", default=[],
                        metavar="KEY=VALUE", help="override any config key")
 
@@ -46,12 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="run the quick self-test suite")
     check_p.add_argument("--output-dir", dest="output_dir", default="thinslab-out/check")
-    check_p.add_argument("--seed", type=int, default=0)
+    check_p.add_argument("--seed", default="0", help="non-negative integer")
     return parser
-
-
-_FLAG_KEYS = ("output_dir", "n_points", "s", "Z", "Ns", "variant", "reference",
-              "delta_max", "seed")
 
 
 def _set_pairs(extra) -> dict:
@@ -68,12 +58,11 @@ def _run(args):
     """Resolve and run the scenario; return (output directory, exit code).
 
     A configuration that resolve_config rejects is recorded as a config-error
-    run instead.  The flags cannot fail to parse, so an explicit
-    ``--output-dir`` is known even when a ``--set`` pair or the config file
-    is bad.
+    run instead.  ``--output-dir`` is a plain path that needs no parsing, so
+    an explicit output directory is known even when a ``--set`` pair or the
+    config file is bad.
     """
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
-                 if getattr(args, key, None) is not None}
+    overrides = {} if args.output_dir is None else {"output_dir": args.output_dir}
     file_map = {}
     try:
         overrides.update(_set_pairs(args.extra))

@@ -1,12 +1,14 @@
 """Experiment harness: scenario registry, config resolution, artifact writers.
 
-A scenario bundles a canned symbol (or one-way medium) with default grid,
-study and gate settings.  ``run`` resolves configuration in three layers
-(scenario defaults, then a flat key=value config file, then CLI overrides,
-last writer wins), executes the experiment, and writes deterministic
-artifacts into the output directory.  Every artifact writer lives here: one
-CSV writer with 17 significant digits per value, strict JSON, JUnit XML and
-the manifest.  The artifacts are:
+A scenario bundles a canned symbol (or one-way medium) with default grid
+and study settings and its gates: each gate maps a scalar fact the
+experiment reports to ``(op, bound)``.  Every setting is a ``KEY=VALUE``
+string parsed here, in three layers (scenario defaults, then a flat
+key=value config file, then command-line overrides, last writer wins).
+``run`` executes the experiment and writes deterministic artifacts into the
+output directory.  Every artifact writer lives here: one CSV writer with 17
+significant digits per value, strict JSON, JUnit XML and the manifest.  The
+artifacts are:
 
 * ``convergence.csv`` / ``convergence.json``  - study errors and fit,
 * ``norm_sweep.csv``                          - H^s slab norms over a thickness sweep,
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -108,8 +111,7 @@ def _parse_bool(raw) -> bool:
 
 
 def _coerce(name: str, raw):
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    if name not in kinds:
+    if name not in {f.name for f in fields(ExperimentConfig)}:
         raise ConfigError(f"unknown config key {name!r}")
     current = getattr(ExperimentConfig(), name)
     try:
@@ -194,6 +196,8 @@ def resolve_config(scenario: str, file_map: dict | None = None,
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.norm_points < 8 or cfg.norm_points & (cfg.norm_points - 1):
+        raise ConfigError(f"norm_points must be a power of two >= 8, got {cfg.norm_points}")
     return cfg
 
 
@@ -216,7 +220,7 @@ class Scenario:
     description: str
     regularity: str
     defaults: dict = field(default_factory=dict)
-    gates: dict = field(default_factory=dict)
+    gates: dict = field(default_factory=dict)    # fact name -> (op, bound)
 
 
 _SCENARIOS: dict = {}
@@ -232,7 +236,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "averaged", "reference": "exact", "Ns": (1, 8, 64),
               "delta_max": 1.0},
-    gates={"exact_tol": 1e-10}))
+    gates={"max_normalized_error": ("<", 1e-10)}))
 
 _register(Scenario(
     name="halfwave", kind="evolution",
@@ -240,7 +244,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "averaged", "reference": "exact", "Ns": (1, 8, 64),
               "delta_max": 1.0},
-    gates={"exact_tol": 1e-10}))
+    gates={"max_normalized_error": ("<", 1e-10)}))
 
 _register(Scenario(
     name="damped", kind="evolution",
@@ -248,7 +252,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "averaged", "reference": "exact", "Ns": (1, 8, 64),
               "delta_max": 1.0},
-    gates={"exact_tol": 1e-10}))
+    gates={"max_normalized_error": ("<", 1e-10)}))
 
 _register(Scenario(
     name="varspeed", kind="evolution",
@@ -256,7 +260,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "frozen", "reference": "auto", "Ns": (8, 16, 32, 64, 128),
               "n_points": 256},
-    gates={"slope_min": 0.45, "monotone_tol": 0.05}))
+    gates={"fitted_slope": (">=", 0.45), "error_growth": ("<=", 1.05)}))
 
 _register(Scenario(
     name="varspeed-z", kind="evolution",
@@ -264,7 +268,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "frozen", "reference": "auto", "Ns": (8, 16, 32, 64),
               "n_points": 128},
-    gates={"slope_min": 0.45, "monotone_tol": 0.05}))
+    gates={"fitted_slope": (">=", 0.45), "error_growth": ("<=", 1.05)}))
 
 _register(Scenario(
     name="damped-varspeed", kind="evolution",
@@ -272,7 +276,7 @@ _register(Scenario(
     regularity="lipschitz",
     defaults={"variant": "frozen", "reference": "auto", "Ns": (8, 16, 32, 64),
               "n_points": 128},
-    gates={"slope_min": 0.45, "monotone_tol": 0.05}))
+    gates={"fitted_slope": (">=", 0.45), "error_growth": ("<=", 1.05)}))
 
 _register(Scenario(
     name="hoelder-z", kind="evolution",
@@ -280,21 +284,21 @@ _register(Scenario(
     regularity="hoelder(0.5)",
     defaults={"variant": "frozen", "reference": "auto", "Ns": (8, 16, 32, 64),
               "n_points": 128, "n_ref": 1024, "compare_variants": True},
-    gates={"slope_min": 0.2, "averaged_margin": 0.9}))
+    gates={"fitted_slope": (">=", 0.2), "averaged_ratio": ("<=", 0.9)}))
 
 _register(Scenario(
     name="oneway-homogeneous", kind="oneway",
     description="one-way continuation in a constant medium; per-mode phase check",
     regularity="lipschitz",
     defaults={"damping_scale": 0.0, "n_points": 256, "n_slabs": 64},
-    gates={"phase_tol": 1e-9}))
+    gates={"max_phase_error": ("<", 1e-9)}))
 
 _register(Scenario(
     name="oneway-lens", kind="oneway",
     description="one-way continuation through a lateral lens with angular damping",
     regularity="lipschitz",
     defaults={"damping_scale": 2.0, "n_points": 256, "n_slabs": 64},
-    gates={"suppression_min": 10.0, "preserve_tol": 0.05}))
+    gates={"suppression": (">=", 10.0), "inside_change": ("<=", 0.05)}))
 
 
 def get_scenario(name: str) -> Scenario:
@@ -451,43 +455,29 @@ def _property_cases(cfg: ExperimentConfig, spec, grid) -> list:
     return cases
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
 def _check_gates(entry: Scenario, facts: dict) -> list:
-    """Return list of violation strings for the scenario's gates."""
-    bad = []
-    g = entry.gates
-    if "exact_tol" in g and facts.get("max_normalized_error") is not None:
-        if not (facts["max_normalized_error"] < g["exact_tol"]):
-            bad.append(f"max normalized error {facts['max_normalized_error']:.3e} "
-                       f"not below {g['exact_tol']:g}")
-    if "slope_min" in g and facts.get("fitted_slope") is not None:
-        if not (facts["fitted_slope"] >= g["slope_min"]):
-            bad.append(f"fitted slope {facts['fitted_slope']:.3f} below {g['slope_min']:g}")
-    if "monotone_tol" in g and facts.get("errors"):
-        errs = facts["errors"]
-        tol = g["monotone_tol"]
-        for a, b in zip(errs, errs[1:]):
-            if not (b <= a * (1.0 + tol)):
-                bad.append(f"errors not decreasing within {tol:.0%}: {a:.3e} -> {b:.3e}")
-                break
-    if "averaged_margin" in g and facts.get("averaged_errors"):
-        margin = g["averaged_margin"]
-        for n, fe, ae in zip(facts["Ns"], facts["frozen_errors"], facts["averaged_errors"]):
-            if not (ae <= margin * fe):
-                bad.append(f"averaged error {ae:.3e} not below {margin:g}x frozen {fe:.3e} "
-                           f"at N={n}")
-    if "phase_tol" in g and facts.get("max_phase_error") is not None:
-        if not (facts["max_phase_error"] < g["phase_tol"]):
-            bad.append(f"max phase error {facts['max_phase_error']:.3e} "
-                       f"not below {g['phase_tol']:g}")
-    if "suppression_min" in g and facts.get("suppression") is not None:
-        if not (facts["suppression"] >= g["suppression_min"]):
-            bad.append(f"outside-aperture suppression {facts['suppression']:.2f}x "
-                       f"below {g['suppression_min']:g}x")
-    if "preserve_tol" in g and facts.get("inside_change") is not None:
-        if not (facts["inside_change"] <= g["preserve_tol"]):
-            bad.append(f"inside-aperture energy changed by {facts['inside_change']:.2%}, "
-                       f"more than {g['preserve_tol']:.0%}")
-    return bad
+    """Return one violation string per gate whose fact fails its comparison.
+
+    Each gate maps a fact name to ``(op, bound)`` with op ``<``, ``<=`` or
+    ``>=``.  A fact the run did not report is not checked; NaN fails every op.
+    """
+    return [f"{name} {facts[name]:.6g} not {op} {bound:g}"
+            for name, (op, bound) in entry.gates.items()
+            if name in facts and not _COMPARE[op](facts[name], bound)]
+
+
+def _worst_ratio(numerators, denominators) -> float:
+    """Largest numerator/denominator ratio, for gates on error ratios.
+
+    A pair of zeros reads 0 and passes; a positive error over a zero one
+    reads inf; NaN propagates.
+    """
+    num, den = np.asarray(numerators, float), np.asarray(denominators, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where((num == 0.0) & (den == 0.0), 0.0, num / den)))
 
 
 def _run_evolution(cfg: ExperimentConfig, out, timings, outputs) -> dict:
@@ -500,12 +490,12 @@ def _run_evolution(cfg: ExperimentConfig, out, timings, outputs) -> dict:
     t0 = time.perf_counter()
     report = ansatz.convergence_study(spec, u0, cfg.s, cfg.Ns, variant, reference,
                                       Z=cfg.Z, delta_max=cfg.delta_max)
-    facts = {
-        "max_normalized_error": max(report.normalized_errors),
-        "fitted_slope": None if report.exact else report.fitted_slope,
-        "errors": list(report.normalized_errors),
-        "Ns": list(report.Ns),
-    }
+    errors = report.normalized_errors
+    facts = {"max_normalized_error": float(np.max(errors))}   # NaN propagates
+    if not report.exact:
+        facts["fitted_slope"] = report.fitted_slope
+    if len(errors) > 1:
+        facts["error_growth"] = _worst_ratio(errors[1:], errors[:-1])
     _write_report_csv(out, outputs, "convergence.csv", report)
     slope = None if math.isnan(report.fitted_slope) else report.fitted_slope
     _write_json(os.path.join(out, "convergence.json"),
@@ -518,8 +508,8 @@ def _run_evolution(cfg: ExperimentConfig, out, timings, outputs) -> dict:
                                            _variant_object(replace(cfg, variant=other)),
                                            reference, Z=cfg.Z, delta_max=cfg.delta_max)
         _write_report_csv(out, outputs, f"convergence_{other}.csv", report2)
-        errors = {cfg.variant: facts["errors"], other: list(report2.normalized_errors)}
-        facts["frozen_errors"], facts["averaged_errors"] = errors["frozen"], errors["averaged"]
+        by_variant = {cfg.variant: errors, other: report2.normalized_errors}
+        facts["averaged_ratio"] = _worst_ratio(by_variant["averaged"], by_variant["frozen"])
     timings["convergence"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -728,18 +718,21 @@ def record_rejection(scenario: str, layers, rejection: ConfigError) -> tuple:
 # quick self-check
 
 
-def quick_check(output_dir: str, seed: int = 0) -> int:
+def quick_check(output_dir: str, seed: int | str = 0) -> int:
     """Fast library self-check; writes properties.xml + manifest, returns exit code.
 
-    It shares ``run``'s recorded path: a failed case exits 4, a negative seed
-    exits 2 with a config-error manifest, and an output directory that
-    cannot be written raises ConfigError.
+    It shares ``run``'s recorded path: a failed case exits 4, a seed that
+    does not parse or is negative exits 2 with a config-error manifest, and
+    an output directory that cannot be written raises ConfigError.
     """
+    cfg = _layered(ExperimentConfig(scenario="check", output_dir=output_dir),
+                   ({"seed": seed},), strict=False)
+
     def body(out, timings, outputs):
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        if _coerce("seed", seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         grid = Grid(64, 2.0 * np.pi)
-        u, round_trip, family = _shared_cases(grid, seed)
+        u, round_trip, family = _shared_cases(grid, cfg.seed)
         cases = [round_trip]
 
         w = spectral.apply_weight(u, 1.5)
@@ -757,7 +750,7 @@ def quick_check(output_dir: str, seed: int = 0) -> int:
 
         ok_all = True
         for trial in range(20):
-            q, _ = symbols.random_nonneg_order1(np.random.default_rng(seed + trial))
+            q, _ = symbols.random_nonneg_order1(np.random.default_rng(cfg.seed + trial))
             rep = symbols.check_PL(q)
             ok_all = ok_all and rep.passed
         cases.append(("nonneg-symbol-derivative-bound", ok_all,
@@ -765,4 +758,4 @@ def quick_check(output_dir: str, seed: int = 0) -> int:
         cases.append(family)
         _write_properties(out, outputs, "thinslab.check", cases)
 
-    return _recorded(ExperimentConfig(scenario="check", output_dir=output_dir, seed=seed), body)
+    return _recorded(cfg, body)

@@ -205,7 +205,11 @@ def wave_packet(grid: Grid) -> Field:
     sigma = p / 40.0
     k0 = 8.0 * (2.0 * np.pi / p)
     x = grid.axis_points()
-    env = np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2))
+    try:
+        width = 2.0 * sigma ** 2
+    except OverflowError:
+        raise GridError(f"period {p:g} is too large for the wave packet width") from None
+    env = np.exp(-((x - x0) ** 2) / width)
     return Field(grid, env * np.exp(1j * k0 * x))
 
 

@@ -1,5 +1,6 @@
 """Config resolution, scenario runs, artifact determinism, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -164,9 +165,9 @@ def test_run_report_csv_and_json(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["hoelder-z", "--grid-points", "64", "--Ns", "8,16", "--set", "n_ref=128",
+    ["hoelder-z", "--set", "n_points=64", "--set", "Ns=8,16", "--set", "n_ref=128",
      "--set", "norm_points=64"],
-    ["oneway-homogeneous", "--grid-points", "128", "--set", "n_slabs=8"],
+    ["oneway-homogeneous", "--set", "n_points=128", "--set", "n_slabs=8"],
 ], ids=["hoelder-z", "oneway-homogeneous"])
 def test_manifest_lists_every_artifact(tmp_path, flags):
     out = tmp_path / "fresh"
@@ -212,7 +213,7 @@ def test_gate_violation_exit_code(tmp_path):
     patched = harness.Scenario(
         name=entry.name, kind=entry.kind, description=entry.description,
         regularity=entry.regularity, defaults=entry.defaults,
-        gates={"exact_tol": 1e-18})
+        gates={"max_normalized_error": ("<", 1e-18)})
     old = harness._SCENARIOS["translation"]
     harness._SCENARIOS["translation"] = patched
     try:
@@ -230,7 +231,7 @@ def test_averaged_margin_gate_checks_either_primary_variant(tmp_path, monkeypatc
     monkeypatch.setitem(harness._SCENARIOS, "hoelder-z", harness.Scenario(
         name=entry.name, kind=entry.kind, description=entry.description,
         regularity=entry.regularity, defaults=entry.defaults,
-        gates=dict(entry.gates, averaged_margin=1e-6)))
+        gates=dict(entry.gates, averaged_ratio=("<=", 1e-6))))
     out = tmp_path / variant
     cfg = resolve_config("hoelder-z", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "norm_points": "64",
@@ -238,22 +239,41 @@ def test_averaged_margin_gate_checks_either_primary_variant(tmp_path, monkeypatc
     assert harness.run(cfg) == harness.EXIT_GATE
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "gate-violation"
-    assert "averaged error" in manifest["error"]
+    assert "averaged_ratio" in manifest["error"]
+
+
+def _gated_by(fact):
+    """The first registered scenario with a gate on ``fact``."""
+    return next(sc for sc in harness._SCENARIOS.values() if fact in sc.gates)
 
 
 @pytest.mark.parametrize("gate,facts", [
     ("exact_tol", {"max_normalized_error": np.nan}),
     ("slope_min", {"fitted_slope": np.nan}),
-    ("monotone_tol", {"errors": [1.0, np.nan]}),
-    ("averaged_margin", {"Ns": [8], "frozen_errors": [1.0], "averaged_errors": [np.nan]}),
+    ("monotone_tol", {"error_growth": np.nan}),
+    ("averaged_margin", {"averaged_ratio": np.nan}),
     ("phase_tol", {"max_phase_error": np.nan}),
     ("suppression_min", {"suppression": np.nan}),
     ("preserve_tol", {"inside_change": np.nan}),
 ])
 def test_nan_fact_violates_its_gate(gate, facts):
-    entry = harness.Scenario(name="probe", kind="evolution", description="",
-                             regularity="", gates={gate: 0.5})
-    assert len(harness._check_gates(entry, facts)) == 1
+    (fact,) = facts
+    bad = harness._check_gates(_gated_by(fact), facts)
+    assert len(bad) == 1 and bad[0].startswith(f"{fact} nan not "), gate
+
+
+@pytest.mark.parametrize("fact,numerators,denominators,passes", [
+    ("error_growth", [0.0, 0.0], [1.0, 0.0], True),
+    ("averaged_ratio", [0.0, 0.5], [0.0, 1.0], True),
+    ("error_growth", [1.05], [1.0], True),
+    ("error_growth", [1.0500001], [1.0], False),
+    ("averaged_ratio", [0.5], [0.0], False),
+], ids=["zero-pair-growth", "zero-pair-averaged", "growth-exactly-5-percent",
+        "growth-over-5-percent", "averaged-over-zero-frozen"])
+def test_ratio_gate_edges(fact, numerators, denominators, passes):
+    entry = _gated_by(fact)
+    facts = {fact: harness._worst_ratio(numerators, denominators)}
+    assert (harness._check_gates(entry, facts) == []) == passes
 
 
 def _load_strict(path):
@@ -268,8 +288,8 @@ def _load_strict(path):
 def test_overflowing_sobolev_index_is_gate_violation(tmp_path):
     # <xi>^400 overflows, so the errors read inf and nan
     out = tmp_path / "s400"
-    code = cli.main(["run", "--scenario", "translation", "--grid-points", "64",
-                     "--Ns", "1,8", "--set", "norm_points=64", "--s", "400",
+    code = cli.main(["run", "--scenario", "translation", "--set", "n_points=64",
+                     "--set", "Ns=1,8", "--set", "norm_points=64", "--set", "s=400",
                      "--output-dir", str(out)])
     assert code == harness.EXIT_GATE
     assert _load_strict(out / "manifest.json")["status"] == "gate-violation"
@@ -296,7 +316,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--scenario", "nope",
                      "--output-dir", str(tmp_path / "x")]) == 2
     code = cli.main(["run", "--scenario", "translation",
-                     "--grid-points", "64", "--Ns", "1,8",
+                     "--set", "n_points=64", "--set", "Ns=1,8",
                      "--set", "norm_points=64",
                      "--output-dir", str(tmp_path / "cli-out")])
     assert code == 0
@@ -309,13 +329,16 @@ def test_cli_bad_set_pair(tmp_path):
 
 
 @pytest.mark.parametrize("flags,word", [
-    (["--seed", "-1"], "seed"),
-    (["--s", "nan"], "s must be finite"),
+    (["--set", "seed=-1"], "seed"),
+    (["--set", "s=nan"], "s must be finite"),
     (["--set", "quadrature_order=1025"], "1024"),
     (["--set", "n_points=many"], "n_points"),
     (["--set", "oops"], "KEY=VALUE"),
+    (["--set", "variant=bogus"], "variant"),
+    (["--set", "norm_points=100"], "norm_points"),
 ], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap",
-        "unparsable-value", "set-pair-without-equals"])
+        "unparsable-value", "set-pair-without-equals", "unknown-variant",
+        "norm-points-not-power-of-two"])
 def test_cli_rejected_config_leaves_manifest(tmp_path, capsys, flags, word):
     out = tmp_path / "D"
     code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out)] + flags)
@@ -336,22 +359,23 @@ def test_cli_rejected_config_into_unwritable_directory(tmp_path, capsys):
     blocker.write_text("a regular file, not a directory")
     out = blocker / "sub"
     code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out),
-                     "--seed", "-1"])
+                     "--set", "seed=-1"])
     assert code == harness.EXIT_CONFIG
     assert not out.exists()
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
-    ["varspeed-z", "--Ns", "4,8", "--grid-points", "64"],   # Delta = 1/4 exceeds delta_max
-    ["varspeed-z", "--grid-points", "100"],                  # not a power of two
-    ["translation", "--grid-points", "8192", "--Ns", "1",    # norm matrix over the size limit
+    ["varspeed-z", "--set", "Ns=4,8", "--set", "n_points=64"],  # Delta = 1/4 exceeds delta_max
+    ["varspeed-z", "--set", "n_points=100"],                    # not a power of two
+    ["translation", "--set", "n_points=8192", "--set", "Ns=1",  # norm matrix over the size limit
      "--set", "norm_points=8192"],
-    ["oneway-lens", "--grid-points", "32"],                  # steep mode 28 beyond the lattice
-    ["varspeed", "--grid-points", "64", "--Ns", "8,16",      # n_ref below 8x the largest N
+    ["oneway-lens", "--set", "n_points=32"],                    # steep mode 28 beyond the lattice
+    ["varspeed", "--set", "n_points=64", "--set", "Ns=8,16",    # n_ref below 8x the largest N
      "--set", "n_ref=64"],
+    ["varspeed", "--set", "period=1e160"],                      # wave packet width overflows
 ], ids=["slab-too-thick", "grid-not-power-of-two", "norm-matrix-too-large",
-        "steep-mode-off-lattice", "fine-step-reference-too-coarse"])
+        "steep-mode-off-lattice", "fine-step-reference-too-coarse", "period-too-large"])
 def test_cli_library_validation_is_config_error(tmp_path, flags):
     out = tmp_path / "bad"
     code = cli.main(["run", "--output-dir", str(out), "--scenario"] + flags)
@@ -400,6 +424,26 @@ def test_check_negative_seed_is_config_error(tmp_path):
     assert manifest["status"] == "config-error"
     assert "seed" in manifest["error"]
     assert not (out / "properties.xml").exists()
+
+
+def test_check_seed_is_parsed_in_the_recorded_run(tmp_path):
+    out = tmp_path / "chk"
+    assert cli.main(["check", "--seed", "abc", "--output-dir", str(out)]) == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "'seed'" in manifest["error"]
+    assert not (out / "properties.xml").exists()
+    assert cli.main(["check", "--seed", "3", "--output-dir", str(out)]) == harness.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 3
+
+
+def test_cli_defines_only_documented_options():
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in parser._actions} - {"help"}
+             for name, parser in subparsers.choices.items()}
+    assert dests["run"] == {"scenario", "config", "output_dir", "extra"}
+    assert dests["check"] == {"output_dir", "seed"}
 
 
 def test_check_into_unwritable_directory_is_config_error(tmp_path, capsys):
@@ -452,7 +496,7 @@ def test_nan_phase_error_reaches_its_gate(tmp_path, monkeypatch):
     assert harness.run(cfg) == harness.EXIT_GATE
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "gate-violation"
-    assert "max phase error nan" in manifest["error"]
+    assert "max_phase_error nan" in manifest["error"]
     assert (out / "phase_errors.csv").read_text().splitlines()[2] == "40,nan"
 
 
