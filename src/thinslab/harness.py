@@ -178,7 +178,7 @@ def _scenario_config(scenario: str) -> ExperimentConfig:
 def resolve_config(scenario: str, file_map: dict | None = None,
                    overrides: dict | None = None) -> ExperimentConfig:
     """Layer scenario defaults, config file, and CLI overrides (last wins)."""
-    get_scenario(scenario)
+    entry = get_scenario(scenario)
     cfg = _layered(_scenario_config(scenario), ((file_map or {}), (overrides or {})))
     if any(n < 1 for n in cfg.Ns) or list(cfg.Ns) != sorted(set(cfg.Ns)):
         raise ConfigError(f"Ns must be strictly increasing positive ints, got {cfg.Ns}")
@@ -198,6 +198,10 @@ def resolve_config(scenario: str, file_map: dict | None = None,
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.norm_points < 8 or cfg.norm_points & (cfg.norm_points - 1):
         raise ConfigError(f"norm_points must be a power of two >= 8, got {cfg.norm_points}")
+    sweep_points = min(cfg.norm_points, cfg.n_points)
+    if entry.kind == "evolution" and sweep_points > propagator.MATRIX_SIZE_LIMIT:
+        raise ConfigError(f"the norm sweep grid min(norm_points, n_points) = {sweep_points} "
+                          f"exceeds the dense-assembly limit {propagator.MATRIX_SIZE_LIMIT}")
     return cfg
 
 
@@ -444,10 +448,11 @@ def _property_cases(cfg: ExperimentConfig, spec, grid) -> list:
     _, round_trip, family = _shared_cases(grid, cfg.seed)
     cases = [round_trip]
     probe_xi = np.linspace(-4.0, 4.0, 9)
-    c1_vals = spec.c1(0.0, np.linspace(0.0, cfg.period, 7)[:, None], probe_xi[None, :])
+    p0 = symbols.component_argument(spec, 0.0)
+    c1_vals = spec.c1(p0, np.linspace(0.0, cfg.period, 7)[:, None], probe_xi[None, :])
     if np.any(np.asarray(c1_vals) != 0.0):
         def q(x, xi):
-            return spec.c1(0.0, x, xi)
+            return spec.c1(p0, x, xi)
         rep = symbols.check_PL(q)
         cases.append(("damping-derivative-bound", rep.passed,
                       f"worst ratio {rep.worst_ratio:.3f} (limit {symbols.RATIO_LIMIT:g})"))

@@ -7,10 +7,13 @@ oscillatory kernel
 
 i.e. one FFT of the input followed by a direct O(N^2) frequency sum with an
 output-point-dependent multiplier.  The symbol is either frozen at the slab
-bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre); a
-z-independent symbol is its own mean and is evaluated once for either
-variant.  When the symbol does not depend on x the sum collapses exactly to
-a Fourier multiplier, built in one place, :func:`_multiplier`;
+bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre).
+A z-independent symbol is its own mean and is evaluated once, at the slab
+bottom, for either variant; the mean of a symbol that declares a
+``z_profile`` is one table, at the slab mean of its profile; any other
+z-dependent symbol is evaluated at every Gauss node.  When the symbol does
+not depend on x the sum collapses exactly to a Fourier multiplier, built in
+one place, :func:`_multiplier`;
 :func:`_frequency_sum` applies it in O(N log N) for slabs, for the operator
 a(z, x, D_x) and for the exact multiplier evolution.
 

@@ -24,8 +24,9 @@ all sampled on one fixed (x, xi) lattice built at import:
   rough class S^0_(1/2) uniformly in the slab thickness Delta,
 * a registry of named, canned symbol specs consumed by the harness.
 
-Evaluators are numpy-vectorized callables ``f(z, x, xi)`` with scalar z;
-``x`` and ``xi`` broadcast (arrays for 1-d symbols, tuples of arrays in 2-d).
+Evaluators are numpy-vectorized callables ``f(z, x, xi)`` with scalar z, or
+the scalar ``z_profile(z)`` for a spec that declares one; ``x`` and ``xi``
+broadcast (arrays for 1-d symbols, tuples of arrays in 2-d).
 """
 
 from __future__ import annotations
@@ -59,12 +60,16 @@ def _zero(z, x, xi):
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """The four component evaluators and the three flags the slab code reads.
+    """The four component evaluators and the four declarations the slab code reads.
 
     ``x_independent`` marks multiplier symbols (exact evolution available),
     ``z_independent`` marks symbols constant in the evolution variable, and
     ``z_bandwidth`` bounds the angular frequency of the z-dependence so
     slab averages can pick an adequate quadrature order automatically.
+    ``z_profile``, when set, is a vectorized real function p(z): the
+    components then take the scalar p = z_profile(z) in place of z and must
+    be affine in p, so that the slab mean of the symbol is the symbol at the
+    slab mean of p.
     """
 
     b1: Callable = _zero
@@ -74,20 +79,41 @@ class SymbolSpec:
     x_independent: bool = False
     z_independent: bool = False
     z_bandwidth: float = 0.0
+    z_profile: Callable | None = None
 
 
 _COMPONENTS = ("b1", "b0", "c1", "c0")
+
+
+def component_argument(spec: SymbolSpec, z):
+    """What the components take at depth z: ``z_profile(z)`` when declared, else z.
+
+    z may be an array of depths; a profile value that is not finite raises
+    EvaluationError.
+    """
+    if spec.z_profile is None:
+        return z
+    p = spec.z_profile(z)
+    if not np.isfinite(p).all():
+        raise EvaluationError("z_profile returned non-finite values")
+    return p
 
 
 def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     """Evaluate a = -i*(b1+b0) + (c1+c0) on broadcastable coordinates.
 
     The result is a fresh complex table shaped like the broadcast of the
-    coordinate components (tuples in 2-d).  Components left at the zero
+    coordinate components (tuples in 2-d).  The components take
+    :func:`component_argument` of z.  Components left at the zero
     default are not evaluated.  The set ones are evaluated before the table
     is allocated, so the memory their temporaries free is reused for it.
     """
-    parts = [(name, getattr(spec, name)(z, x, xi)) for name in _COMPONENTS
+    return _table(spec, component_argument(spec, z), x, xi)
+
+
+def _table(spec: SymbolSpec, p, x, xi) -> np.ndarray:
+    """The symbol table of :func:`eval_symbol` with the components at argument p."""
+    parts = [(name, getattr(spec, name)(p, x, xi)) for name in _COMPONENTS
              if getattr(spec, name) is not _zero]
     out = np.zeros(_coordinate_shape(x, xi), dtype=np.complex128)
     for name, value in parts:
@@ -116,7 +142,14 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds by Gauss-Legendre.
 
     Exact for z-dependence polynomial of degree < 2*quadrature_order; the
-    order may be at most ``MAX_QUADRATURE_ORDER``.  No complex table is built
+    order may be at most ``MAX_QUADRATURE_ORDER``.
+
+    A spec with a ``z_profile`` is affine in p = z_profile(z), so its mean is
+    its table at the mean of p: one vectorized profile call over the nodes,
+    the weighted values summed in node order, and one table.  That differs
+    from the sum over nodes below by rounding only.
+
+    Any other spec is evaluated at every node.  No complex table is built
     per node: at each node the set components are evaluated, c1 + c0 and
     b1 + b0 are each scaled by half the Gauss weight, and the first is added
     to a real, the second subtracted from an imaginary float table.  These
@@ -125,8 +158,8 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     and checked once; if it is not finite, each node is re-evaluated through
     :func:`eval_symbol`, whose error names the component, and a mean that
     overflows only in the sum over nodes raises a generic EvaluationError.
-    It always evaluates the symbol at every node; the slab propagator skips
-    it for z-independent symbols and evaluates them once instead.
+    The slab propagator skips this function for z-independent symbols and
+    evaluates them once instead.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
@@ -135,6 +168,9 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
                          f"got {quadrature_order}")
     nodes, weights = _gl_nodes(quadrature_order)
     mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    if spec.z_profile is not None:
+        p = component_argument(spec, mid + half * nodes)
+        return _table(spec, np.cumsum(0.5 * weights * p)[-1], x, xi)
     shape = _coordinate_shape(x, xi)
     real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
     groups = []
@@ -388,9 +424,9 @@ def _make_varspeed(period: float) -> SymbolSpec:
 def _make_varspeed_z(period: float) -> SymbolSpec:
     w0 = 2.0 * np.pi / period
     return SymbolSpec(
-        b1=lambda z, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float)))
-                            * (1.0 + 0.5 * z) * xi,
-        z_bandwidth=1.0)
+        b1=lambda p, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float)))
+                            * (1.0 + 0.5 * p) * xi,
+        z_bandwidth=1.0, z_profile=lambda z: z)
 
 
 def _make_damped_varspeed(period: float) -> SymbolSpec:
@@ -404,13 +440,10 @@ def _make_damped_varspeed(period: float) -> SymbolSpec:
 
 def _make_hoelder_z(period: float) -> SymbolSpec:
     w0 = 2.0 * np.pi / period
-    alpha = 0.5
-
-    def b1(z, x, xi):
-        g = weierstrass(z, alpha) / _HOELDER_NORMALIZER
-        return (1.0 + 0.3 * g * np.cos(w0 * np.asarray(x, float))) * xi
-
-    return SymbolSpec(b1=b1, z_bandwidth=weierstrass_bandwidth())
+    return SymbolSpec(
+        b1=lambda p, x, xi: (1.0 + 0.3 * p * np.cos(w0 * np.asarray(x, float))) * xi,
+        z_bandwidth=weierstrass_bandwidth(),
+        z_profile=lambda z: weierstrass(z, 0.5) / _HOELDER_NORMALIZER)
 
 
 _REGISTRY = {

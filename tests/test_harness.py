@@ -336,9 +336,11 @@ def test_cli_bad_set_pair(tmp_path):
     (["--set", "oops"], "KEY=VALUE"),
     (["--set", "variant=bogus"], "variant"),
     (["--set", "norm_points=100"], "norm_points"),
+    (["--set", "n_points=8192", "--set", "Ns=1", "--set", "norm_points=8192"],
+     "dense-assembly limit 4096"),
 ], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap",
         "unparsable-value", "set-pair-without-equals", "unknown-variant",
-        "norm-points-not-power-of-two"])
+        "norm-points-not-power-of-two", "norm-sweep-over-matrix-limit"])
 def test_cli_rejected_config_leaves_manifest(tmp_path, capsys, flags, word):
     out = tmp_path / "D"
     code = cli.main(["run", "--scenario", "translation", "--output-dir", str(out)] + flags)

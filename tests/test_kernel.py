@@ -87,6 +87,48 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
     assert calls == [0.2]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_profiled_averaged_slab_evaluates_each_component_once(dim):
+    calls = dict.fromkeys(("b1", "b0", "c1", "c0", "z_profile"), 0)
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    def first(c):
+        return c[0] if dim == 2 else c
+
+    parts = {
+        "b1": lambda p, x, xi: (1.0 + 0.3 * p * np.cos(first(x))) * first(xi),
+        "b0": lambda p, x, xi: p * np.sin(first(x)) + 0.0 * first(xi),
+        "c1": lambda p, x, xi: (1.0 + 0.1 * p) * symbols.smoothed_abs(first(xi))
+                               + 0.0 * first(x),
+        "c0": lambda p, x, xi: 0.1 * p + 0.0 * (first(x) + first(xi)),
+    }
+
+    def profile(z):
+        return symbols.weierstrass(z, 0.5)
+
+    def of_z(f):
+        return lambda z, x, xi: f(profile(z), x, xi)
+
+    spec = SymbolSpec(**{name: counted(name, f) for name, f in parts.items()},
+                      z_bandwidth=symbols.weierstrass_bandwidth(),
+                      z_profile=counted("z_profile", profile))
+    # the same symbol as a plain function of z, whose mean takes the node loop
+    plain = SymbolSpec(**{name: of_z(f) for name, f in parts.items()},
+                       z_bandwidth=symbols.weierstrass_bandwidth())
+    grid = Grid(64, 2 * np.pi) if dim == 1 else Grid(8, 2 * np.pi, dim=2)
+    assert grid.size <= propagator._CHUNK_ROWS          # one block of output points
+    u = random_field(grid, 16)
+    got = apply_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
+    assert calls == dict.fromkeys(calls, 1)
+    want = naive_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, plain, Averaged()), u)
+    assert rel_err(got, want) < 1e-12
+
+
 def test_nan_component_named_through_slab(grid64):
     # z-dependent, so the averaged variant runs the slab quadrature
     spec = SymbolSpec(b1=lambda z, x, xi: (1.0 + 0.5 * z) * np.cos(x) * xi,

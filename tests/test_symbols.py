@@ -103,7 +103,7 @@ def _two_dimensional_b1_only():
     return SymbolSpec(b1=b1, z_bandwidth=1.0)
 
 
-@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z", "all-four", "2d-b1-only"])
+@pytest.mark.parametrize("name", ["all-four", "2d-b1-only"])
 def test_averaged_symbol_equals_node_mean_exactly(name):
     if name == "2d-b1-only":
         spec = _two_dimensional_b1_only()
@@ -111,13 +111,65 @@ def test_averaged_symbol_equals_node_mean_exactly(name):
         x = tuple(m.ravel()[:, None] for m in grid.meshes())
         xi = tuple(m.ravel()[None, :] for m in grid.frequency_meshes())
     else:
-        spec = _all_four_components() if name == "all-four" else get_symbol(name)
+        spec = _all_four_components()
         x, xi = X, XI
     for z0, z1 in ((0.0, 1.0 / 64.0), (0.3, 0.3 + 1.0 / 512.0), (0.1, 0.35)):
         order = recommended_quadrature_order(spec, z1 - z0)
         got = averaged_symbol(spec, z0, z1, x, xi, order)
         assert got.dtype == np.complex128
         assert np.array_equal(got, node_mean(spec, z0, z1, x, xi, order))
+
+
+def _unprofiled(name, period=2 * np.pi):
+    """The registered z-modulated symbols as plain functions of z, with no z_profile."""
+    w0 = 2.0 * np.pi / period
+    if name == "hoelder-z":
+        def b1(z, x, xi):
+            g = weierstrass(z, 0.5) / 3.5
+            return (1.0 + 0.3 * g * np.cos(w0 * np.asarray(x, float))) * xi
+
+        return SymbolSpec(b1=b1, z_bandwidth=weierstrass_bandwidth())
+    return SymbolSpec(
+        b1=lambda z, x, xi: (1.0 + 0.3 * np.cos(w0 * np.asarray(x, float)))
+                            * (1.0 + 0.5 * z) * xi,
+        z_bandwidth=1.0)
+
+
+@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z"])
+def test_profiled_frozen_table_equals_unprofiled_exactly(name):
+    # the frozen slab, and so every norm_sweep value, is unchanged bit for bit
+    for period in (2 * np.pi, 3.0):
+        spec, plain = get_symbol(name, period), _unprofiled(name, period)
+        assert spec.z_profile is not None
+        for z in np.linspace(0.0, 1.0, 65):
+            assert np.array_equal(eval_symbol(spec, z, X, XI), eval_symbol(plain, z, X, XI))
+
+
+@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z"])
+def test_profiled_mean_matches_unprofiled_node_mean(name):
+    # one table at the mean of the profile: the node sum up to rounding
+    spec, plain = get_symbol(name), _unprofiled(name)
+    for k in range(3, 11):
+        delta = 2.0 ** -k
+        order = recommended_quadrature_order(spec, delta)
+        for z0 in (0.0, 0.3, 0.77, 1.0 - delta):
+            got = averaged_symbol(spec, z0, z0 + delta, X, XI, order)
+            want = node_mean(plain, z0, z0 + delta, X, XI, order)
+            assert got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_nonfinite_profile_raises():
+    spec = SymbolSpec(b1=lambda p, x, xi: (1.0 + p) * xi + 0.0 * x, z_bandwidth=1.0,
+                      z_profile=lambda z: np.where(np.asarray(z) > 0.5, np.nan, z))
+    assert np.isfinite(eval_symbol(spec, 0.25, X, XI)).all()
+    assert np.isfinite(averaged_symbol(spec, 0.0, 0.5, X, XI)).all()
+    with pytest.raises(EvaluationError) as err:
+        eval_symbol(spec, 0.75, X, XI)
+    assert "z_profile" in str(err.value)
+    with pytest.raises(EvaluationError) as err:
+        averaged_symbol(spec, 0.0, 1.0, X, XI)
+    assert "z_profile" in str(err.value)
 
 
 def test_averaged_symbol_names_component_nan_past_midslab():
