@@ -101,8 +101,9 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
 class ExactMultiplier:
     """Reference by exact multiplier evolution (x-independent symbols only).
 
-    The z-integral uses the Gauss-Legendre order that
-    :func:`thinslab.symbols.recommended_quadrature_order` picks.
+    The z-integral is the :func:`thinslab.symbols.averaged_symbol` mean at
+    its default order: one table for a z-independent symbol, Gauss-Legendre
+    at :func:`thinslab.symbols.recommended_quadrature_order` otherwise.
     """
 
 

@@ -184,6 +184,8 @@ def resolve_config(scenario: str, file_map: dict | None = None,
         raise ConfigError(f"Ns must be strictly increasing positive ints, got {cfg.Ns}")
     if cfg.variant not in ("frozen", "averaged"):
         raise ConfigError(f"variant must be frozen|averaged, got {cfg.variant!r}")
+    if cfg.reference not in ("auto", "exact", "finestep"):
+        raise ConfigError(f"reference must be auto|exact|finestep, got {cfg.reference!r}")
     if cfg.snapshot_every < 1:
         raise ConfigError(f"snapshot_every must be >= 1, got {cfg.snapshot_every}")
     if cfg.damping_scale < 0.0:
@@ -394,14 +396,9 @@ def _variant_object(cfg: ExperimentConfig):
 
 
 def _reference_object(cfg: ExperimentConfig, spec):
-    ref = cfg.reference
-    if ref == "auto":
-        ref = "exact" if spec.x_independent else "finestep"
-    if ref == "exact":
+    if cfg.reference == "exact" or (cfg.reference == "auto" and spec.x_independent):
         return ExactMultiplier()
-    if ref == "finestep":
-        return FineStep(cfg.n_ref or 8 * max(cfg.Ns))
-    raise ConfigError(f"unknown reference mode {cfg.reference!r}")
+    return FineStep(cfg.n_ref or 8 * max(cfg.Ns))
 
 
 def norm_sweep(spec, grid: Grid, seed: int = 0):

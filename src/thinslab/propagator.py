@@ -7,13 +7,11 @@ oscillatory kernel
 
 i.e. one FFT of the input followed by a direct O(N^2) frequency sum with an
 output-point-dependent multiplier.  The symbol is either frozen at the slab
-bottom, a(slab.z, x', xi), or replaced by its slab mean (Gauss-Legendre).
-A z-independent symbol is its own mean and is evaluated once, at the slab
-bottom, for either variant; the mean of a symbol that declares a
-``z_profile`` is one table, at the slab mean of its profile; any other
-z-dependent symbol is evaluated at every Gauss node.  When the symbol does
-not depend on x the sum collapses exactly to a Fourier multiplier, built in
-one place, :func:`_multiplier`;
+bottom, a(slab.z, x', xi), or replaced by its slab mean, which
+:func:`thinslab.symbols.averaged_symbol` takes; how the mean is taken
+follows from the symbol's z-declarations, which only that function reads.
+When the symbol does not depend on x the sum collapses exactly to a
+Fourier multiplier, built in one place, :func:`_multiplier`;
 :func:`_frequency_sum` applies it in O(N log N) for slabs, for the operator
 a(z, x, D_x) and for the exact multiplier evolution.
 
@@ -109,17 +107,12 @@ class SlabSpec:
 
 
 def _slab_symbol(slab: SlabSpec, x, xi) -> np.ndarray:
-    """Evaluate the slab's effective symbol (frozen or slab-averaged).
-
-    A z-independent symbol is its own slab mean, so both variants evaluate
-    it once, at the slab bottom.
-    """
-    if isinstance(slab.variant, Frozen) or slab.spec.z_independent:
+    """The slab's effective symbol: its table at the slab bottom (Frozen) or
+    its :func:`thinslab.symbols.averaged_symbol` slab mean (Averaged)."""
+    if isinstance(slab.variant, Frozen):
         return symbols.eval_symbol(slab.spec, slab.z, x, xi)
-    order = slab.variant.quadrature_order
-    if order is None:
-        order = symbols.recommended_quadrature_order(slab.spec, slab.thickness)
-    return symbols.averaged_symbol(slab.spec, slab.z, slab.z_prime, x, xi, order)
+    return symbols.averaged_symbol(slab.spec, slab.z, slab.z_prime, x, xi,
+                                   slab.variant.quadrature_order)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +222,16 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
     """Exact evolution for x-independent symbols.
 
     Multiplies each coefficient with exp(-int_z0^z1 a(s, xi_k) ds); the
-    z-integral uses Gauss-Legendre at the recommended order for the symbol's
-    z-bandwidth (exact for z-independent symbols and for polynomial
-    z-dependence of degree < 2*order).
+    z-integral is (z1 - z0) times the :func:`thinslab.symbols.averaged_symbol`
+    mean at its default order: one table for a z-independent symbol, exact
+    for polynomial z-dependence of degree < 2*order otherwise.
     """
     if not spec.x_independent:
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    order = symbols.recommended_quadrature_order(spec, z1 - z0)
-    return _frequency_sum(
-        field, lambda xb, xif: symbols.averaged_symbol(spec, z0, z1, xb, xif, order),
-        z1 - z0, True)
+    return _frequency_sum(field, lambda xb, xif: symbols.averaged_symbol(spec, z0, z1, xb, xif),
+                          z1 - z0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -138,60 +138,43 @@ def _gl_nodes(order: int):
 
 
 def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
-                    quadrature_order: int = 4) -> np.ndarray:
-    """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds by Gauss-Legendre.
+                    quadrature_order: int | None = None) -> np.ndarray:
+    """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds; the one reader of z-declarations.
 
-    Exact for z-dependence polynomial of degree < 2*quadrature_order; the
-    order may be at most ``MAX_QUADRATURE_ORDER``.
+    ``quadrature_order`` None takes :func:`recommended_quadrature_order`; any
+    order must be in 1..``MAX_QUADRATURE_ORDER``, for every spec.  The
+    Gauss-Legendre mean is exact for z-dependence polynomial of degree
+    < 2*quadrature_order.
 
+    A z-independent spec is its own mean: its :func:`eval_symbol` table at z0.
     A spec with a ``z_profile`` is affine in p = z_profile(z), so its mean is
     its table at the mean of p: one vectorized profile call over the nodes,
     the weighted values summed in node order, and one table.  That differs
-    from the sum over nodes below by rounding only.
-
-    Any other spec is evaluated at every node.  No complex table is built
-    per node: at each node the set components are evaluated, c1 + c0 and
-    b1 + b0 are each scaled by half the Gauss weight, and the first is added
-    to a real, the second subtracted from an imaginary float table.  These
-    are the operations :func:`eval_symbol` and the scaling do on a complex
-    table, so the mean is the same bit for bit.  The complex result is built
-    and checked once; if it is not finite, each node is re-evaluated through
-    :func:`eval_symbol`, whose error names the component, and a mean that
-    overflows only in the sum over nodes raises a generic EvaluationError.
-    The slab propagator skips this function for z-independent symbols and
-    evaluates them once instead.
+    from the node sum below by rounding only.  Any other spec is the sum in
+    node order of its :func:`eval_symbol` tables, each scaled by half the
+    Gauss weight; :func:`eval_symbol` names a component that fails at a node,
+    and a mean that overflows only in the sum raises a generic EvaluationError.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
+    if quadrature_order is None:
+        quadrature_order = recommended_quadrature_order(spec, z1 - z0)
     if not 1 <= quadrature_order <= MAX_QUADRATURE_ORDER:
         raise ValueError(f"quadrature_order must be in 1..{MAX_QUADRATURE_ORDER}, "
                          f"got {quadrature_order}")
+    if spec.z_independent:
+        return eval_symbol(spec, z0, x, xi)
     nodes, weights = _gl_nodes(quadrature_order)
     mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
     if spec.z_profile is not None:
         p = component_argument(spec, mid + half * nodes)
         return _table(spec, np.cumsum(0.5 * weights * p)[-1], x, xi)
-    shape = _coordinate_shape(x, xi)
-    real, imag, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    groups = []
-    for acc, update, names in ((imag, np.subtract, ("b1", "b0")), (real, np.add, ("c1", "c0"))):
-        funcs = [getattr(spec, name) for name in names if getattr(spec, name) is not _zero]
-        if funcs:
-            groups.append((acc, update, funcs))
+    mean = None
     for t, w in zip(nodes, weights):
-        z = mid + half * t
-        for acc, update, funcs in groups:
-            if len(funcs) == 2:
-                np.add(funcs[0](z, x, xi), funcs[1](z, x, xi), out=term, dtype=float)
-                term *= 0.5 * w
-            else:
-                np.multiply(funcs[0](z, x, xi), 0.5 * w, out=term)
-            update(acc, term, out=acc)
-    mean = np.empty(shape, dtype=np.complex128)
-    mean.real, mean.imag = real, imag
+        table = eval_symbol(spec, mid + half * t, x, xi)
+        table *= 0.5 * w
+        mean = table if mean is None else np.add(mean, table, out=mean)
     if not np.isfinite(mean).all():
-        for t in nodes:
-            eval_symbol(spec, mid + half * t, x, xi)
         raise EvaluationError("slab mean of the symbol is not finite")
     return mean
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from thinslab import Field, Grid
+from thinslab.symbols import eval_symbol
 
 
 @pytest.fixture
@@ -22,3 +24,19 @@ def random_field(grid, seed):
 
 def rel_err(a, b):
     return np.linalg.norm(np.ravel(a) - np.ravel(b)) / max(np.linalg.norm(np.ravel(b)), 1e-300)
+
+
+def node_mean(spec, z0, z1, x, xi, order):
+    """Slab mean as one scaled eval_symbol table per Gauss node, summed in node order.
+
+    The reference for every slab mean: it runs the quadrature for any spec,
+    whatever its z-declarations.
+    """
+    nodes, weights = leggauss(order)
+    mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    acc = None
+    for t, w in zip(nodes, weights):
+        val = eval_symbol(spec, mid + half * t, x, xi)
+        val *= 0.5 * w
+        acc = val if acc is None else acc + val
+    return acc

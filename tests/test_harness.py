@@ -67,6 +67,8 @@ def test_resolve_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         resolve_config("translation", {"variant": "peculiar"}, {})
     with pytest.raises(ConfigError):
+        resolve_config("oneway-lens", {}, {"reference": "bogus"})
+    with pytest.raises(ConfigError):
         resolve_config("oneway-lens", {}, {"snapshot_every": "0"})
     with pytest.raises(ConfigError):
         resolve_config("oneway-lens", {}, {"damping_scale": "-1"})
@@ -335,11 +337,12 @@ def test_cli_bad_set_pair(tmp_path):
     (["--set", "n_points=many"], "n_points"),
     (["--set", "oops"], "KEY=VALUE"),
     (["--set", "variant=bogus"], "variant"),
+    (["--set", "reference=bogus"], "reference"),
     (["--set", "norm_points=100"], "norm_points"),
     (["--set", "n_points=8192", "--set", "Ns=1", "--set", "norm_points=8192"],
      "dense-assembly limit 4096"),
 ], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap",
-        "unparsable-value", "set-pair-without-equals", "unknown-variant",
+        "unparsable-value", "set-pair-without-equals", "unknown-variant", "unknown-reference",
         "norm-points-not-power-of-two", "norm-sweep-over-matrix-limit"])
 def test_cli_rejected_config_leaves_manifest(tmp_path, capsys, flags, word):
     out = tmp_path / "D"

@@ -1,5 +1,7 @@
 """The fused slab kernel against a naive dense sum, in 1-d and 2-d."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from thinslab.propagator import Averaged, Frozen, SlabSpec, apply_slab, assemble
 from thinslab.spectral import Grid, forward
 from thinslab.symbols import EvaluationError, SymbolSpec, get_symbol
 
-from conftest import random_field, rel_err
+from conftest import node_mean, random_field, rel_err
 
 AP = oneway.ApertureConfig(theta1=np.pi / 12.0, theta2=np.pi * 50.0 / 180.0, tau=32.0)
 
@@ -33,7 +35,7 @@ def naive_slab(slab, field):
     x, xi = (xs[0], xis[0]) if grid.dim == 1 else (tuple(xs), tuple(xis))
     if isinstance(slab.variant, Averaged):
         order = symbols.recommended_quadrature_order(slab.spec, slab.thickness)
-        a = symbols.averaged_symbol(slab.spec, slab.z, slab.z_prime, x, xi, order)
+        a = node_mean(slab.spec, slab.z, slab.z_prime, x, xi, order)
     else:
         a = symbols.eval_symbol(slab.spec, slab.z, x, xi)
     phase = np.exp(1j * sum(xc * xic for xc, xic in zip(xs, xis)))
@@ -85,6 +87,47 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
     slab = SlabSpec(0.2, 0.3, get_symbol("varspeed"), Averaged())
     apply_slab(slab, random_field(grid64, 13))
     assert calls == [0.2]
+
+
+def _counted_components(spec):
+    """The spec with each set component wrapped to count its calls, and the counts."""
+    calls = {}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    unset = SymbolSpec().b1
+    parts = {name: counted(name, getattr(spec, name)) for name in ("b1", "b0", "c1", "c0")
+             if getattr(spec, name) is not unset}
+    calls.update(dict.fromkeys(parts, 0))
+    return replace(spec, **parts), calls
+
+
+@pytest.mark.parametrize("name", ["varspeed", "damped-varspeed", "translation", "halfwave",
+                                  "damped", "lens"])
+def test_z_independent_mean_is_the_table_at_the_slab_bottom(name):
+    spec = SPECS["lens"] if name == "lens" else get_symbol(name)
+    assert spec.z_independent
+    counted, calls = _counted_components(spec)
+    x, xi, z0, z1 = symbols.LATTICE_X, symbols.LATTICE_XI, 0.3, 0.3 + 1.0 / 16.0
+    got = symbols.averaged_symbol(counted, z0, z1, x, xi)
+    assert calls == dict.fromkeys(calls, 1)
+    frozen = symbols.eval_symbol(spec, z0, x, xi)
+    assert got.shape == frozen.shape and got.tobytes() == frozen.tobytes()
+    want = node_mean(spec, z0, z1, x, xi, symbols.recommended_quadrature_order(spec, z1 - z0))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    for order in (0, symbols.MAX_QUADRATURE_ORDER + 1):
+        with pytest.raises(ValueError):
+            symbols.averaged_symbol(spec, z0, z1, x, xi, order)
+    if spec.x_independent:
+        # the exact reference takes the same shortcut: one table, not one per node
+        calls.update(dict.fromkeys(calls, 0))
+        u = random_field(Grid(64, 2 * np.pi), 17)
+        propagator.exact_multiplier_evolution(counted, z0, z1, u)
+        assert calls == dict.fromkeys(calls, 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

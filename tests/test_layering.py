@@ -67,6 +67,22 @@ def test_only_harness_imports_json():
     assert importers == ["harness"]
 
 
+def test_only_symbols_reads_the_z_declarations():
+    # how a slab's symbol is averaged is decided in symbols.averaged_symbol;
+    # oneway passes its medium's own z_independent flag on to the spec it builds
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "symbols":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in ("z_independent", "z_profile", "z_bandwidth")):
+                owner = ast.unparse(node.value)
+                if (path.stem, owner) != ("oneway", "medium"):
+                    readers.append(f"{path.name}:{node.lineno} reads {owner}.{node.attr}")
+    assert not readers, readers
+
+
 # exported for library users although no other package module calls them
 LIBRARY_API = {
     "read_field": "reads the TSLB snapshots that the one-way scenarios write",

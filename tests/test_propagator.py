@@ -17,7 +17,7 @@ from thinslab.spectral import (
 )
 from thinslab.symbols import SymbolSpec, get_symbol
 
-from conftest import random_field, rel_err
+from conftest import node_mean, random_field, rel_err
 
 
 def ones_like(z, x, xi):
@@ -29,7 +29,7 @@ def kernel_sum_oracle(spec, z, delta, field, averaged=False):
 
     u'(x_j) = (1/sqrt n) sum_k e^(i xi_k x_j) e^(-delta a(z, x_j, xi_k)) u_hat_k
     """
-    from thinslab.symbols import averaged_symbol, eval_symbol
+    from thinslab.symbols import eval_symbol, recommended_quadrature_order
     grid = field.grid
     n = grid.n_points
     x = grid.axis_points()
@@ -40,8 +40,8 @@ def kernel_sum_oracle(spec, z, delta, field, averaged=False):
         acc = 0.0 + 0.0j
         for k in range(n):
             if averaged:
-                a = averaged_symbol(spec, z, z + delta,
-                                    np.array([[x[j]]]), np.array([[xi[k]]]))[0, 0]
+                a = node_mean(spec, z, z + delta, np.array([[x[j]]]), np.array([[xi[k]]]),
+                              recommended_quadrature_order(spec, delta))[0, 0]
             else:
                 a = eval_symbol(spec, z, np.array([[x[j]]]),
                                 np.array([[xi[k]]]))[0, 0]

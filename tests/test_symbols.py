@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from thinslab import symbols
 from thinslab.spectral import Grid
@@ -12,6 +11,8 @@ from thinslab.symbols import (
     get_symbol, lattice_derivative, random_nonneg_order1, recommended_quadrature_order,
     smoothed_abs, weierstrass, weierstrass_bandwidth,
 )
+
+from conftest import node_mean
 
 X = np.linspace(0.0, 2 * np.pi, 17)[:-1][:, None]
 XI = np.linspace(-40.0, 40.0, 33)[None, :]
@@ -73,18 +74,6 @@ def test_averaged_symbol_orders_validation():
     with pytest.raises(ValueError) as err:
         averaged_symbol(spec, 0.0, 1.0, X, XI, quadrature_order=1025)
     assert "1..1024" in str(err.value)
-
-
-def node_mean(spec, z0, z1, x, xi, order):
-    """Slab mean as one scaled eval_symbol table per Gauss node, summed in node order."""
-    nodes, weights = leggauss(order)
-    mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-    acc = None
-    for t, w in zip(nodes, weights):
-        val = eval_symbol(spec, mid + half * t, x, xi)
-        val *= 0.5 * w
-        acc = val if acc is None else acc + val
-    return acc
 
 
 def _all_four_components():
