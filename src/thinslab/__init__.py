@@ -31,7 +31,6 @@ from .propagator import (
     Averaged,
     ContractViolation,
     Frozen,
-    PropagatorMatrix,
     SlabSpec,
     apply_slab,
     apply_symbol_operator,

@@ -247,7 +247,7 @@ def convergence_study(spec: SymbolSpec, u0: Field, s: float, Ns, variant,
     else:
         slope, resid = _fit_slope(deltas, normalized)
         if resid > 0.1 and len(Ns) >= 4:
-            slope, resid = _fit_slope(deltas[:-2], normalized[:-2])
+            slope, resid = _fit_slope(deltas[2:], normalized[2:])
             dropped = True
     return ConvergenceReport(
         s=s, Z=Z, Ns=Ns, deltas=deltas, errors=errors,

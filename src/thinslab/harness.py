@@ -418,7 +418,7 @@ def norm_sweep(spec, grid: Grid, seed: int = 0):
     for delta in deltas:
         mat = propagator.assemble_matrix(SlabSpec(0.0, delta, spec, Frozen()), grid)
         for s in sobolev:
-            norms[s, delta] = propagator.operator_norm_hs(mat, s)
+            norms[s, delta] = propagator.operator_norm_hs(mat, grid, s)
     return [(s, delta, norms[s, delta], (norms[s, delta] - 1.0) / delta)
             for s in sobolev for delta in deltas]
 

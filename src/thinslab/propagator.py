@@ -17,20 +17,21 @@ a(z, x, D_x) and for the exact multiplier evolution.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
 output rows, and serves slab application, the operator a(z, x, D_x) itself
-and dense assembly.  Each slab entry costs one complex exp of the fused
-exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,  with the phase taken
-from integer index products reduced mod n, so the kernel sum matches the
-FFT convention of :mod:`thinslab.spectral` to machine precision.
+and dense assembly.  It works on the integer lattice of :func:`_lattice`,
+x = j * spacing and xi = k * 2 pi / period, and each slab entry costs one
+complex exp of the fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,
+with j . k an exact integer product, so the kernel sum matches the FFT
+convention of :mod:`thinslab.spectral` to machine precision.
 
-Dense slab matrices live in the Fourier basis.  An x-independent slab is
-the diagonal matrix of its multiplier, with no kernel table and no FFT;
-any other slab's kernel table is transformed once over its output points.
-The H^s operator norm of a matrix with no nonzero off-diagonal entry is its
-largest |diagonal entry|, since the weights <xi>^s commute with it; any
-other matrix is weighted with <xi>^s on both sides and gets its largest
-singular value from one LAPACK singular-value computation.  Dense matrices
-are capped at MATRIX_SIZE_LIMIT points, so the norm is exact and always
-affordable.
+Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
+x-independent slab is the diagonal matrix of its multiplier, with no kernel
+table and no FFT; any other slab's kernel table is transformed once over its
+output points.  The H^s operator norm of a matrix with no nonzero
+off-diagonal entry is its largest |diagonal entry|, since the weights
+<xi>^s commute with it; any other matrix is weighted with the grid's
+<xi>^s on both sides and gets its largest singular value from one LAPACK
+singular-value computation.  Dense matrices are capped at
+MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from . import spectral, symbols
-from .spectral import Field, Grid, SpectralField
+from .spectral import Field, Grid
 from .symbols import SymbolSpec
 
 DELTA_MAX_DEFAULT = 0.125
@@ -119,24 +120,14 @@ def _slab_symbol(slab: SlabSpec, x, xi) -> np.ndarray:
 # kernel application
 
 
-def _index_meshes(grid: Grid):
-    idx = np.arange(grid.n_points)
-    if grid.dim == 1:
-        return (idx,)
-    return tuple(m.ravel() for m in np.meshgrid(idx, idx, indexing="ij"))
+def _lattice(grid: Grid):
+    """Integer point indices j and frequency indices k = j - n/2, each (dim, size).
 
-
-def _freq_index_axes(grid: Grid):
-    k = np.arange(grid.n_points) - grid.n_points // 2
-    if grid.dim == 1:
-        return (k,)
-    return tuple(m.ravel() for m in np.meshgrid(k, k, indexing="ij"))
-
-
-def _flat_coords(grid: Grid):
-    xs = tuple(m.ravel() for m in grid.meshes())
-    xis = tuple(m.ravel() for m in grid.frequency_meshes())
-    return xs, xis
+    Column r of either array is flat grid point r in row-major order, the
+    order of :meth:`Grid.meshes` and :meth:`Grid.frequency_meshes` raveled.
+    """
+    j = np.indices(grid.shape).reshape(grid.dim, -1)
+    return j, j - grid.n_points // 2
 
 
 def _pack(coords, grid: Grid):
@@ -146,24 +137,23 @@ def _pack(coords, grid: Grid):
 def _kernel_blocks(grid: Grid, symbol, delta: float | None):
     """Yield (rows, K) over blocks of output points; K[r, k] is a kernel entry.
 
-    ``symbol(x_packed, xi_packed)`` returns a fresh complex (rows, n_freq)
-    table, which becomes K in place.  With a thickness ``delta`` the entry is
-    exp(i theta - delta * a) with theta = 2 pi ((j . k) mod n) / n, one
+    The symbol is sampled at x = j * spacing and xi = k * 2 pi / period for
+    the integer indices of :func:`_lattice`: ``symbol(x_packed, xi_packed)``
+    returns a fresh complex (rows, n_freq) table, which becomes K in place.
+    With a thickness ``delta`` the entry is exp(i theta - delta * a) with
+    theta = 2 pi ((j . k) mod n) / n, the integer product taken exactly, one
     complex exp per entry; with ``delta`` None it is e^(i theta) * a.  The
     1/sqrt(N) normalisation is left to the caller.
     """
     n = grid.n_points
-    jesh = _index_meshes(grid)
-    kesh = _freq_index_axes(grid)
-    xs, xis = _flat_coords(grid)
-    xif = _pack(tuple(c[None, :] for c in xis), grid)
+    j, k = _lattice(grid)
+    x = j * grid.spacing
+    xif = _pack(tuple(c[None, :] for c in k * (2.0 * np.pi / grid.period)), grid)
     scale = 2.0 * np.pi / n
     for start in range(0, grid.size, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
-        kernel = symbol(_pack(tuple(c[rows][:, None] for c in xs), grid), xif)
-        turns = np.multiply.outer(jesh[0][rows], kesh[0])
-        for d in range(1, grid.dim):
-            turns += np.multiply.outer(jesh[d][rows], kesh[d])
+        kernel = symbol(_pack(tuple(c[rows, None] for c in x), grid), xif)
+        turns = np.einsum("dr,dk->rk", j[:, rows], k)
         turns &= n - 1                      # mod n: grid sizes are powers of two
         if delta is None:
             kernel *= np.exp(1j * scale * turns)
@@ -238,47 +228,24 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
 # dense matrices
 
 
-@dataclass
-class PropagatorMatrix:
-    """Dense matrix of a slab propagator (or any grid operator) in the Fourier basis.
+def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
+    """Dense Fourier-basis matrix of one slab, a complex (size, size) ndarray.
 
-    ``entries[k, l]`` maps coefficient l of :func:`spectral.forward` to
-    coefficient k, both indexed in the flattened increasing-frequency order.
-    """
-
-    grid: Grid
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.size
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        if self.entries.shape != (n, n):
-            raise MatrixSizeError(
-                f"entries shape {self.entries.shape} does not match grid size {n}")
-
-    def apply(self, field: Field) -> Field:
-        if field.grid != self.grid:
-            raise ValueError("field grid does not match matrix grid")
-        coeffs = self.entries @ spectral.forward(field).coeffs.ravel()
-        return spectral.inverse(SpectralField(self.grid, coeffs.reshape(self.grid.shape)))
-
-
-def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
-    """Dense Fourier-basis matrix of one slab.
-
-    Column l holds the coefficients of the slab applied to the l-th Fourier
+    Entry [k, l] maps coefficient l of :func:`spectral.forward` to
+    coefficient k, both in the flattened increasing-frequency order, so
+    column l holds the coefficients of the slab applied to the l-th Fourier
     mode.  An x-independent slab is the exact diagonal matrix of its
     :func:`_multiplier`, with every off-diagonal entry zero, built without a
     kernel table or an FFT.  Otherwise the kernel table B (output points x
     input coefficients) is built by :func:`_kernel_blocks` and transformed
-    once over its output points, so the stored matrix is F B.
+    once over its output points, so the matrix is F B.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
             f"grid size {grid.size} exceeds dense-assembly limit {MATRIX_SIZE_LIMIT}")
     symbol = partial(_slab_symbol, slab)
     if slab.spec.x_independent:
-        return PropagatorMatrix(grid, np.diag(_multiplier(grid, symbol, slab.thickness).ravel()))
+        return np.diag(_multiplier(grid, symbol, slab.thickness).ravel())
     size = grid.size
     B = np.empty((size, size), dtype=np.complex128)
     for rows, kernel in _kernel_blocks(grid, symbol, slab.thickness):
@@ -286,27 +253,26 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> PropagatorMatrix:
     axes = tuple(range(grid.dim))
     FB = np.fft.fftshift(np.fft.fftn(B.reshape(grid.shape + (size,)), axes=axes), axes=axes)
     FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k
-    return PropagatorMatrix(grid, FB.reshape(size, size))
+    return FB.reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
 # H^s operator norms
 
 
-def operator_norm_hs(matrix: PropagatorMatrix, s: float) -> float:
-    """H^s -> H^s operator norm of a dense grid operator.
+def operator_norm_hs(T: np.ndarray, grid: Grid, s: float) -> float:
+    """H^s -> H^s operator norm of a Fourier-basis matrix T on ``grid``.
 
-    Equals the largest singular value of W T W^-1, with T the Fourier-basis
-    matrix and W = diag(<xi>^s).  A T with no nonzero off-diagonal entry
+    Equals the largest singular value of W T W^-1 with W = diag(<xi>^s),
+    the grid's frequency weights.  A T with no nonzero off-diagonal entry
     commutes with W, so its norm is max |T_kk| for every s; any other T
     gets one exact LAPACK call (singular values only).
     """
-    T = matrix.entries
     diagonal = np.diagonal(T)
     if np.count_nonzero(T) == np.count_nonzero(diagonal):
         return float(np.max(np.abs(diagonal)))
     if s != 0:
-        w = spectral._bracket_lattice(matrix.grid).ravel() ** s
+        w = spectral._bracket_lattice(grid).ravel() ** s
         T = (w[:, None] * T) / w[None, :]
     return float(np.linalg.norm(T, 2))
 
@@ -316,9 +282,11 @@ def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
                      seed: int = 0) -> float:
     """H^s norm of  G_(z_top,z) - G_(z_top,z_mid) o G_(z_mid,z).
 
-    Thin-slab propagators are not a semigroup: for x-dependent symbols the
-    defect is strictly positive (order Delta^2), while exact multipliers
-    compose exactly and the defect sits at roundoff.  ``seed`` is unused:
+    The three slabs are assembled as Fourier-basis matrices and the defect
+    is the norm of  whole - upper @ lower  on ``grid``.  Thin-slab
+    propagators are not a semigroup: for x-dependent symbols the defect is
+    strictly positive (order Delta^2), while exact multipliers compose
+    exactly and the defect sits at roundoff.  ``seed`` is unused:
     the norm is exact and needs no random start vector.  It is kept so that
     callers which still pass it, such as the benchmark worker, keep working.
     """
@@ -327,5 +295,4 @@ def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
     whole = assemble_matrix(SlabSpec(z, z_top, spec, variant), grid)
     lower = assemble_matrix(SlabSpec(z, z_mid, spec, variant), grid)
     upper = assemble_matrix(SlabSpec(z_mid, z_top, spec, variant), grid)
-    defect = whole.entries - upper.entries @ lower.entries
-    return operator_norm_hs(PropagatorMatrix(grid, defect), s)
+    return operator_norm_hs(whole - upper @ lower, grid, s)

@@ -245,12 +245,11 @@ LATTICE_XI.setflags(write=False)
 FD_STEP_X = 1e-4
 FD_STEP_XI = 1e-4
 
+# central differences of orders 0..CHECK_ORDER, all that the class checkers take
 _STENCILS = {
     0: ((0, 1.0),),
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 
 
@@ -261,7 +260,8 @@ def lattice_derivative(evaluator, alpha: int, beta: int) -> np.ndarray:
     lattice, which keeps the estimate scale-aware for order-one symbols.
     """
     if alpha not in _STENCILS or beta not in _STENCILS:
-        raise ValueError("derivative orders are limited to 0..4")
+        raise ValueError(f"derivative orders are limited to 0..{CHECK_ORDER}, "
+                         "the order of the class checkers")
     h_xi = FD_STEP_XI * (1.0 + np.abs(LATTICE_XI))
     acc = None
     for ox, cx in _STENCILS[alpha]:

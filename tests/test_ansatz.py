@@ -153,6 +153,22 @@ def test_convergence_study_varspeed_small(grid64):
     assert abs(rep.u0_norm - sobolev_norm(u0, 2.0)) < 1e-12 * rep.u0_norm
 
 
+def test_convergence_study_refit_drops_the_coarsest(grid64, monkeypatch):
+    # a poor fit is repeated without the two largest Delta, i.e. the coarsest N
+    u0 = wave_packet(grid64)
+    scale = sobolev_norm(u0, 1.0) / sobolev_norm(u0, 0.0)
+    wanted = {8: 1.0, 16: 0.1, 32: 0.05, 64: 0.025}
+    monkeypatch.setattr(ansatz, "reference_solution",
+                        lambda spec, u0, *args: Field(u0.grid, np.zeros(u0.grid.shape)))
+    monkeypatch.setattr(ansatz, "apply_ansatz", lambda spec, sub, u0, **kw: Field(
+        u0.grid, wanted[sub.n_slabs] * scale * u0.values))
+    rep = convergence_study(get_symbol("varspeed"), u0, 0.0, tuple(wanted), Frozen(),
+                            FineStep(512))
+    assert np.allclose(rep.normalized_errors, tuple(wanted.values()), rtol=1e-12)
+    assert rep.dropped_coarsest
+    assert abs(rep.fitted_slope - 1.0) < 1e-9
+
+
 def test_uniform_bound_zero_symbol(grid64):
     spec = SymbolSpec(x_independent=True, z_independent=True)
     u0 = wave_packet(grid64)

@@ -1,11 +1,14 @@
 """The benchmark worker still runs against the package and matches its golden values."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from thinslab import harness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,3 +26,20 @@ def test_worker_pass(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
+
+
+@pytest.mark.parametrize("workload", ["study-varspeed", "study-hoelder"])
+def test_study_config_echo_matches_golden(workload):
+    # a study pass checks its convergence.json config echo against the golden
+    # config, which records every ExperimentConfig field: a removed or renamed
+    # key fails every study pass, so check the echo without running the study
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    with open(worker.GOLDEN) as fh:
+        golden = json.load(fh)[workload]
+    cfg = worker.WORKLOADS[workload].setup(0)
+    echo = json.loads(json.dumps(harness.config_echo(cfg)))
+    echo.pop("output_dir")
+    assert worker.check_values({"config": echo}, {"config": golden["config"]}, 0) == []

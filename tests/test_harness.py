@@ -513,7 +513,7 @@ def test_norm_sweep_rows_match_single_assemblies():
     assert [(s, d) for s, d, _, _ in rows] == [(s, d) for s in (0.0, 1.0) for d in deltas]
     for s, delta, norm, rate in rows:
         mat = propagator.assemble_matrix(SlabSpec(0.0, delta, spec, Frozen()), grid)
-        assert norm == propagator.operator_norm_hs(mat, s)
+        assert norm == propagator.operator_norm_hs(mat, grid, s)
         assert rate == (norm - 1.0) / delta
 
 

@@ -33,15 +33,15 @@ def test_aperture_validation():
 
 def test_medium_validation():
     with pytest.raises(MediumError):
-        AcousticMedium(c=lambda z, x: 1.0, c_bounds=(0.0, 1.0))
+        AcousticMedium(c=lambda x, z: 1.0, c_bounds=(0.0, 1.0))
     with pytest.raises(MediumError):
-        AcousticMedium(c=lambda z, x: 1.0, c_bounds=(2.0, 1.0))
+        AcousticMedium(c=lambda x, z: 1.0, c_bounds=(2.0, 1.0))
     med = lens_medium()
     validate_medium(med, np.linspace(0, 2 * np.pi, 9), [0.0, 1.0])
-    bad = AcousticMedium(c=lambda z, x: 5.0 + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
+    bad = AcousticMedium(c=lambda x, z: 5.0 + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
     with pytest.raises(MediumError):
         validate_medium(bad, np.linspace(0, 2 * np.pi, 9), [0.0])
-    nan = AcousticMedium(c=lambda z, x: np.nan + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
+    nan = AcousticMedium(c=lambda x, z: np.nan + 0.0 * np.asarray(x), c_bounds=(0.9, 1.1))
     with pytest.raises(MediumError):
         validate_medium(nan, np.linspace(0, 2 * np.pi, 9), [0.0])
 

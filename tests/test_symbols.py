@@ -282,6 +282,15 @@ def test_lattice_derivative_constant_is_zero():
     assert np.max(np.abs(d)) < 1e-8
 
 
+def test_lattice_derivative_rejects_orders_past_check_order():
+    def f(x, xi):
+        return np.sin(x) * xi
+
+    for alpha, beta in ((3, 0), (0, 3)):
+        with pytest.raises(ValueError, match=f"0..{symbols.CHECK_ORDER}"):
+            lattice_derivative(f, alpha, beta)
+
+
 def test_estimate_seminorm_order_one():
     # f = sin(x)(1+|xi|): the (1,0) seminorm at m=1 is sup|cos x| = 1
     est = estimate_seminorm(lambda x, xi: np.sin(x) * (1.0 + np.abs(xi)),
