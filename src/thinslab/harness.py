@@ -15,7 +15,9 @@ artifacts are:
 * ``properties.xml``                          - JUnit-style property-suite summary,
 * ``energy_partition.csv``, ``phase_errors.csv``, ``snapshot_*.tslb``
                                               - one-way demo artifacts,
-* ``manifest.json``                           - config echo, version, timings, status.
+* ``manifest.json``                           - config echo, version, timings, status,
+                                                and the kernel-sum counters of
+                                                ``propagator.counters``.
 
 Everything except the manifest (which carries wall-clock timings) is
 byte-identical across runs with the same config, seed and build.  ``run``,
@@ -654,6 +656,7 @@ def _recorded(cfg: ExperimentConfig, body) -> int:
     timings = {}
     outputs = []
     status, error, code = "error", None, EXIT_OK
+    propagator.counters.update(dict.fromkeys(propagator.counters, 0))
     started = time.perf_counter()
     try:
         body(out, timings, outputs)
@@ -676,6 +679,7 @@ def _recorded(cfg: ExperimentConfig, body) -> int:
             "status": status,
             "error": error,
             "timings": {k: round(v, 6) for k, v in timings.items()},
+            "counters": dict(propagator.counters),
             "outputs": sorted(outputs),
         })
     return code

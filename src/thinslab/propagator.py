@@ -5,7 +5,7 @@ oscillatory kernel
 
     u'(x') = (1/sqrt(N)) * sum_k exp(i xi_k . x') * exp(-Delta * a(x', xi_k)) * u_hat_k,
 
-i.e. one FFT of the input followed by a direct O(N^2) frequency sum with an
+i.e. one FFT of the input followed by a frequency sum with an
 output-point-dependent multiplier.  The symbol is either frozen at the slab
 bottom, a(slab.z, x', xi), or replaced by its slab mean, which
 :func:`thinslab.symbols.averaged_symbol` takes; how the mean is taken
@@ -16,12 +16,23 @@ Fourier multiplier, built in one place, :func:`_multiplier`;
 a(z, x, D_x) and for the exact multiplier evolution.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
-output rows, and serves slab application, the operator a(z, x, D_x) itself
-and dense assembly.  It works on the integer lattice of :func:`_lattice`,
-x = j * spacing and xi = k * 2 pi / period, and each slab entry costs one
-complex exp of the fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n,
-with j . k an exact integer product, so the kernel sum matches the FFT
-convention of :mod:`thinslab.spectral` to machine precision.
+output rows (every row, or a given set of them), and serves slab
+application, the operator a(z, x, D_x) itself and dense assembly.  It works
+on the integer lattice of :func:`_lattice`, x = j * spacing and
+xi = k * 2 pi / period, and each slab entry costs one complex exp of the
+fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n, with j . k an
+exact integer product, so the kernel sum matches the FFT convention of
+:mod:`thinslab.spectral` to machine precision.
+
+A slab's amplitude exp(-Delta * a) is nearly constant in x on a thin slab,
+and analytic in x for the registry's transport symbols.  So
+:func:`_frequency_sum` first builds the kernel rows of a 32-point-per-axis
+subgrid and takes their FFT over x.  When the amplitude's x-Fourier band
+resolves there to 1e-15, the slab is the separated sum
+sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse FFT, at the cost
+of the subgrid rows: 32 of 256 at n = 256.  Otherwise the remaining rows
+are built and the direct O(N^2) sum is taken, bit for bit the sum over all
+rows at once.  Dense assembly always builds the full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -37,12 +48,12 @@ MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import spectral, symbols
-from .spectral import Field, Grid
+from .spectral import Field, Grid, SpectralField
 from .symbols import SymbolSpec
 
 DELTA_MAX_DEFAULT = 0.125
@@ -134,26 +145,33 @@ def _pack(coords, grid: Grid):
     return coords[0] if grid.dim == 1 else coords
 
 
-def _kernel_blocks(grid: Grid, symbol, delta: float | None):
+def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
     """Yield (rows, K) over blocks of output points; K[r, k] is a kernel entry.
 
-    The symbol is sampled at x = j * spacing and xi = k * 2 pi / period for
-    the integer indices of :func:`_lattice`: ``symbol(x_packed, xi_packed)``
-    returns a fresh complex (rows, n_freq) table, which becomes K in place.
-    With a thickness ``delta`` the entry is exp(i theta - delta * a) with
+    ``rows`` is an index array of flat output points to build, each once;
+    None builds every point, in slices.  The symbol is sampled at
+    x = j * spacing and xi = k * 2 pi / period for the integer indices of
+    :func:`_lattice`: ``symbol(x_packed, xi_packed)`` returns a fresh complex
+    (rows, n_freq) table, which becomes K in place.  With a thickness
+    ``delta`` the entry is exp(i theta - delta * a) with
     theta = 2 pi ((j . k) mod n) / n, the integer product taken exactly, one
-    complex exp per entry; with ``delta`` None it is e^(i theta) * a.  The
-    1/sqrt(N) normalisation is left to the caller.
+    complex exp per entry; with ``delta`` None it is e^(i theta) * a.  An
+    entry does not depend on the other rows of its block.  The 1/sqrt(N)
+    normalisation is left to the caller.
     """
     n = grid.n_points
     j, k = _lattice(grid)
     x = j * grid.spacing
     xif = _pack(tuple(c[None, :] for c in k * (2.0 * np.pi / grid.period)), grid)
     scale = 2.0 * np.pi / n
-    for start in range(0, grid.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, grid.size))
-        kernel = symbol(_pack(tuple(c[rows, None] for c in x), grid), xif)
-        turns = np.einsum("dr,dk->rk", j[:, rows], k)
+    if rows is None:
+        blocks = (slice(start, min(start + _CHUNK_ROWS, grid.size))
+                  for start in range(0, grid.size, _CHUNK_ROWS))
+    else:
+        blocks = (rows[start:start + _CHUNK_ROWS] for start in range(0, len(rows), _CHUNK_ROWS))
+    for block in blocks:
+        kernel = symbol(_pack(tuple(c[block, None] for c in x), grid), xif)
+        turns = np.einsum("dr,dk->rk", j[:, block], k)
         turns &= n - 1                      # mod n: grid sizes are powers of two
         if delta is None:
             kernel *= np.exp(1j * scale * turns)
@@ -164,7 +182,7 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None):
             del turns
             kernel *= scale
             np.exp(kernel, out=kernel)
-        yield rows, kernel
+        yield block, kernel
 
 
 def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
@@ -178,34 +196,139 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     return a if delta is None else np.exp(-delta * a)
 
 
-def _frequency_sum(field: Field, symbol, delta: float | None, x_independent: bool) -> Field:
+# counts of the kernel sums since the last reset, which the run manifest
+# records: sums on the x-band of the amplitude, direct sums, and the largest
+# subgrid size per axis that a band resolved at
+counters = {"band_sums": 0, "direct_sums": 0, "band_points_max": 0}
+
+
+@lru_cache(maxsize=64)
+def _band_memo(spec: SymbolSpec, delta: float | None, grid: Grid) -> list:
+    """One cell per (spec, delta, grid), empty until its first slab.
+
+    Slabs of a :func:`thinslab.symbols.depth_free` spec share their kernel,
+    so :func:`_frequency_sum` records the subgrid size the band resolved at,
+    or 0 when it did not: later slabs start there, or take the direct sum.
+    """
+    return []
+
+
+@lru_cache(maxsize=16)
+def _band_layout(grid: Grid, m: int):
+    """Read-only index arrays of the subgrid of the points whose indices are multiples of n/m.
+
+    Returns (rows, coarse, coefficient, source): the subgrid's flat points in
+    row-major order, which of them lie on the m/2 subgrid, and two
+    (bands, size) flat indices over the inner band |b| < m/4 per axis.  The
+    kernel row at subgrid index s carries the phase e^(2 pi i s . k / m), so
+    the FFT over s holds coefficient b of amplitude column k at index
+    (b + k) mod m (``coefficient``): no phase is removed by arithmetic.
+    Multiplying by e^(i b . w0 x) shifts Fourier indices by b with
+    wrap-around, so output coefficient i takes product b at index
+    (i - b) mod n (``source``).
+    """
+    n, d, size = grid.n_points, grid.dim, grid.size
+    j, k = _lattice(grid)
+    rows = np.flatnonzero(np.all(j % (n // m) == 0, axis=0))
+    coarse = np.all(j[:, rows] % (2 * n // m) == 0, axis=0)
+    band = np.arange(1 - m // 4, m // 4)
+    b = [band[i.ravel(), None] for i in np.indices((band.size,) * d)]
+    coefficient = np.ravel_multi_index(
+        tuple((b[a] + k[a]) % m for a in range(d)) + (np.arange(size),), (m,) * d + (size,))
+    source = np.arange(band.size ** d)[:, None] * size + np.ravel_multi_index(
+        tuple((j[a] - b[a]) % n for a in range(d)), grid.shape)
+    # int32 halves what the cache holds; every index is below m^dim * size
+    layout = rows, coarse, coefficient.astype(np.int32), source.astype(np.int32)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _subgrid_table(grid: Grid, symbol, delta: float | None, m: int, coarse_table=None):
+    """Kernel rows of the m-subgrid; the m/2-subgrid rows are copied from ``coarse_table``."""
+    rows, coarse = _band_layout(grid, m)[:2]
+    fresh = np.arange(rows.size) if coarse_table is None else np.flatnonzero(~coarse)
+    blocks = _kernel_blocks(grid, symbol, delta, rows[fresh])
+    if coarse_table is None and rows.size <= _CHUNK_ROWS:
+        return next(blocks)[1]
+    table = np.empty((rows.size, grid.size), dtype=np.complex128)
+    if coarse_table is not None:
+        table[coarse] = coarse_table
+    for start, (_, kernel) in zip(range(0, fresh.size, _CHUNK_ROWS), blocks):
+        table[fresh[start:start + len(kernel)]] = kernel
+    return table
+
+
+def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) -> Field:
     """Sum the field's Fourier coefficients against the kernel of ``symbol``.
 
-    The general path is the direct O(N^2) sum over :func:`_kernel_blocks`.
-    An x-independent symbol takes the O(N log N) path instead: its
-    :func:`_multiplier` scales the field's Fourier coefficients.
+    An x-independent spec takes the O(N log N) path: its :func:`_multiplier`
+    scales the field's Fourier coefficients.  Any other kernel is first built
+    on the m^dim-point subgrid of :func:`_band_layout`, m = 32 per axis, and
+    transformed over x there.  When every amplitude coefficient outside the
+    inner half of that band is at most 1e-15 of the largest |amplitude|, the
+    amplitude is band-limited to machine precision and the sum is
+
+        sum_b e^(i b . w0 x) * inverse(A_b * u_hat),   |b| < m/4 per axis,
+
+    with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period),
+    taken as one inverse FFT of the shifted products.  While the outer
+    coefficients still decay geometrically (their square is within the
+    tolerance), m doubles below n, reusing the rows built so far; a subgrid
+    table holds at most 2^22 entries (64 MB, m = 32 on a 64^2 grid).
+    Otherwise the remaining rows are built and the direct O(N^2) sum over
+    :func:`_kernel_blocks` is taken, bit for bit the sum over all rows at
+    once.  Slabs of a :func:`thinslab.symbols.depth_free` spec share a
+    :func:`_band_memo`.
     """
     grid = field.grid
-    if x_independent:
+    if spec.x_independent:
         return spectral.apply_multiplier(field, _multiplier(grid, symbol, delta))
     coeffs = spectral.forward(field).coeffs.ravel()
+    memo = _band_memo(spec, delta, grid) if symbols.depth_free(spec) else []
+    m, tol, table = memo[0] if memo else 32, 1e-15, None
+    while 0 < m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22:
+        table = _subgrid_table(grid, symbol, delta, m, table)
+        rows, _, coefficient, source = _band_layout(grid, m)
+        amplitude = np.abs(table).max()
+        spectrum = np.fft.fft(table.reshape((m,) * grid.dim + (grid.size,)), axis=0)
+        for axis in range(1, grid.dim):     # in place: one subgrid-sized copy
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        spectrum /= m ** grid.dim           # exact: m is a power of two
+        inner = np.take(spectrum, coefficient)
+        magnitude = np.abs(spectrum).ravel()
+        magnitude[coefficient] = 0.0
+        outer = magnitude.max()
+        if outer <= tol * amplitude:
+            memo[:] = [m]
+            counters["band_sums"] += 1
+            counters["band_points_max"] = max(counters["band_points_max"], m)
+            shifted = np.take(inner * coeffs, source).sum(axis=0)
+            return spectral.inverse(SpectralField(grid, shifted.reshape(grid.shape)))
+        if not outer * outer <= tol * amplitude * amplitude:     # NaN fails too
+            break
+        m *= 2
+    memo[:] = [0]
+    counters["direct_sums"] += 1
     out = np.empty(grid.size, dtype=np.complex128)
-    for rows, kernel in _kernel_blocks(grid, symbol, delta):
-        out[rows] = kernel @ coeffs
+    remaining = None
+    if table is not None:
+        out[rows] = table @ coeffs
+        remaining = np.delete(np.arange(grid.size), rows)
+    for block, kernel in _kernel_blocks(grid, symbol, delta, remaining):
+        out[block] = kernel @ coeffs
     out /= np.sqrt(grid.size)
     return Field(grid, out.reshape(grid.shape))
 
 
 def apply_slab(slab: SlabSpec, field: Field) -> Field:
     """Apply one thin-slab propagator (either variant) to a field."""
-    return _frequency_sum(field, lambda xb, xif: _slab_symbol(slab, xb, xif),
-                          slab.thickness, slab.spec.x_independent)
+    return _frequency_sum(field, slab.spec, partial(_slab_symbol, slab), slab.thickness)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    return _frequency_sum(field, lambda xb, xif: symbols.eval_symbol(spec, z, xb, xif),
-                          None, spec.x_independent)
+    return _frequency_sum(field, spec, partial(symbols.eval_symbol, spec, z), None)
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -220,8 +343,7 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    return _frequency_sum(field, lambda xb, xif: symbols.averaged_symbol(spec, z0, z1, xb, xif),
-                          z1 - z0, True)
+    return _frequency_sum(field, spec, partial(symbols.averaged_symbol, spec, z0, z1), z1 - z0)
 
 
 # ---------------------------------------------------------------------------

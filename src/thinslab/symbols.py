@@ -99,6 +99,16 @@ def component_argument(spec: SymbolSpec, z):
     return p
 
 
+def depth_free(spec: SymbolSpec) -> bool:
+    """Whether the spec's tables do not depend on the depth: a z-independent spec.
+
+    Its :func:`eval_symbol` table at any z and its :func:`averaged_symbol`
+    mean over any slab are then one table, so slabs can share what is
+    derived from it.
+    """
+    return spec.z_independent
+
+
 def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     """Evaluate a = -i*(b1+b0) + (c1+c0) on broadcastable coordinates.
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from thinslab import harness
+from thinslab import harness, propagator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,18 +28,44 @@ def test_worker_pass(tmp_path, workload):
     assert result["problems"] == []
 
 
+def _worker():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
 @pytest.mark.parametrize("workload", ["study-varspeed", "study-hoelder"])
 def test_study_config_echo_matches_golden(workload):
     # a study pass checks its convergence.json config echo against the golden
     # config, which records every ExperimentConfig field: a removed or renamed
     # key fails every study pass, so check the echo without running the study
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = _worker()
     with open(worker.GOLDEN) as fh:
         golden = json.load(fh)[workload]
     cfg = worker.WORKLOADS[workload].setup(0)
     echo = json.loads(json.dumps(harness.config_echo(cfg)))
     echo.pop("output_dir")
     assert worker.check_values({"config": echo}, {"config": golden["config"]}, 0) == []
+
+
+@pytest.mark.parametrize("workload", ["study-varspeed", "study-hoelder"])
+def test_study_applies_the_slabs_the_benchmark_counts(tmp_path, monkeypatch, workload):
+    # a traced benchmark run fails unless the study applies exactly
+    # Study.slabs(cfg) slabs; count them here on a reduced config, so that a
+    # change in the slab count fails in the tests too
+    worker = _worker()
+    study = worker.WORKLOADS[workload]
+    cfg = harness.resolve_config(study.scenario, overrides={
+        "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path)})
+    applied = []
+    apply_slab = propagator.apply_slab
+
+    def counting(slab, field):
+        applied.append(slab)
+        return apply_slab(slab, field)
+
+    monkeypatch.setattr(propagator, "apply_slab", counting)
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert len(applied) == study.slabs(cfg)

@@ -1,6 +1,7 @@
 """The fused slab kernel against a naive dense sum, in 1-d and 2-d."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ AP = oneway.ApertureConfig(theta1=np.pi / 12.0, theta2=np.pi * 50.0 / 180.0, tau
 
 SPECS = {
     "varspeed": get_symbol("varspeed"),
+    "varspeed-z": get_symbol("varspeed-z"),
     "damped-varspeed": get_symbol("damped-varspeed"),
     "hoelder-z": get_symbol("hoelder-z"),
     "lens": oneway.oneway_symbol_spec(oneway.lens_medium(), AP),
@@ -47,7 +49,7 @@ def naive_slab(slab, field):
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(SPECS)),
        variant=st.sampled_from([Frozen(), Averaged()]),
-       n=st.sampled_from([8, 16, 32]),
+       n=st.sampled_from([8, 16, 32, 64, 128]),
        z=st.floats(0.0, 1.0),
        delta=st.floats(1.0 / 256.0, 0.125),
        seed=st.integers(0, 2 ** 16))
@@ -65,6 +67,98 @@ def test_kernel_matches_naive_sum_over_two_row_blocks(name):
         assert rel_err(apply_slab(slab, u).values, naive_slab(slab, u)) < 1e-12
 
 
+def direct_kernel_sum(field, symbol, delta):
+    """The frequency sum over every kernel row of propagator._kernel_blocks at once."""
+    grid = field.grid
+    coeffs = forward(field).coeffs.ravel()
+    out = np.empty(grid.size, dtype=np.complex128)
+    for rows, kernel in propagator._kernel_blocks(grid, symbol, delta):
+        out[rows] = kernel @ coeffs
+    return (out / np.sqrt(grid.size)).reshape(grid.shape)
+
+
+def _path_taken(before):
+    after = propagator.counters
+    assert after["band_sums"] + after["direct_sums"] == \
+        before["band_sums"] + before["direct_sums"] + 1
+    return "band" if after["band_sums"] > before["band_sums"] else "direct"
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_band_slab_matches_direct_kernel_sum(name):
+    # every slab and operator application on the x-band of its amplitude
+    # matches the direct sum over all kernel rows to 1e-13 relative; one that
+    # falls back to the direct sum equals it bit for bit
+    spec = SPECS[name]
+    paths = set()
+    for n in (64, 128, 256, 512):
+        grid = Grid(n, 2 * np.pi)
+        u = random_field(grid, n)
+        cases = [(partial(symbols.eval_symbol, spec, 0.3), None,
+                  lambda: propagator.apply_symbol_operator(spec, 0.3, u))]
+        for k in range(3, 11):
+            for variant in (Frozen(), Averaged()):
+                slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
+                cases.append((partial(propagator._slab_symbol, slab), slab.thickness,
+                              partial(apply_slab, slab, u)))
+        for symbol, delta, apply in cases:
+            before = dict(propagator.counters)
+            got = apply().values
+            want = direct_kernel_sum(u, symbol, delta)
+            path = _path_taken(before)
+            paths.add(path)
+            if path == "band":
+                assert rel_err(got, want) < 1e-13, (n, delta)
+            else:
+                assert got.tobytes() == want.tobytes(), (n, delta)
+    # the lens amplitude has kinks in its C^2 collar, so it never resolves
+    assert paths == ({"direct"} if name == "lens" else {"band", "direct"})
+
+
+def test_two_dimensional_band_slab():
+    # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid
+    def b1(z, x, xi):
+        return (1.0 + 0.2 * np.cos(x[0]) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
+
+    grid = Grid(64, 2 * np.pi, dim=2)
+    slab = SlabSpec(0.0, 2.0 ** -10, SymbolSpec(b1=b1, z_independent=True))
+    u = random_field(grid, 18)
+    before = dict(propagator.counters)
+    got = apply_slab(slab, u).values
+    assert _path_taken(before) == "band"
+    want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
+    assert rel_err(got, want) < 1e-13
+
+
+def _built_rows(monkeypatch):
+    """Record the flat output rows of every kernel block that propagator builds."""
+    built = []
+    blocks = propagator._kernel_blocks
+
+    def recording(grid, symbol, delta, rows=None):
+        for block, kernel in blocks(grid, symbol, delta, rows):
+            built.append(np.arange(grid.size)[block])
+            yield block, kernel
+
+    monkeypatch.setattr(propagator, "_kernel_blocks", recording)
+    return built
+
+
+def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
+    built = _built_rows(monkeypatch)
+    grid = Grid(256, 2 * np.pi)
+    u = random_field(grid, 19)
+    apply_slab(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
+    assert sum(rows.size for rows in built) <= 32
+    # a lens slab builds each of its rows once, the first one probing its
+    # subgrid rows before the others, the second one in a single pass
+    lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
+    for k in range(2):
+        built.clear()
+        apply_slab(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
+        assert np.array_equal(np.sort(np.concatenate(built)), np.arange(grid.size))
+
+
 def test_z_independent_averaged_equals_frozen(grid64):
     u = random_field(grid64, 12)
     for name in ("varspeed", "damped-varspeed", "lens"):
@@ -76,17 +170,23 @@ def test_z_independent_averaged_equals_frozen(grid64):
 
 
 def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
+    # the table is taken at the slab bottom only, never at the Gauss nodes, and
+    # no output row twice: a slab may build its subgrid rows, then the others
     calls = []
     original = symbols.eval_symbol
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[1], np.ravel(args[2])))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(symbols, "eval_symbol", counting)
-    slab = SlabSpec(0.2, 0.3, get_symbol("varspeed"), Averaged())
-    apply_slab(slab, random_field(grid64, 13))
-    assert calls == [0.2]
+    for thickness, rows in ((0.1, grid64.size), (2.0 ** -10, 32)):
+        calls.clear()
+        slab = SlabSpec(0.2, 0.2 + thickness, get_symbol("varspeed"), Averaged())
+        apply_slab(slab, random_field(grid64, 13))
+        assert [z for z, _ in calls] == [0.2] * len(calls)
+        x = np.concatenate([x for _, x in calls])
+        assert x.size == np.unique(x).size == rows
 
 
 def _counted_components(spec):
@@ -133,15 +233,22 @@ def test_z_independent_mean_is_the_table_at_the_slab_bottom(name):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     calls = dict.fromkeys(("b1", "b0", "c1", "c0", "z_profile"), 0)
+    arguments, points = [], {}
+
+    def first(c):
+        return c[0] if dim == 2 else c
 
     def counted(name, f):
         def wrapped(*args):
             calls[name] += 1
+            if name != "z_profile":
+                arguments.append(float(args[0]))
+                flat = np.ravel_multi_index(
+                    tuple(np.rint(np.ravel(c) / grid.spacing).astype(int)
+                          for c in (args[1] if dim == 2 else (args[1],))), grid.shape)
+                points.setdefault(name, []).append(flat)
             return f(*args)
         return wrapped
-
-    def first(c):
-        return c[0] if dim == 2 else c
 
     parts = {
         "b1": lambda p, x, xi: (1.0 + 0.3 * p * np.cos(first(x))) * first(xi),
@@ -167,7 +274,16 @@ def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     assert grid.size <= propagator._CHUNK_ROWS          # one block of output points
     u = random_field(grid, 16)
     got = apply_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
-    assert calls == dict.fromkeys(calls, 1)
+    # each table build takes one profile call for the mean of p, and the
+    # components take only that one mean, each output row once, whether the
+    # slab builds its rows in one block or its band subgrid first
+    assert calls.pop("z_profile") == calls["b1"] <= 2
+    assert len(set(arguments)) == 1
+    rows = {name: np.concatenate(xs) for name, xs in points.items()}
+    assert sorted(rows) == sorted(calls)
+    for name, x in rows.items():
+        assert x.size == np.unique(x).size
+        assert np.array_equal(np.sort(x), np.sort(rows["b1"]))
     want = naive_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, plain, Averaged()), u)
     assert rel_err(got, want) < 1e-12
 
