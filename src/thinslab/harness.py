@@ -656,7 +656,7 @@ def _recorded(cfg: ExperimentConfig, body) -> int:
     timings = {}
     outputs = []
     status, error, code = "error", None, EXIT_OK
-    propagator.counters.update(dict.fromkeys(propagator.counters, 0))
+    propagator.reset_counts()
     started = time.perf_counter()
     try:
         body(out, timings, outputs)

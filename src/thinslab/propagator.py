@@ -27,12 +27,16 @@ exact integer product, so the kernel sum matches the FFT convention of
 A slab's amplitude exp(-Delta * a) is nearly constant in x on a thin slab,
 and analytic in x for the registry's transport symbols.  So
 :func:`_frequency_sum` first builds the kernel rows of a 32-point-per-axis
-subgrid and takes their FFT over x.  When the amplitude's x-Fourier band
-resolves there to 1e-15, the slab is the separated sum
-sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse FFT, at the cost
-of the subgrid rows: 32 of 256 at n = 256.  Otherwise the remaining rows
-are built and the direct O(N^2) sum is taken, bit for bit the sum over all
-rows at once.  Dense assembly always builds the full kernel table.
+subgrid (doubled while the tail can still resolve) and takes their FFT over
+x.  When the amplitude's x-Fourier band resolves there to 1e-15, the slab is
+the separated sum sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse
+FFT, at the cost of the subgrid rows: 32 of 256 at n = 256.  Otherwise the
+remaining rows are built and the direct O(N^2) sum is taken, bit for bit the
+sum over all rows at once.  A depth-free symbol has one kernel per
+thickness, so the band coefficients A_b are kept in a memo under a fixed
+byte budget: later slabs of that thickness cost two FFTs and the band
+products, with no symbol and no kernel row.  Dense assembly always builds
+the full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -47,6 +51,7 @@ MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -88,10 +93,17 @@ class Averaged:
     """Replace the symbol by its slab mean.
 
     ``quadrature_order`` of None picks an order resolving the symbol's
-    declared z-bandwidth on this slab.
+    declared z-bandwidth on this slab; any other order must be in
+    1..``MAX_QUADRATURE_ORDER``.  It is checked here, because a slab that
+    takes its band coefficients from the memo of :func:`_frequency_sum`
+    takes no slab mean.
     """
 
     quadrature_order: int | None = None
+
+    def __post_init__(self):
+        if self.quadrature_order is not None:
+            symbols.check_quadrature_order(self.quadrature_order)
 
 
 @dataclass(frozen=True)
@@ -197,20 +209,23 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
 
 
 # counts of the kernel sums since the last reset, which the run manifest
-# records: sums on the x-band of the amplitude, direct sums, and the largest
-# subgrid size per axis that a band resolved at
-counters = {"band_sums": 0, "direct_sums": 0, "band_points_max": 0}
+# records: sums on the x-band of the amplitude, those of them that took the
+# band coefficients from the memo, direct sums, and the largest subgrid size
+# per axis that a band resolved at
+counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0}
+
+# One cell per (spec, delta, grid) of a symbols.depth_free spec, least
+# recently used first: (m, inner), the subgrid size its band resolved at and
+# the band coefficients :func:`_frequency_sum` sums with, or (0, None) when
+# the band did not resolve and its slabs take the direct sum.
+_band_memo: OrderedDict = OrderedDict()
 
 
-@lru_cache(maxsize=64)
-def _band_memo(spec: SymbolSpec, delta: float | None, grid: Grid) -> list:
-    """One cell per (spec, delta, grid), empty until its first slab.
-
-    Slabs of a :func:`thinslab.symbols.depth_free` spec share their kernel,
-    so :func:`_frequency_sum` records the subgrid size the band resolved at,
-    or 0 when it did not: later slabs start there, or take the direct sum.
-    """
-    return []
+def reset_counts() -> None:
+    """Zero :data:`counters` and empty the band memo, so that the counts of
+    what follows do not depend on what ran before."""
+    counters.update(dict.fromkeys(counters, 0))
+    _band_memo.clear()
 
 
 @lru_cache(maxsize=16)
@@ -272,43 +287,69 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
         sum_b e^(i b . w0 x) * inverse(A_b * u_hat),   |b| < m/4 per axis,
 
     with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period),
-    taken as one inverse FFT of the shifted products.  While the outer
-    coefficients still decay geometrically (their square is within the
-    tolerance), m doubles below n, reusing the rows built so far; a subgrid
-    table holds at most 2^22 entries (64 MB, m = 32 on a 64^2 grid).
-    Otherwise the remaining rows are built and the direct O(N^2) sum over
+    taken as one inverse FFT of the shifted products.  Otherwise m doubles
+    below n, reusing the rows built so far, while a tail that squares with
+    each doubling could still reach the tolerance: outer^(2^r) <= 1e-15
+    |amplitude|^(2^r), with r the doublings left.  A subgrid table holds at
+    most 2^22 entries (64 MB, m = 32 on a 64^2 grid).  When the band does not
+    resolve, the remaining rows are built and the direct O(N^2) sum over
     :func:`_kernel_blocks` is taken, bit for bit the sum over all rows at
-    once.  Slabs of a :func:`thinslab.symbols.depth_free` spec share a
-    :func:`_band_memo`.
+    once.
+
+    Slabs of a :func:`thinslab.symbols.depth_free` spec share one kernel per
+    (spec, delta, grid), so its first slab leaves a cell in ``_band_memo``:
+    the resolved m with its band coefficients, which later slabs sum with
+    directly (no symbol, no kernel row, no subgrid FFT), or 0, which sends
+    them to the direct sum at once.  The memo holds at most 64 cells and a
+    byte budget of 2^26 bytes (64 MB) of coefficients, evicting the least
+    recently used cells: at worst four 2-D 64^2 cells (14.7 MB each), while
+    a 1-D n = 256 cell at m = 128 takes 258 KB.  No cell exceeds the budget:
+    the 2^22-entry table cap keeps the coefficients below 2^21 entries.
     """
     grid = field.grid
     if spec.x_independent:
         return spectral.apply_multiplier(field, _multiplier(grid, symbol, delta))
     coeffs = spectral.forward(field).coeffs.ravel()
-    memo = _band_memo(spec, delta, grid) if symbols.depth_free(spec) else []
-    m, tol, table = memo[0] if memo else 32, 1e-15, None
-    while 0 < m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22:
+    budget, tol = 2 ** 26, 1e-15
+    key = (spec, delta, grid) if symbols.depth_free(spec) else None
+    m, inner = _band_memo.get(key, (32, None))
+    if key in _band_memo:
+        _band_memo.move_to_end(key)
+    if inner is not None:
+        counters["band_reuses"] += 1
+
+    def fits(size):     # a subgrid below n whose table holds at most 2^22 entries
+        return 0 < size < grid.n_points and size ** grid.dim * grid.size <= 2 ** 22
+
+    table = None
+    while inner is None and fits(m):
         table = _subgrid_table(grid, symbol, delta, m, table)
-        rows, _, coefficient, source = _band_layout(grid, m)
+        rows, _, coefficient, _ = _band_layout(grid, m)
         amplitude = np.abs(table).max()
         spectrum = np.fft.fft(table.reshape((m,) * grid.dim + (grid.size,)), axis=0)
         for axis in range(1, grid.dim):     # in place: one subgrid-sized copy
             np.fft.fft(spectrum, axis=axis, out=spectrum)
         spectrum /= m ** grid.dim           # exact: m is a power of two
-        inner = np.take(spectrum, coefficient)
         magnitude = np.abs(spectrum).ravel()
         magnitude[coefficient] = 0.0
         outer = magnitude.max()
         if outer <= tol * amplitude:
-            memo[:] = [m]
-            counters["band_sums"] += 1
-            counters["band_points_max"] = max(counters["band_points_max"], m)
-            shifted = np.take(inner * coeffs, source).sum(axis=0)
-            return spectral.inverse(SpectralField(grid, shifted.reshape(grid.shape)))
-        if not outer * outer <= tol * amplitude * amplitude:     # NaN fails too
+            inner = np.take(spectrum, coefficient)
+            break
+        left = sum(fits(m << r) for r in range(1, 23))      # doublings left
+        if not (outer / amplitude) ** (2 ** left) <= tol:    # NaN fails too
             break
         m *= 2
-    memo[:] = [0]
+    if key is not None and key not in _band_memo:
+        _band_memo[key] = (m, inner) if inner is not None else (0, None)
+        while len(_band_memo) > 64 or sum(
+                c.nbytes for _, c in _band_memo.values() if c is not None) > budget:
+            _band_memo.popitem(last=False)
+    if inner is not None:
+        counters["band_sums"] += 1
+        counters["band_points_max"] = max(counters["band_points_max"], m)
+        shifted = np.take(inner * coeffs, _band_layout(grid, m)[3]).sum(axis=0)
+        return spectral.inverse(SpectralField(grid, shifted.reshape(grid.shape)))
     counters["direct_sums"] += 1
     out = np.empty(grid.size, dtype=np.complex128)
     remaining = None

@@ -147,6 +147,12 @@ def _gl_nodes(order: int):
     return leggauss(order)
 
 
+def check_quadrature_order(order: int) -> None:
+    """Raise ValueError unless ``order`` is in 1..``MAX_QUADRATURE_ORDER``."""
+    if not 1 <= order <= MAX_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature_order must be in 1..{MAX_QUADRATURE_ORDER}, got {order}")
+
+
 def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
                     quadrature_order: int | None = None) -> np.ndarray:
     """Slab mean (1/(z1-z0)) * int_z0^z1 a(s, x, xi) ds; the one reader of z-declarations.
@@ -169,9 +175,7 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
     if quadrature_order is None:
         quadrature_order = recommended_quadrature_order(spec, z1 - z0)
-    if not 1 <= quadrature_order <= MAX_QUADRATURE_ORDER:
-        raise ValueError(f"quadrature_order must be in 1..{MAX_QUADRATURE_ORDER}, "
-                         f"got {quadrature_order}")
+    check_quadrature_order(quadrature_order)
     if spec.z_independent:
         return eval_symbol(spec, z0, x, xi)
     nodes, weights = _gl_nodes(quadrature_order)

@@ -147,20 +147,23 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     # at n = 64 the 128-slab reference (Delta = 1/128) resolves the x-band of
     # its amplitude on the 32-point subgrid; the study slabs (1/8, 1/16) and
-    # the 64-slab cross-check do not, and take the direct sum.  A rerun resets
-    # the counts, and a rejected configuration counts nothing.
+    # the 64-slab cross-check do not, and take the direct sum.  The reference's
+    # 127 later slabs take the first one's band coefficients from the memo.
+    # A rerun resets the counts and the memo, and a rejected configuration
+    # counts nothing.
     cfg = resolve_config("varspeed", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path / "vs")})
     for _ in range(2):
         assert harness.run(cfg) == harness.EXIT_OK
         manifest = json.loads((tmp_path / "vs" / "manifest.json").read_text())
-        assert manifest["counters"] == {"band_sums": 128, "direct_sums": 88,
-                                        "band_points_max": 32}
+        assert manifest["counters"] == {"band_sums": 128, "band_reuses": 127,
+                                        "direct_sums": 88, "band_points_max": 32}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
-    assert manifest["counters"] == {"band_sums": 0, "direct_sums": 0, "band_points_max": 0}
+    assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "direct_sums": 0,
+                                    "band_points_max": 0}
 
 
 def test_run_report_csv_and_json(tmp_path):

@@ -91,6 +91,7 @@ def test_band_slab_matches_direct_kernel_sum(name):
     # falls back to the direct sum equals it bit for bit
     spec = SPECS[name]
     paths = set()
+    propagator._band_memo.clear()
     for n in (64, 128, 256, 512):
         grid = Grid(n, 2 * np.pi)
         u = random_field(grid, n)
@@ -116,18 +117,30 @@ def test_band_slab_matches_direct_kernel_sum(name):
 
 
 def test_two_dimensional_band_slab():
-    # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid
+    # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid; its memo
+    # cell holds 225 x 4096 coefficients, 14.7 MB, so with four cells of that
+    # size already held it evicts the least recently used one to stay within
+    # the memo's 64 MB budget
     def b1(z, x, xi):
         return (1.0 + 0.2 * np.cos(x[0]) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
 
     grid = Grid(64, 2 * np.pi, dim=2)
-    slab = SlabSpec(0.0, 2.0 ** -10, SymbolSpec(b1=b1, z_independent=True))
+    spec = SymbolSpec(b1=b1, z_independent=True)
+    slab = SlabSpec(0.0, 2.0 ** -10, spec)
     u = random_field(grid, 18)
+    filler = (32, np.zeros((225, grid.size), dtype=np.complex128))
+    propagator._band_memo.clear()
+    propagator._band_memo.update(((k,), filler) for k in range(4))
     before = dict(propagator.counters)
     got = apply_slab(slab, u).values
     assert _path_taken(before) == "band"
     want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
     assert rel_err(got, want) < 1e-13
+    key = (spec, slab.thickness, grid)
+    assert list(propagator._band_memo) == [(1,), (2,), (3,), key]
+    assert sum(inner.nbytes for _, inner in propagator._band_memo.values()) <= 2 ** 26
+    assert propagator._band_memo[key][1].shape == filler[1].shape
+    assert apply_slab(slab, u).values.tobytes() == got.tobytes()
 
 
 def _built_rows(monkeypatch):
@@ -145,18 +158,84 @@ def _built_rows(monkeypatch):
 
 
 def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
+    propagator._band_memo.clear()
     built = _built_rows(monkeypatch)
     grid = Grid(256, 2 * np.pi)
     u = random_field(grid, 19)
     apply_slab(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
     assert sum(rows.size for rows in built) <= 32
-    # a lens slab builds each of its rows once, the first one probing its
+    # a lens slab builds each of its rows once, the first one probing its 32
     # subgrid rows before the others, the second one in a single pass
     lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
     for k in range(2):
         built.clear()
         apply_slab(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
+        assert [rows.size for rows in built] == ([32, 224] if k == 0 else [256])
         assert np.array_equal(np.sort(np.concatenate(built)), np.arange(grid.size))
+
+
+def test_band_doubles_while_a_squaring_tail_can_resolve():
+    # varspeed at n = 256: the outer tail at Delta = 1/16 reads 9.1e-5, 8.1e-13
+    # and 2.6e-16 of max|A| on 32, 64 and 128 points, so it resolves on 128;
+    # at 1/8 it cannot reach 1e-15 within the two doublings left
+    spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
+    u = random_field(grid, 22)
+    propagator._band_memo.clear()
+    for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
+        apply_slab(SlabSpec(0.0, 2.0 ** -k, spec), u)
+        assert propagator._band_memo[(spec, 2.0 ** -k, grid)][0] == m, k
+
+
+def _counted_symbol(monkeypatch):
+    """Record the depth of every symbols.eval_symbol call."""
+    calls = []
+    original = symbols.eval_symbol
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symbols, "eval_symbol", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["varspeed", "damped-varspeed"])
+def test_band_memo_slab_equals_the_probed_slab(name, monkeypatch):
+    # a depth-free slab whose band resolved leaves its coefficients in the
+    # memo: the next slab on that (spec, Delta, grid) equals it bytewise and
+    # takes no symbol and no kernel row; one that fell back takes the direct
+    # sum again, bytewise equal too
+    spec, grid = SPECS[name], Grid(256, 2 * np.pi)
+    u = random_field(grid, 20)
+    built, calls = _built_rows(monkeypatch), _counted_symbol(monkeypatch)
+    for k in range(3, 11):
+        for variant in (Frozen(), Averaged()):
+            propagator._band_memo.clear()
+            slab = SlabSpec(0.5, 0.5 + 2.0 ** -k, spec, variant)
+            first = apply_slab(slab, u).values
+            probed = propagator._band_memo[(spec, slab.thickness, grid)][1] is not None
+            built.clear()
+            calls.clear()
+            before = dict(propagator.counters)
+            again = apply_slab(slab, u).values
+            assert again.tobytes() == first.tobytes(), (k, variant)
+            reused = propagator.counters["band_reuses"] - before["band_reuses"]
+            assert reused == probed
+            if probed:
+                assert calls == [] and built == []
+            else:
+                assert sum(rows.size for rows in built) == grid.size
+
+
+def test_invalid_quadrature_order_raises_on_a_filled_memo_cell():
+    spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
+    u = random_field(grid, 21)
+    propagator._band_memo.clear()
+    apply_slab(SlabSpec(0.0, 2.0 ** -6, spec, Frozen()), u)
+    assert propagator._band_memo[(spec, 2.0 ** -6, grid)][1] is not None
+    for order in (0, symbols.MAX_QUADRATURE_ORDER + 1):
+        with pytest.raises(ValueError, match="quadrature_order must be in 1..1024"):
+            apply_slab(SlabSpec(0.0, 2.0 ** -6, spec, Averaged(order)), u)
 
 
 def test_z_independent_averaged_equals_frozen(grid64):
@@ -180,6 +259,7 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(symbols, "eval_symbol", counting)
+    propagator._band_memo.clear()
     for thickness, rows in ((0.1, grid64.size), (2.0 ** -10, 32)):
         calls.clear()
         slab = SlabSpec(0.2, 0.2 + thickness, get_symbol("varspeed"), Averaged())
