@@ -33,8 +33,8 @@ the separated sum sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse
 FFT, at the cost of the subgrid rows: 32 of 256 at n = 256.  Otherwise the
 remaining rows are built and the direct O(N^2) sum is taken, bit for bit the
 sum over all rows at once.  A depth-free symbol has one kernel per
-thickness, so the band coefficients A_b are kept in a memo under a fixed
-byte budget: later slabs of that thickness cost two FFTs and the band
+thickness, so the band coefficients A_b of the last such thickness are kept
+in a one-cell memo: later slabs of that thickness cost two FFTs and the band
 products, with no symbol and no kernel row.  Dense assembly always builds
 the full kernel table.
 
@@ -51,7 +51,6 @@ MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -214,11 +213,11 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
 # per axis that a band resolved at
 counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0}
 
-# One cell per (spec, delta, grid) of a symbols.depth_free spec, least
-# recently used first: (m, inner), the subgrid size its band resolved at and
-# the band coefficients :func:`_frequency_sum` sums with, or (0, None) when
-# the band did not resolve and its slabs take the direct sum.
-_band_memo: OrderedDict = OrderedDict()
+# The cell of the last (spec, delta, grid) of a symbols.depth_free spec that
+# :func:`_frequency_sum` took, which a new key replaces: (m, inner), the
+# subgrid size its band resolved at and the band coefficients it sums with,
+# or (0, None) when the band did not resolve and its slabs take the direct sum.
+_band_memo: dict = {}
 
 
 def reset_counts() -> None:
@@ -297,24 +296,23 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
     once.
 
     Slabs of a :func:`thinslab.symbols.depth_free` spec share one kernel per
-    (spec, delta, grid), so its first slab leaves a cell in ``_band_memo``:
-    the resolved m with its band coefficients, which later slabs sum with
-    directly (no symbol, no kernel row, no subgrid FFT), or 0, which sends
-    them to the direct sum at once.  The memo holds at most 64 cells and a
-    byte budget of 2^26 bytes (64 MB) of coefficients, evicting the least
-    recently used cells: at worst four 2-D 64^2 cells (14.7 MB each), while
-    a 1-D n = 256 cell at m = 128 takes 258 KB.  No cell exceeds the budget:
-    the 2^22-entry table cap keeps the coefficients below 2^21 entries.
+    (spec, delta, grid), so its first slab leaves the one cell of
+    ``_band_memo``: the resolved m with its band coefficients, which later
+    slabs sum with directly (no symbol, no kernel row, no subgrid FFT), or 0,
+    which sends them to the direct sum at once.  A slab on another key
+    replaces the cell; the studies and the one-way march apply each
+    thickness of a dyadic subdivision in one contiguous run, so one cell
+    serves every reuse there.  The 2^22-entry table cap bounds the cell
+    below 2^21 coefficients (32 MB): a 2-D 64^2 cell takes 14.7 MB, and a
+    1-D n = 256 cell at m = 128 takes 258 KB.
     """
     grid = field.grid
     if spec.x_independent:
         return spectral.apply_multiplier(field, _multiplier(grid, symbol, delta))
     coeffs = spectral.forward(field).coeffs.ravel()
-    budget, tol = 2 ** 26, 1e-15
+    tol = 1e-15
     key = (spec, delta, grid) if symbols.depth_free(spec) else None
     m, inner = _band_memo.get(key, (32, None))
-    if key in _band_memo:
-        _band_memo.move_to_end(key)
     if inner is not None:
         counters["band_reuses"] += 1
 
@@ -335,16 +333,15 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
         outer = magnitude.max()
         if outer <= tol * amplitude:
             inner = np.take(spectrum, coefficient)
+            table = spectrum = magnitude = None     # freed before the band sum allocates
             break
         left = sum(fits(m << r) for r in range(1, 23))      # doublings left
         if not (outer / amplitude) ** (2 ** left) <= tol:    # NaN fails too
             break
         m *= 2
     if key is not None and key not in _band_memo:
+        _band_memo.clear()
         _band_memo[key] = (m, inner) if inner is not None else (0, None)
-        while len(_band_memo) > 64 or sum(
-                c.nbytes for _, c in _band_memo.values() if c is not None) > budget:
-            _band_memo.popitem(last=False)
     if inner is not None:
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)

@@ -118,9 +118,8 @@ def test_band_slab_matches_direct_kernel_sum(name):
 
 def test_two_dimensional_band_slab():
     # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid; its memo
-    # cell holds 225 x 4096 coefficients, 14.7 MB, so with four cells of that
-    # size already held it evicts the least recently used one to stay within
-    # the memo's 64 MB budget
+    # cell holds 225 x 4096 coefficients, 14.7 MB, and replaces a cell of
+    # that size held for another key, so the memo never holds more than one
     def b1(z, x, xi):
         return (1.0 + 0.2 * np.cos(x[0]) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
 
@@ -130,15 +129,14 @@ def test_two_dimensional_band_slab():
     u = random_field(grid, 18)
     filler = (32, np.zeros((225, grid.size), dtype=np.complex128))
     propagator._band_memo.clear()
-    propagator._band_memo.update(((k,), filler) for k in range(4))
+    propagator._band_memo[(spec, 2.0 ** -9, grid)] = filler
     before = dict(propagator.counters)
     got = apply_slab(slab, u).values
     assert _path_taken(before) == "band"
     want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
     assert rel_err(got, want) < 1e-13
     key = (spec, slab.thickness, grid)
-    assert list(propagator._band_memo) == [(1,), (2,), (3,), key]
-    assert sum(inner.nbytes for _, inner in propagator._band_memo.values()) <= 2 ** 26
+    assert list(propagator._band_memo) == [key]
     assert propagator._band_memo[key][1].shape == filler[1].shape
     assert apply_slab(slab, u).values.tobytes() == got.tobytes()
 
@@ -183,6 +181,7 @@ def test_band_doubles_while_a_squaring_tail_can_resolve():
     propagator._band_memo.clear()
     for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
         apply_slab(SlabSpec(0.0, 2.0 ** -k, spec), u)
+        assert list(propagator._band_memo) == [(spec, 2.0 ** -k, grid)]
         assert propagator._band_memo[(spec, 2.0 ** -k, grid)][0] == m, k
 
 
