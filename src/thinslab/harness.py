@@ -16,8 +16,9 @@ artifacts are:
 * ``energy_partition.csv``, ``phase_errors.csv``, ``snapshot_*.tslb``
                                               - one-way demo artifacts,
 * ``manifest.json``                           - config echo, version, timings, status,
-                                                and the kernel-sum counters of
-                                                ``propagator.counters``.
+                                                and the counters: kernel sums
+                                                (``propagator.counters``), symbol
+                                                tables and transforms.
 
 Everything except the manifest (which carries wall-clock timings) is
 byte-identical across runs with the same config, seed and build.  ``run``,
@@ -679,7 +680,7 @@ def _recorded(cfg: ExperimentConfig, body) -> int:
             "status": status,
             "error": error,
             "timings": {k: round(v, 6) for k, v in timings.items()},
-            "counters": dict(propagator.counters),
+            "counters": {**propagator.counters, **symbols.counters, **spectral.counters},
             "outputs": sorted(outputs),
         })
     return code

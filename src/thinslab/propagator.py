@@ -221,9 +221,11 @@ _band_memo: dict = {}
 
 
 def reset_counts() -> None:
-    """Zero :data:`counters` and empty the band memo, so that the counts of
-    what follows do not depend on what ran before."""
-    counters.update(dict.fromkeys(counters, 0))
+    """Zero :data:`counters`, the symbol-table and transform counts of
+    :mod:`thinslab.symbols` and :mod:`thinslab.spectral`, and empty the band
+    memo, so that the counts of what follows do not depend on what ran before."""
+    for counts in (counters, symbols.counters, spectral.counters):
+        counts.update(dict.fromkeys(counts, 0))
     _band_memo.clear()
 
 
@@ -410,8 +412,9 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     B = np.empty((size, size), dtype=np.complex128)
     for rows, kernel in _kernel_blocks(grid, symbol, slab.thickness):
         B[rows] = kernel
-    axes = tuple(range(grid.dim))
-    FB = np.fft.fftshift(np.fft.fftn(B.reshape(grid.shape + (size,)), axes=axes), axes=axes)
+    B = B.reshape(grid.shape + (size,))
+    FB = np.fft.fft(B, axis=0) if grid.dim == 1 else np.fft.fft2(B, axes=(0, 1))
+    FB = FB[spectral._shift(grid.n_points, grid.dim)]    # forward's coefficient order
     FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k
     return FB.reshape(size, size)
 

@@ -14,6 +14,17 @@ without extra weights:
 
     sum_j |u_j|^2 = sum_k |c_k|^2 .
 
+Each transform is one plain ``np.fft.fft``/``ifft`` (``fft2``/``ifft2`` in
+2-d) and one gather through a cached index, :func:`_shift`: the fftshift
+roll by n/2, ``np.fft.fftshift(np.arange(n))`` per axis.  n is even, so the
+same index is the ifftshift.  The gather moves values without arithmetic,
+and ``fft2`` runs the same per-axis passes as ``fftn``, so the coefficients
+are bitwise ``fftshift(fftn(u)) / sqrt(N)`` and the samples bitwise
+``ifftn(ifftshift(c)) * sqrt(N)``, without ``fftn``'s axis handling or
+``fftshift``'s ``np.roll``.  Every call of :func:`forward` and
+:func:`inverse` adds one to ``counters["transforms"]``, which the run
+manifest records.
+
 The H^s norm weights each coefficient with ``<xi>^s = (1+|xi|^2)^(s/2)``;
 at ``s = 0`` it reduces to the plain l2 norm of the samples.  The weight
 operator of order ``r`` multiplies coefficients with ``<xi>^r``; it maps
@@ -137,18 +148,41 @@ class SpectralField:
         self.coeffs = _as_samples(self.grid, self.coeffs)
 
 
+# calls of forward and inverse since the last propagator.reset_counts
+counters = {"transforms": 0}
+
+
+@lru_cache(maxsize=16)
+def _shift(n_points: int, dim: int):
+    """Index that takes a DFT over ``dim`` axes of n_points to increasing-frequency order.
+
+    It indexes the leading ``dim`` axes of an array: the read-only
+    permutation ``np.fft.fftshift(np.arange(n_points))`` in 1-d, its
+    ``np.ix_`` pair in 2-d.  n_points is even, so it is also the ifftshift.
+    """
+    perm = np.fft.fftshift(np.arange(n_points))
+    perm.flags.writeable = False
+    return perm if dim == 1 else np.ix_(perm, perm)
+
+
 def forward(field: Field) -> SpectralField:
     """Unitary DFT, coefficients in increasing-frequency order."""
-    axes = tuple(range(field.grid.dim))
-    c = np.fft.fftshift(np.fft.fftn(field.values, axes=axes), axes=axes)
-    return SpectralField(field.grid, c / np.sqrt(field.grid.size))
+    counters["transforms"] += 1
+    grid = field.grid
+    c = np.fft.fft(field.values) if grid.dim == 1 else np.fft.fft2(field.values)
+    c = c[_shift(grid.n_points, grid.dim)]
+    c /= np.sqrt(grid.size)
+    return SpectralField(grid, c)
 
 
 def inverse(spectral: SpectralField) -> Field:
     """Inverse of :func:`forward`; round trips to ~1e-15."""
-    axes = tuple(range(spectral.grid.dim))
-    v = np.fft.ifftn(np.fft.ifftshift(spectral.coeffs, axes=axes), axes=axes)
-    return Field(spectral.grid, v * np.sqrt(spectral.grid.size))
+    counters["transforms"] += 1
+    grid = spectral.grid
+    c = spectral.coeffs[_shift(grid.n_points, grid.dim)]
+    v = np.fft.ifft(c) if grid.dim == 1 else np.fft.ifft2(c)
+    v *= np.sqrt(grid.size)
+    return Field(grid, v)
 
 
 @lru_cache(maxsize=64)

@@ -121,8 +121,15 @@ def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     return _table(spec, component_argument(spec, z), x, xi)
 
 
+# tables built by _table since the last propagator.reset_counts: one per
+# eval_symbol call, Gauss nodes of a slab mean included, and one per
+# z-profiled slab mean
+counters = {"symbol_tables": 0}
+
+
 def _table(spec: SymbolSpec, p, x, xi) -> np.ndarray:
     """The symbol table of :func:`eval_symbol` with the components at argument p."""
+    counters["symbol_tables"] += 1
     parts = [(name, getattr(spec, name)(p, x, xi)) for name in _COMPONENTS
              if getattr(spec, name) is not _zero]
     out = np.zeros(_coordinate_shape(x, xi), dtype=np.complex128)

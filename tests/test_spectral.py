@@ -78,6 +78,34 @@ def test_round_trip(grid64):
         assert rel_err(forward(inverse(c)).coeffs, c.coeffs) < 1e-13
 
 
+@pytest.mark.parametrize("n, dim", [(n, 1) for n in (8, 16, 32, 64, 128, 256, 512)]
+                         + [(8, 2), (16, 2), (64, 2)])
+def test_transforms_are_bitwise_the_shifted_fftn(n, dim):
+    grid = Grid(n, 3.0, dim=dim)
+    axes = tuple(range(dim))
+    for seed in range(3):
+        u = random_field(grid, seed)
+        c = random_field(grid, 100 + seed).values
+        expected = np.fft.fftshift(np.fft.fftn(u.values, axes=axes), axes=axes)
+        assert np.array_equal(forward(u).coeffs, expected / np.sqrt(grid.size))
+        expected = np.fft.ifftn(np.fft.ifftshift(c, axes=axes), axes=axes)
+        assert np.array_equal(inverse(SpectralField(grid, c)).values,
+                              expected * np.sqrt(grid.size))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transforms_keep_their_validation(dim):
+    grid = Grid(16, 3.0, dim=dim)
+    u = random_field(grid, 0)
+    u.values[(3,) * dim] = np.inf       # past the Field check: forward's output rejects it
+    with pytest.raises(GridError), np.errstate(invalid="ignore"):
+        forward(u)
+    with pytest.raises(GridError):
+        inverse(SpectralField(grid, np.zeros((32,) * dim)))
+    with pytest.raises(GridError):
+        inverse(SpectralField(grid, np.zeros(grid.shape + (2,))))
+
+
 def test_single_mode_is_delta(grid64):
     x = grid64.axis_points()
     u = Field(grid64, np.exp(1j * 5 * x))
