@@ -268,20 +268,19 @@ def uniform_bound_check(spec: SymbolSpec, u0_family, s: float, Ns) -> UniformBou
     """sup_(N, z_k, u0) ||W u0||_(H^s) / ||u0||_(H^s) over frozen slab endpoints in [0, 1].
 
     The stability estimate makes this sup bounded independently of N; the
-    tests assert the per-N values barely move across subdivisions.
+    tests assert the per-N values barely move across subdivisions.  A NaN
+    ratio, such as inf/inf when <xi>^s overflows, makes its sup NaN.
     """
     per_n = []
     for n in Ns:
         sub = Subdivision(1.0, int(n))
-        worst = 0.0
+        ratios = []
         for u0 in u0_family:
             denom = spectral.sobolev_norm(u0, s)
-            ratios = []
 
             def observe(k, zk, field):
                 ratios.append(spectral.sobolev_norm(field, s) / denom)
 
             apply_ansatz(spec, sub, u0, observer=observe)
-            worst = max(worst, max(ratios))
-        per_n.append(worst)
-    return UniformBoundReport(per_n=tuple(per_n), sup_ratio=max(per_n))
+        per_n.append(float(np.max(ratios, initial=0.0)))
+    return UniformBoundReport(per_n=tuple(per_n), sup_ratio=float(np.max(per_n)))

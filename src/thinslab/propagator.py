@@ -17,7 +17,9 @@ a(z, x, D_x) and for the exact multiplier evolution.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
 output rows (every row, or a given set of them), and serves slab
-application, the operator a(z, x, D_x) itself and dense assembly.  It works
+application, the operator a(z, x, D_x) itself and dense assembly: the
+direct sum takes its blocks one by one, and :func:`_kernel_table` gathers
+them into the one table of the band probe or of a dense matrix.  It works
 on the integer lattice of :func:`_lattice`, x = j * spacing and
 xi = k * 2 pi / period, and each slab entry costs one complex exp of the
 fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n, with j . k an
@@ -31,12 +33,11 @@ subgrid (doubled while the tail can still resolve) and takes their FFT over
 x.  When the amplitude's x-Fourier band resolves there to 1e-15, the slab is
 the separated sum sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse
 FFT, at the cost of the subgrid rows: 32 of 256 at n = 256.  Otherwise the
-remaining rows are built and the direct O(N^2) sum is taken, bit for bit the
-sum over all rows at once.  A depth-free symbol has one kernel per
-thickness, so the band coefficients A_b of the last such thickness are kept
-in a one-cell memo: later slabs of that thickness cost two FFTs and the band
-products, with no symbol and no kernel row.  Dense assembly always builds
-the full kernel table.
+direct O(N^2) sum is taken over every row, the probe's rows included.  A
+depth-free symbol has one kernel per thickness, so the band coefficients
+A_b of the last such thickness are kept in a one-cell memo: later slabs of
+that thickness cost two FFTs and the band products, with no symbol and no
+kernel row.  Dense assembly always builds the full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -157,14 +158,14 @@ def _pack(coords, grid: Grid):
 
 
 def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
-    """Yield (rows, K) over blocks of output points; K[r, k] is a kernel entry.
+    """Yield (part, K) over blocks of output points; K[r, k] is a kernel entry.
 
-    ``rows`` is an index array of flat output points to build, each once;
-    None builds every point, in slices.  The symbol is sampled at
-    x = j * spacing and xi = k * 2 pi / period for the integer indices of
-    :func:`_lattice`: ``symbol(x_packed, xi_packed)`` returns a fresh complex
-    (rows, n_freq) table, which becomes K in place.  With a thickness
-    ``delta`` the entry is exp(i theta - delta * a) with
+    ``rows`` is an index array of flat output points, None every point, and
+    ``part`` is the slice of ``rows`` that K's rows are.  The symbol is
+    sampled at x = j * spacing and xi = k * 2 pi / period for the integer
+    indices of :func:`_lattice`: ``symbol(x_packed, xi_packed)`` returns a
+    fresh complex (rows, n_freq) table, which becomes K in place.  With a
+    thickness ``delta`` the entry is exp(i theta - delta * a) with
     theta = 2 pi ((j . k) mod n) / n, the integer product taken exactly, one
     complex exp per entry; with ``delta`` None it is e^(i theta) * a.  An
     entry does not depend on the other rows of its block.  The 1/sqrt(N)
@@ -172,17 +173,15 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
     """
     n = grid.n_points
     j, k = _lattice(grid)
+    if rows is not None:
+        j = j[:, rows]
     x = j * grid.spacing
     xif = _pack(tuple(c[None, :] for c in k * (2.0 * np.pi / grid.period)), grid)
     scale = 2.0 * np.pi / n
-    if rows is None:
-        blocks = (slice(start, min(start + _CHUNK_ROWS, grid.size))
-                  for start in range(0, grid.size, _CHUNK_ROWS))
-    else:
-        blocks = (rows[start:start + _CHUNK_ROWS] for start in range(0, len(rows), _CHUNK_ROWS))
-    for block in blocks:
-        kernel = symbol(_pack(tuple(c[block, None] for c in x), grid), xif)
-        turns = np.einsum("dr,dk->rk", j[:, block], k)
+    for start in range(0, j.shape[1], _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        kernel = symbol(_pack(tuple(c[part, None] for c in x), grid), xif)
+        turns = np.einsum("dr,dk->rk", j[:, part], k)
         turns &= n - 1                      # mod n: grid sizes are powers of two
         if delta is None:
             kernel *= np.exp(1j * scale * turns)
@@ -193,7 +192,22 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
             del turns
             kernel *= scale
             np.exp(kernel, out=kernel)
-        yield block, kernel
+        yield part, kernel
+
+
+def _kernel_table(grid: Grid, symbol, delta: float | None, rows=None) -> np.ndarray:
+    """The (rows, size) kernel table of :func:`_kernel_blocks`, rows None every point.
+
+    A table of at most ``_CHUNK_ROWS`` rows is its one block, not a copy.
+    """
+    blocks = _kernel_blocks(grid, symbol, delta, rows)
+    count = grid.size if rows is None else len(rows)
+    if count <= _CHUNK_ROWS:
+        return next(blocks)[1]
+    table = np.empty((count, grid.size), dtype=np.complex128)
+    for part, kernel in blocks:
+        table[part] = kernel
+    return table
 
 
 def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
@@ -233,20 +247,18 @@ def reset_counts() -> None:
 def _band_layout(grid: Grid, m: int):
     """Read-only index arrays of the subgrid of the points whose indices are multiples of n/m.
 
-    Returns (rows, coarse, coefficient, source): the subgrid's flat points in
-    row-major order, which of them lie on the m/2 subgrid, and two
-    (bands, size) flat indices over the inner band |b| < m/4 per axis.  The
-    kernel row at subgrid index s carries the phase e^(2 pi i s . k / m), so
-    the FFT over s holds coefficient b of amplitude column k at index
-    (b + k) mod m (``coefficient``): no phase is removed by arithmetic.
-    Multiplying by e^(i b . w0 x) shifts Fourier indices by b with
-    wrap-around, so output coefficient i takes product b at index
+    Returns (rows, coefficient, source): the subgrid's flat points in
+    row-major order and two (bands, size) flat indices over the inner band
+    |b| < m/4 per axis.  The kernel row at subgrid index s carries the phase
+    e^(2 pi i s . k / m), so the FFT over s holds coefficient b of amplitude
+    column k at index (b + k) mod m (``coefficient``): no phase is removed
+    by arithmetic.  Multiplying by e^(i b . w0 x) shifts Fourier indices by
+    b with wrap-around, so output coefficient i takes product b at index
     (i - b) mod n (``source``).
     """
     n, d, size = grid.n_points, grid.dim, grid.size
     j, k = _lattice(grid)
     rows = np.flatnonzero(np.all(j % (n // m) == 0, axis=0))
-    coarse = np.all(j[:, rows] % (2 * n // m) == 0, axis=0)
     band = np.arange(1 - m // 4, m // 4)
     b = [band[i.ravel(), None] for i in np.indices((band.size,) * d)]
     coefficient = np.ravel_multi_index(
@@ -254,25 +266,10 @@ def _band_layout(grid: Grid, m: int):
     source = np.arange(band.size ** d)[:, None] * size + np.ravel_multi_index(
         tuple((j[a] - b[a]) % n for a in range(d)), grid.shape)
     # int32 halves what the cache holds; every index is below m^dim * size
-    layout = rows, coarse, coefficient.astype(np.int32), source.astype(np.int32)
+    layout = rows, coefficient.astype(np.int32), source.astype(np.int32)
     for array in layout:
         array.flags.writeable = False
     return layout
-
-
-def _subgrid_table(grid: Grid, symbol, delta: float | None, m: int, coarse_table=None):
-    """Kernel rows of the m-subgrid; the m/2-subgrid rows are copied from ``coarse_table``."""
-    rows, coarse = _band_layout(grid, m)[:2]
-    fresh = np.arange(rows.size) if coarse_table is None else np.flatnonzero(~coarse)
-    blocks = _kernel_blocks(grid, symbol, delta, rows[fresh])
-    if coarse_table is None and rows.size <= _CHUNK_ROWS:
-        return next(blocks)[1]
-    table = np.empty((rows.size, grid.size), dtype=np.complex128)
-    if coarse_table is not None:
-        table[coarse] = coarse_table
-    for start, (_, kernel) in zip(range(0, fresh.size, _CHUNK_ROWS), blocks):
-        table[fresh[start:start + len(kernel)]] = kernel
-    return table
 
 
 def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) -> Field:
@@ -289,13 +286,12 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
 
     with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period),
     taken as one inverse FFT of the shifted products.  Otherwise m doubles
-    below n, reusing the rows built so far, while a tail that squares with
-    each doubling could still reach the tolerance: outer^(2^r) <= 1e-15
-    |amplitude|^(2^r), with r the doublings left.  A subgrid table holds at
-    most 2^22 entries (64 MB, m = 32 on a 64^2 grid).  When the band does not
-    resolve, the remaining rows are built and the direct O(N^2) sum over
-    :func:`_kernel_blocks` is taken, bit for bit the sum over all rows at
-    once.
+    below n, each doubling building its whole subgrid, while a tail that
+    squares with each doubling could still reach the tolerance:
+    outer^(2^r) <= 1e-15 |amplitude|^(2^r), with r the doublings left.  A
+    subgrid table holds at most 2^22 entries (64 MB, m = 32 on a 64^2 grid).
+    When the band does not resolve, the direct O(N^2) sum is taken block by
+    block over every row of :func:`_kernel_blocks`, the probe's rows included.
 
     Slabs of a :func:`thinslab.symbols.depth_free` spec share one kernel per
     (spec, delta, grid), so its first slab leaves the one cell of
@@ -321,10 +317,9 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
     def fits(size):     # a subgrid below n whose table holds at most 2^22 entries
         return 0 < size < grid.n_points and size ** grid.dim * grid.size <= 2 ** 22
 
-    table = None
     while inner is None and fits(m):
-        table = _subgrid_table(grid, symbol, delta, m, table)
-        rows, _, coefficient, _ = _band_layout(grid, m)
+        rows, coefficient, _ = _band_layout(grid, m)
+        table = _kernel_table(grid, symbol, delta, rows)
         amplitude = np.abs(table).max()
         spectrum = np.fft.fft(table.reshape((m,) * grid.dim + (grid.size,)), axis=0)
         for axis in range(1, grid.dim):     # in place: one subgrid-sized copy
@@ -335,28 +330,24 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
         outer = magnitude.max()
         if outer <= tol * amplitude:
             inner = np.take(spectrum, coefficient)
-            table = spectrum = magnitude = None     # freed before the band sum allocates
             break
         left = sum(fits(m << r) for r in range(1, 23))      # doublings left
         if not (outer / amplitude) ** (2 ** left) <= tol:    # NaN fails too
             break
         m *= 2
+    table = spectrum = magnitude = None     # freed before either sum allocates
     if key is not None and key not in _band_memo:
         _band_memo.clear()
         _band_memo[key] = (m, inner) if inner is not None else (0, None)
     if inner is not None:
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)
-        shifted = np.take(inner * coeffs, _band_layout(grid, m)[3]).sum(axis=0)
+        shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
         return spectral.inverse(SpectralField(grid, shifted.reshape(grid.shape)))
     counters["direct_sums"] += 1
     out = np.empty(grid.size, dtype=np.complex128)
-    remaining = None
-    if table is not None:
-        out[rows] = table @ coeffs
-        remaining = np.delete(np.arange(grid.size), rows)
-    for block, kernel in _kernel_blocks(grid, symbol, delta, remaining):
-        out[block] = kernel @ coeffs
+    for part, kernel in _kernel_blocks(grid, symbol, delta):
+        out[part] = kernel @ coeffs
     out /= np.sqrt(grid.size)
     return Field(grid, out.reshape(grid.shape))
 
@@ -399,7 +390,7 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     mode.  An x-independent slab is the exact diagonal matrix of its
     :func:`_multiplier`, with every off-diagonal entry zero, built without a
     kernel table or an FFT.  Otherwise the kernel table B (output points x
-    input coefficients) is built by :func:`_kernel_blocks` and transformed
+    input coefficients) is built by :func:`_kernel_table` and transformed
     once over its output points, so the matrix is F B.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
@@ -409,10 +400,7 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     if slab.spec.x_independent:
         return np.diag(_multiplier(grid, symbol, slab.thickness).ravel())
     size = grid.size
-    B = np.empty((size, size), dtype=np.complex128)
-    for rows, kernel in _kernel_blocks(grid, symbol, slab.thickness):
-        B[rows] = kernel
-    B = B.reshape(grid.shape + (size,))
+    B = _kernel_table(grid, symbol, slab.thickness).reshape(grid.shape + (size,))
     FB = np.fft.fft(B, axis=0) if grid.dim == 1 else np.fft.fft2(B, axes=(0, 1))
     FB = FB[spectral._shift(grid.n_points, grid.dim)]    # forward's coefficient order
     FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k

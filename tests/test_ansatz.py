@@ -176,6 +176,14 @@ def test_uniform_bound_zero_symbol(grid64):
     assert abs(rep.sup_ratio - 1.0) < 1e-12
 
 
+def test_uniform_bound_propagates_nan_ratios(grid64):
+    # <xi>^400 overflows, so every ratio is inf/inf: the sup must not read 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = uniform_bound_check(get_symbol("varspeed"), [wave_packet(grid64)], 400.0, (8, 16))
+    assert np.isnan(rep.sup_ratio)
+    assert all(np.isnan(r) for r in rep.per_n)
+
+
 def test_uniform_bound_damping_contracts(grid64):
     spec = get_symbol("damped")
     family = [wave_packet(grid64), random_field(grid64, 1)]

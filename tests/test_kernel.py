@@ -72,9 +72,41 @@ def direct_kernel_sum(field, symbol, delta):
     grid = field.grid
     coeffs = forward(field).coeffs.ravel()
     out = np.empty(grid.size, dtype=np.complex128)
-    for rows, kernel in propagator._kernel_blocks(grid, symbol, delta):
-        out[rows] = kernel @ coeffs
+    for part, kernel in propagator._kernel_blocks(grid, symbol, delta):
+        out[part] = kernel @ coeffs
     return (out / np.sqrt(grid.size)).reshape(grid.shape)
+
+
+def _planar(spec):
+    """The 2-d spec whose components are the 1-d ones at (x_0, xi_0 + xi_1 / 2)."""
+    unset = SymbolSpec().b1
+
+    def planar(f):
+        return lambda z, x, xi: f(z, x[0], xi[0] + 0.5 * xi[1])
+
+    return replace(spec, **{name: planar(getattr(spec, name))
+                            for name in ("b1", "b0", "c1", "c0")
+                            if getattr(spec, name) is not unset})
+
+
+@pytest.mark.parametrize("name", ["varspeed", "lens"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
+    # the band probe and dense assembly both take rows through _kernel_table:
+    # a scattered, unsorted row set, in one block or several, equals the
+    # matching rows of the full table bit for bit
+    grid = Grid(2 * propagator._CHUNK_ROWS, 2 * np.pi) if dim == 1 else Grid(32, 2 * np.pi, dim=2)
+    spec = SPECS[name] if dim == 1 else _planar(SPECS[name])
+    rng = np.random.default_rng(23)
+    for variant in (Frozen(), Averaged()):
+        slab = SlabSpec(0.3, 0.3 + 1.0 / 64.0, spec, variant)
+        symbol = partial(propagator._slab_symbol, slab)
+        full = propagator._kernel_table(grid, symbol, slab.thickness)
+        assert full.shape == (grid.size, grid.size)
+        for count in (37, propagator._CHUNK_ROWS + 45, grid.size):
+            rows = rng.permutation(grid.size)[:count]
+            table = propagator._kernel_table(grid, symbol, slab.thickness, rows)
+            assert table.tobytes() == full[rows].tobytes(), (variant, count)
 
 
 def _path_taken(before):
@@ -147,9 +179,9 @@ def _built_rows(monkeypatch):
     blocks = propagator._kernel_blocks
 
     def recording(grid, symbol, delta, rows=None):
-        for block, kernel in blocks(grid, symbol, delta, rows):
-            built.append(np.arange(grid.size)[block])
-            yield block, kernel
+        for part, kernel in blocks(grid, symbol, delta, rows):
+            built.append(np.arange(grid.size)[part] if rows is None else rows[part])
+            yield part, kernel
 
     monkeypatch.setattr(propagator, "_kernel_blocks", recording)
     return built
@@ -162,14 +194,15 @@ def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
     u = random_field(grid, 19)
     apply_slab(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
     assert sum(rows.size for rows in built) <= 32
-    # a lens slab builds each of its rows once, the first one probing its 32
-    # subgrid rows before the others, the second one in a single pass
+    # the first lens slab probes its 32 subgrid rows and then builds all 256
+    # in the direct sum; the second, sent there by the memo, builds all 256 once
     lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
     for k in range(2):
         built.clear()
         apply_slab(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
-        assert [rows.size for rows in built] == ([32, 224] if k == 0 else [256])
-        assert np.array_equal(np.sort(np.concatenate(built)), np.arange(grid.size))
+        assert [rows.size for rows in built] == ([32, 256] if k == 0 else [256])
+        assert np.array_equal(built[0], propagator._band_layout(grid, 32)[0]) == (k == 0)
+        assert np.array_equal(built[-1], np.arange(grid.size))
 
 
 def test_band_doubles_while_a_squaring_tail_can_resolve():
@@ -248,8 +281,9 @@ def test_z_independent_averaged_equals_frozen(grid64):
 
 
 def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
-    # the table is taken at the slab bottom only, never at the Gauss nodes, and
-    # no output row twice: a slab may build its subgrid rows, then the others
+    # the table is taken at the slab bottom only, never at the Gauss nodes, on
+    # distinct rows per build: a slab that falls back probes its 32 subgrid
+    # rows and then builds every row, one that resolves only the probe
     calls = []
     original = symbols.eval_symbol
 
@@ -259,13 +293,12 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
 
     monkeypatch.setattr(symbols, "eval_symbol", counting)
     propagator._band_memo.clear()
-    for thickness, rows in ((0.1, grid64.size), (2.0 ** -10, 32)):
+    for thickness, sizes in ((0.1, [32, grid64.size]), (2.0 ** -10, [32])):
         calls.clear()
         slab = SlabSpec(0.2, 0.2 + thickness, get_symbol("varspeed"), Averaged())
         apply_slab(slab, random_field(grid64, 13))
         assert [z for z, _ in calls] == [0.2] * len(calls)
-        x = np.concatenate([x for _, x in calls])
-        assert x.size == np.unique(x).size == rows
+        assert [x.size for _, x in calls] == [np.unique(x).size for _, x in calls] == sizes
 
 
 def _counted_components(spec):
@@ -354,15 +387,18 @@ def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     u = random_field(grid, 16)
     got = apply_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
     # each table build takes one profile call for the mean of p, and the
-    # components take only that one mean, each output row once, whether the
-    # slab builds its rows in one block or its band subgrid first
-    assert calls.pop("z_profile") == calls["b1"] <= 2
+    # components take only that one mean, on the same rows: the band
+    # subgrid's if the slab probes it, then every output row in one block
+    builds = calls.pop("z_profile")
+    assert builds == calls["b1"] <= 2
     assert len(set(arguments)) == 1
-    rows = {name: np.concatenate(xs) for name, xs in points.items()}
-    assert sorted(rows) == sorted(calls)
-    for name, x in rows.items():
-        assert x.size == np.unique(x).size
-        assert np.array_equal(np.sort(x), np.sort(rows["b1"]))
+    assert sorted(points) == sorted(calls)
+    built = [np.arange(grid.size)]
+    if builds == 2:
+        built.insert(0, propagator._band_layout(grid, 32)[0])
+    for name, xs in points.items():
+        assert len(xs) == builds
+        assert all(np.array_equal(x, rows) for x, rows in zip(xs, built)), name
     want = naive_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, plain, Averaged()), u)
     assert rel_err(got, want) < 1e-12
 

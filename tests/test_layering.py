@@ -83,6 +83,25 @@ def test_only_symbols_reads_the_z_declarations():
     assert not readers, readers
 
 
+def _scopes_naming(node, name, scope="<module>"):
+    """Yield the innermost function around every read of ``name``, bare or as an attribute."""
+    if isinstance(node, ast.FunctionDef):
+        scope = node.name
+    if (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _scopes_naming(child, name, scope)
+
+
+def test_only_the_table_builder_and_the_frequency_sum_build_kernel_rows():
+    # the slab kernel is built in one place: every other caller takes its
+    # rows through propagator._kernel_table
+    namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope in _scopes_naming(ast.parse(path.read_text()), "_kernel_blocks")}
+    assert namers == {"propagator._kernel_table", "propagator._frequency_sum"}, namers
+
+
 # exported for library users although no other package module calls them
 LIBRARY_API = {
     "read_field": "reads the TSLB snapshots that the one-way scenarios write",
