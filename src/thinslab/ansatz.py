@@ -3,7 +3,10 @@
 The composed propagator over [0, Z] with a constant-step subdivision
 0 = z_0 < z_1 < ... < z_N = Z applies one thin slab per interval; an
 intermediate depth z gets all full slabs up to the last z_k <= z and one
-partial slab [z_k, z].  Convergence studies compare the composition at
+partial slab [z_k, z].  A slab maps Fourier coefficients to Fourier
+coefficients (:func:`thinslab.propagator.apply_slab`), so a composition
+transforms its datum once at the start and its result once at the end.
+Convergence studies compare the composition at
 z = Z against a reference (the exact multiplier evolution when the symbol
 is x-independent, otherwise a fine-step composition with slab-averaged
 symbols) and fit a log-log rate.  The residual probe measures how far the
@@ -73,24 +76,27 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
                  variant: object = Frozen(), observer=None) -> Field:
     """Compose thin slabs from depth 0 to z (default: all the way to Z).
 
-    ``observer(k, z_k, field)`` is called after each full slab, which the
-    stability checks use to record norms along the way.  A z exactly on a
-    subdivision point gets no partial slab.
+    The slabs march the Fourier coefficients of u0: one forward transform
+    before the first slab and one inverse after the last.
+    ``observer(k, z_k, field)`` is called after each full slab with the
+    field's samples, one inverse transform per call, which the stability
+    checks use to record norms along the way.  A z exactly on a subdivision
+    point gets no partial slab.
     """
     if z is None:
         z = sub.Z
     k_full, rem = _split_depth(sub, z)
-    u = u0
+    c = spectral.forward(u0)
     step = sub.step
     for k in range(k_full):
         slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max)
-        u = propagator.apply_slab(slab, u)
+        c = propagator.apply_slab(slab, c)
         if observer is not None:
-            observer(k + 1, (k + 1) * step, u)
+            observer(k + 1, (k + 1) * step, spectral.inverse(c))
     if rem > 0.0:
         slab = SlabSpec(k_full * step, k_full * step + rem, spec, variant, sub.delta_max)
-        u = propagator.apply_slab(slab, u)
-    return u
+        c = propagator.apply_slab(slab, c)
+    return spectral.inverse(c)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def residual_norm(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float, s: fl
 
     The z-derivative is a centered difference with step h_z (default
     step/64); z must sit at least h_z inside a slab so all three
-    evaluations share the same slab prefix.
+    evaluations share the same slab prefix, whose coefficients are taken once.
     """
     if h_z is None:
         h_z = sub.step / 64.0
@@ -153,12 +159,13 @@ def residual_norm(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float, s: fl
         raise PositionError(
             f"z = {z:g} is within h_z = {h_z:g} of a slab boundary")
     k_full, _ = _split_depth(sub, z)
-    prefix = apply_ansatz(spec, sub, u0, z=k_full * sub.step, variant=variant)
+    prefix = spectral.forward(
+        apply_ansatz(spec, sub, u0, z=k_full * sub.step, variant=variant))
     z_bot = k_full * sub.step
 
     def partial(z_to: float) -> Field:
         slab = SlabSpec(z_bot, z_to, spec, variant, sub.delta_max)
-        return propagator.apply_slab(slab, prefix)
+        return spectral.inverse(propagator.apply_slab(slab, prefix))
 
     u_minus, u_mid, u_plus = partial(z - h_z), partial(z), partial(z + h_z)
     dz = (u_plus.values - u_minus.values) / (2.0 * h_z)

@@ -5,15 +5,19 @@ oscillatory kernel
 
     u'(x') = (1/sqrt(N)) * sum_k exp(i xi_k . x') * exp(-Delta * a(x', xi_k)) * u_hat_k,
 
-i.e. one FFT of the input followed by a frequency sum with an
-output-point-dependent multiplier.  The symbol is either frozen at the slab
-bottom, a(slab.z, x', xi), or replaced by its slab mean, which
-:func:`thinslab.symbols.averaged_symbol` takes; how the mean is taken
-follows from the symbol's z-declarations, which only that function reads.
-When the symbol does not depend on x the sum collapses exactly to a
+a frequency sum with an output-point-dependent multiplier.  A slab maps
+Fourier coefficients to Fourier coefficients: :func:`apply_slab` takes and
+returns a :class:`thinslab.spectral.SpectralField`, so a composition of
+slabs transforms once at its start and once at its end
+(:func:`thinslab.ansatz.apply_ansatz`), not twice per slab.  The symbol is
+either frozen at the slab bottom, a(slab.z, x', xi), or replaced by its slab
+mean, which :func:`thinslab.symbols.averaged_symbol` takes; how the mean is
+taken follows from the symbol's z-declarations, which only that function
+reads.  When the symbol does not depend on x the sum collapses exactly to a
 Fourier multiplier, built in one place, :func:`_multiplier`;
-:func:`_frequency_sum` applies it in O(N log N) for slabs, for the operator
-a(z, x, D_x) and for the exact multiplier evolution.
+:func:`_frequency_sum` scales the coefficients with it for slabs, for the
+operator a(z, x, D_x) and for the exact multiplier evolution.  The last two
+keep samples in and out, one transform on each side.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
 output rows (every row, or a given set of them), and serves slab
@@ -31,13 +35,15 @@ and analytic in x for the registry's transport symbols.  So
 :func:`_frequency_sum` first builds the kernel rows of a 32-point-per-axis
 subgrid (doubled while the tail can still resolve) and takes their FFT over
 x.  When the amplitude's x-Fourier band resolves there to 1e-15, the slab is
-the separated sum sum_b e^(i b . w0 x) * inverse(A_b * u_hat), one inverse
-FFT, at the cost of the subgrid rows: 32 of 256 at n = 256.  Otherwise the
-direct O(N^2) sum is taken over every row, the probe's rows included.  A
-depth-free symbol has one kernel per thickness, so the band coefficients
-A_b of the last such thickness are kept in a one-cell memo: later slabs of
-that thickness cost two FFTs and the band products, with no symbol and no
-kernel row.  Dense assembly always builds the full kernel table.
+the banded map  c'_i = sum_b A_b[i - b] * c[i - b]  on coefficients (indices
+mod n per axis), with no transform at all, at the cost of the subgrid rows:
+32 of 256 at n = 256.  Otherwise the direct O(N^2) sum is taken over every
+row, the probe's rows included, and its output samples take one forward
+transform.  A depth-free
+symbol has one kernel per thickness, so the band coefficients A_b of the
+last such thickness are kept in a one-cell memo: later slabs of that
+thickness cost the band products alone, with no symbol, no kernel row and
+no FFT.  Dense assembly always builds the full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -157,6 +163,14 @@ def _pack(coords, grid: Grid):
     return coords[0] if grid.dim == 1 else coords
 
 
+# counts of the kernel sums since the last reset, which the run manifest
+# records: sums on the x-band of the amplitude, those of them that took the
+# band coefficients from the memo, direct sums, the largest subgrid size
+# per axis that a band resolved at, and the kernel rows _kernel_blocks built
+counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0,
+            "kernel_rows": 0}
+
+
 def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
     """Yield (part, K) over blocks of output points; K[r, k] is a kernel entry.
 
@@ -169,7 +183,8 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
     theta = 2 pi ((j . k) mod n) / n, the integer product taken exactly, one
     complex exp per entry; with ``delta`` None it is e^(i theta) * a.  An
     entry does not depend on the other rows of its block.  The 1/sqrt(N)
-    normalisation is left to the caller.
+    normalisation is left to the caller.  Each block adds its rows to
+    ``counters["kernel_rows"]``.
     """
     n = grid.n_points
     j, k = _lattice(grid)
@@ -192,6 +207,7 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
             del turns
             kernel *= scale
             np.exp(kernel, out=kernel)
+        counters["kernel_rows"] += kernel.shape[0]
         yield part, kernel
 
 
@@ -220,12 +236,6 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     a = symbol(zero_x, _pack(grid.frequency_meshes(), grid))
     return a if delta is None else np.exp(-delta * a)
 
-
-# counts of the kernel sums since the last reset, which the run manifest
-# records: sums on the x-band of the amplitude, those of them that took the
-# band coefficients from the memo, direct sums, and the largest subgrid size
-# per axis that a band resolved at
-counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0}
 
 # The cell of the last (spec, delta, grid) of a symbols.depth_free spec that
 # :func:`_frequency_sum` took, which a new key replaces: (m, inner), the
@@ -272,31 +282,36 @@ def _band_layout(grid: Grid, m: int):
     return layout
 
 
-def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) -> Field:
-    """Sum the field's Fourier coefficients against the kernel of ``symbol``.
+def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
+                   delta: float | None) -> SpectralField:
+    """Sum the Fourier coefficients ``c`` against the kernel of ``symbol``.
 
-    An x-independent spec takes the O(N log N) path: its :func:`_multiplier`
-    scales the field's Fourier coefficients.  Any other kernel is first built
-    on the m^dim-point subgrid of :func:`_band_layout`, m = 32 per axis, and
-    transformed over x there.  When every amplitude coefficient outside the
-    inner half of that band is at most 1e-15 of the largest |amplitude|, the
-    amplitude is band-limited to machine precision and the sum is
+    Coefficients in, coefficients out.  An x-independent spec takes the O(N)
+    path: its :func:`_multiplier` scales the coefficients.  Any other kernel
+    is first built on the m^dim-point subgrid of :func:`_band_layout`, m = 32
+    per axis, and transformed over x there.  When every amplitude coefficient
+    outside the inner half of that band is at most 1e-15 of the largest
+    |amplitude|, the amplitude is band-limited to machine precision and the
+    slab's samples are
 
-        sum_b e^(i b . w0 x) * inverse(A_b * u_hat),   |b| < m/4 per axis,
+        sum_b e^(i b . w0 x) * inverse(A_b * c),   |b| < m/4 per axis,
 
-    with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period),
-    taken as one inverse FFT of the shifted products.  Otherwise m doubles
+    with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period).
+    On coefficients that is a banded map, since e^(i b . w0 x) shifts the
+    index by b: output coefficient i sums A_b[i - b] * c[i - b] over the
+    band, and no transform is taken.  Otherwise m doubles
     below n, each doubling building its whole subgrid, while a tail that
     squares with each doubling could still reach the tolerance:
     outer^(2^r) <= 1e-15 |amplitude|^(2^r), with r the doublings left.  A
     subgrid table holds at most 2^22 entries (64 MB, m = 32 on a 64^2 grid).
     When the band does not resolve, the direct O(N^2) sum is taken block by
-    block over every row of :func:`_kernel_blocks`, the probe's rows included.
+    block over every row of :func:`_kernel_blocks`, the probe's rows included,
+    and its output samples take one forward transform.
 
     Slabs of a :func:`thinslab.symbols.depth_free` spec share one kernel per
     (spec, delta, grid), so its first slab leaves the one cell of
     ``_band_memo``: the resolved m with its band coefficients, which later
-    slabs sum with directly (no symbol, no kernel row, no subgrid FFT), or 0,
+    slabs sum with directly (no symbol, no kernel row, no FFT), or 0,
     which sends them to the direct sum at once.  A slab on another key
     replaces the cell; the studies and the one-way march apply each
     thickness of a dyadic subdivision in one contiguous run, so one cell
@@ -304,10 +319,10 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
     below 2^21 coefficients (32 MB): a 2-D 64^2 cell takes 14.7 MB, and a
     1-D n = 256 cell at m = 128 takes 258 KB.
     """
-    grid = field.grid
+    grid = c.grid
     if spec.x_independent:
-        return spectral.apply_multiplier(field, _multiplier(grid, symbol, delta))
-    coeffs = spectral.forward(field).coeffs.ravel()
+        return SpectralField(grid, c.coeffs * _multiplier(grid, symbol, delta))
+    coeffs = c.coeffs.ravel()
     tol = 1e-15
     key = (spec, delta, grid) if symbols.depth_free(spec) else None
     m, inner = _band_memo.get(key, (32, None))
@@ -343,23 +358,28 @@ def _frequency_sum(field: Field, spec: SymbolSpec, symbol, delta: float | None) 
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)
         shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
-        return spectral.inverse(SpectralField(grid, shifted.reshape(grid.shape)))
+        return SpectralField(grid, shifted.reshape(grid.shape))
     counters["direct_sums"] += 1
     out = np.empty(grid.size, dtype=np.complex128)
     for part, kernel in _kernel_blocks(grid, symbol, delta):
         out[part] = kernel @ coeffs
     out /= np.sqrt(grid.size)
-    return Field(grid, out.reshape(grid.shape))
+    return spectral.forward(Field(grid, out.reshape(grid.shape)))
 
 
-def apply_slab(slab: SlabSpec, field: Field) -> Field:
-    """Apply one thin-slab propagator (either variant) to a field."""
-    return _frequency_sum(field, slab.spec, partial(_slab_symbol, slab), slab.thickness)
+def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
+    """Apply one thin-slab propagator (either variant) to Fourier coefficients.
+
+    ``c`` holds the coefficients of :func:`thinslab.spectral.forward`, and so
+    does the result: a slab's Fourier-basis matrix is :func:`assemble_matrix`.
+    """
+    return _frequency_sum(c, slab.spec, partial(_slab_symbol, slab), slab.thickness)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    return _frequency_sum(field, spec, partial(symbols.eval_symbol, spec, z), None)
+    return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
+                                           partial(symbols.eval_symbol, spec, z), None))
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -374,7 +394,9 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    return _frequency_sum(field, spec, partial(symbols.averaged_symbol, spec, z0, z1), z1 - z0)
+    return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
+                                           partial(symbols.averaged_symbol, spec, z0, z1),
+                                           z1 - z0))
 
 
 # ---------------------------------------------------------------------------

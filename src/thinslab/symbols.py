@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 
 
 class EvaluationError(ValueError):
-    """A symbol component produced non-finite values."""
+    """A symbol component failed: non-finite values, or coordinates it does not take."""
 
 
 class PreconditionError(ValueError):
@@ -128,11 +128,30 @@ counters = {"symbol_tables": 0}
 
 
 def _table(spec: SymbolSpec, p, x, xi) -> np.ndarray:
-    """The symbol table of :func:`eval_symbol` with the components at argument p."""
+    """The symbol table of :func:`eval_symbol` with the components at argument p.
+
+    A component that raises ValueError on these coordinates, or returns a
+    value that does not broadcast to their shape (a 1-d component given the
+    coordinate tuples of a 2-d grid), raises EvaluationError naming the
+    component and the grid dimension.
+    """
     counters["symbol_tables"] += 1
-    parts = [(name, getattr(spec, name)(p, x, xi)) for name in _COMPONENTS
-             if getattr(spec, name) is not _zero]
-    out = np.zeros(_coordinate_shape(x, xi), dtype=np.complex128)
+    shape = _coordinate_shape(x, xi)
+    dim = len(x) if isinstance(x, tuple) else 1
+    parts = []
+    for name in _COMPONENTS:
+        component = getattr(spec, name)
+        if component is _zero:
+            continue
+        try:
+            value = component(p, x, xi)
+            if np.shape(value) != shape:
+                np.broadcast_to(value, shape)       # raises ValueError unless it broadcasts
+        except ValueError as exc:
+            raise EvaluationError(f"symbol component {name!r} does not take the coordinates "
+                                  f"of a {dim}-d grid (table shape {shape}): {exc}") from exc
+        parts.append((name, value))
+    out = np.zeros(shape, dtype=np.complex128)
     for name, value in parts:
         if name in ("c1", "c0"):
             out.real += value

@@ -3,6 +3,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from thinslab import Field, Grid
+from thinslab.propagator import apply_slab
+from thinslab.spectral import forward, inverse
 from thinslab.symbols import eval_symbol
 
 
@@ -20,6 +22,11 @@ def random_field(grid, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return Field(grid, vals)
+
+
+def slab_samples(slab, field):
+    """One slab on samples: apply_slab between one forward and one inverse transform."""
+    return inverse(apply_slab(slab, forward(field)))
 
 
 def rel_err(a, b):

@@ -5,19 +5,19 @@ import os
 import numpy as np
 import pytest
 
-from thinslab import ansatz
+from thinslab import ansatz, propagator, spectral
 from thinslab.ansatz import (
     ExactMultiplier, FineStep, PositionError, Subdivision, SubdivisionError,
     apply_ansatz, convergence_study, reference_solution, residual_norm,
     uniform_bound_check,
 )
 from thinslab.propagator import (
-    Averaged, Frozen, apply_slab, exact_multiplier_evolution, SlabSpec,
+    Averaged, Frozen, exact_multiplier_evolution, SlabSpec,
 )
 from thinslab.spectral import Field, Grid, sobolev_norm, wave_packet
 from thinslab.symbols import SymbolSpec, get_symbol
 
-from conftest import random_field, rel_err
+from conftest import random_field, rel_err, slab_samples
 
 
 def test_subdivision_validation():
@@ -39,7 +39,7 @@ def test_ansatz_endpoint_equals_composition(grid64):
     w = apply_ansatz(spec, sub, u0, z=0.375)
     v = u0
     for k in range(3):
-        v = apply_slab(SlabSpec(k * 0.125, (k + 1) * 0.125, spec), v)
+        v = slab_samples(SlabSpec(k * 0.125, (k + 1) * 0.125, spec), v)
     assert rel_err(w.values, v.values) < 1e-12
 
 
@@ -50,8 +50,8 @@ def test_ansatz_partial_slab(grid64):
     w = apply_ansatz(spec, sub, u0, z=0.3)
     v = u0
     for k in range(2):
-        v = apply_slab(SlabSpec(k * 0.125, (k + 1) * 0.125, spec), v)
-    v = apply_slab(SlabSpec(0.25, 0.3, spec), v)
+        v = slab_samples(SlabSpec(k * 0.125, (k + 1) * 0.125, spec), v)
+    v = slab_samples(SlabSpec(0.25, 0.3, spec), v)
     assert rel_err(w.values, v.values) < 1e-12
 
 
@@ -73,6 +73,24 @@ def test_observer_sees_every_slab(grid64):
     apply_ansatz(spec, sub, u0, observer=lambda k, zk, f: seen.append((k, zk)))
     assert [k for k, _ in seen] == list(range(1, 9))
     assert abs(seen[-1][1] - 1.0) < 1e-12
+
+
+def test_march_transforms_once_at_each_end():
+    # every Delta = 1/64 varspeed slab at n = 256 is a band slab, which maps
+    # coefficients to coefficients: the march takes one forward transform of
+    # u0 and one inverse of the result, and an observer one inverse per slab
+    grid = Grid(256, 2 * np.pi)
+    spec, sub, u0 = get_symbol("varspeed"), Subdivision(1.0, 64), wave_packet(grid)
+    propagator.reset_counts()
+    plain = apply_ansatz(spec, sub, u0)
+    assert propagator.counters["band_sums"] == 64 and propagator.counters["direct_sums"] == 0
+    assert spectral.counters["transforms"] == 2
+    propagator.reset_counts()
+    seen = []
+    observed = apply_ansatz(spec, sub, u0, observer=lambda k, zk, f: seen.append(k))
+    assert seen == list(range(1, 65))
+    assert spectral.counters["transforms"] == 2 + 64
+    assert observed.values.tobytes() == plain.values.tobytes()
 
 
 def test_averaged_telescopes_to_exact_multiplier(grid64):

@@ -151,10 +151,13 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     # 127 later slabs take the first one's band coefficients from the memo.
     # Symbol tables: one per direct slab, one more per probed subgrid of the
     # three direct thicknesses and of the reference, and one per dense matrix of
-    # the six-thickness norm sweep.  Every slab takes one forward transform and
-    # every band slab one inverse; four H^s norms and one property case take
-    # six more.  A rerun resets the counts and the memo, and a rejected
-    # configuration counts nothing.
+    # the six-thickness norm sweep.  Kernel rows: every row of each direct slab
+    # (88 x 64), the 32-row subgrid of each of the four probes and every row of
+    # the six dense matrices.  A slab maps coefficients, so each of the four
+    # compositions takes one transform at each end and each direct slab one
+    # forward transform of its output samples; four H^s norms and one property
+    # case take six more.  A rerun resets the counts and the memo, and a
+    # rejected configuration counts nothing.
     cfg = resolve_config("varspeed", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path / "vs")})
     for _ in range(2):
@@ -162,13 +165,15 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
         manifest = json.loads((tmp_path / "vs" / "manifest.json").read_text())
         assert manifest["counters"] == {"band_sums": 128, "band_reuses": 127,
                                         "direct_sums": 88, "band_points_max": 32,
-                                        "symbol_tables": 98, "transforms": 350}
+                                        "kernel_rows": 6144, "symbol_tables": 98,
+                                        "transforms": 102}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "direct_sums": 0,
-                                    "band_points_max": 0, "symbol_tables": 0, "transforms": 0}
+                                    "band_points_max": 0, "kernel_rows": 0,
+                                    "symbol_tables": 0, "transforms": 0}
 
 
 def test_run_report_csv_and_json(tmp_path):

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from thinslab import oneway, propagator, symbols
 from thinslab.propagator import Averaged, Frozen, SlabSpec, apply_slab, assemble_matrix
-from thinslab.spectral import Grid, SpectralField, forward, inverse
+from thinslab.spectral import Field, Grid, SpectralField, forward, inverse
 from thinslab.symbols import EvaluationError, SymbolSpec, get_symbol
 
-from conftest import node_mean, random_field, rel_err
+from conftest import node_mean, random_field, rel_err, slab_samples
 
 AP = oneway.ApertureConfig(theta1=np.pi / 12.0, theta2=np.pi * 50.0 / 180.0, tau=32.0)
 
@@ -56,7 +56,7 @@ def naive_slab(slab, field):
 def test_kernel_matches_naive_sum(name, variant, n, z, delta, seed):
     slab = SlabSpec(z, z + delta, SPECS[name], variant)
     u = random_field(Grid(n, 2 * np.pi), seed)
-    assert rel_err(apply_slab(slab, u).values, naive_slab(slab, u)) < 1e-12
+    assert rel_err(slab_samples(slab, u).values, naive_slab(slab, u)) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -64,7 +64,7 @@ def test_kernel_matches_naive_sum_over_two_row_blocks(name):
     u = random_field(Grid(2 * propagator._CHUNK_ROWS, 2 * np.pi), 11)
     for variant in (Frozen(), Averaged()):
         slab = SlabSpec(0.3, 0.3 + 1.0 / 64.0, SPECS[name], variant)
-        assert rel_err(apply_slab(slab, u).values, naive_slab(slab, u)) < 1e-12
+        assert rel_err(slab_samples(slab, u).values, naive_slab(slab, u)) < 1e-12
 
 
 def direct_kernel_sum(field, symbol, delta):
@@ -110,42 +110,85 @@ def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
 
 
 def _path_taken(before):
+    """The path of the one slab or operator sum since ``before``, from the kernel-sum counters."""
     after = propagator.counters
-    assert after["band_sums"] + after["direct_sums"] == \
-        before["band_sums"] + before["direct_sums"] + 1
+    sums = after["band_sums"] + after["direct_sums"] - before["band_sums"] - before["direct_sums"]
+    if sums == 0:
+        return "multiplier"
+    assert sums == 1
+    if after["band_reuses"] > before["band_reuses"]:
+        return "memo"
     return "band" if after["band_sums"] > before["band_sums"] else "direct"
+
+
+# the paths the slabs of each spec take below on 1-d grids: only a depth-free,
+# x-dependent spec reuses a memo, and the lens amplitude has kinks in its C^2
+# collar, so it never resolves
+PATHS = {
+    "varspeed": {"band", "memo", "direct"}, "damped-varspeed": {"band", "memo", "direct"},
+    "varspeed-z": {"band", "direct"}, "hoelder-z": {"band", "direct"},
+    "lens": {"direct"}, "translation": {"multiplier"},
+}
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_band_slab_matches_direct_kernel_sum(name):
-    # every slab and operator application on the x-band of its amplitude
-    # matches the direct sum over all kernel rows to 1e-13 relative; one that
-    # falls back to the direct sum equals it bit for bit
+    # every slab and operator sum on the x-band of its amplitude matches the
+    # direct sum over all kernel rows to 1e-13 relative, in coefficients; one
+    # that falls back to the direct sum equals its forward transform bit for bit
     spec = SPECS[name]
     paths = set()
     propagator._band_memo.clear()
     for n in (64, 128, 256, 512):
         grid = Grid(n, 2 * np.pi)
         u = random_field(grid, n)
-        cases = [(partial(symbols.eval_symbol, spec, 0.3), None,
-                  lambda: propagator.apply_symbol_operator(spec, 0.3, u))]
+        c = forward(u)
+        operator = partial(symbols.eval_symbol, spec, 0.3)
+        cases = [(operator, None, partial(propagator._frequency_sum, c, spec, operator, None))]
         for k in range(3, 11):
             for variant in (Frozen(), Averaged()):
                 slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
                 cases.append((partial(propagator._slab_symbol, slab), slab.thickness,
-                              partial(apply_slab, slab, u)))
+                              partial(apply_slab, slab, c)))
         for symbol, delta, apply in cases:
             before = dict(propagator.counters)
-            got = apply().values
-            want = direct_kernel_sum(u, symbol, delta)
+            got = apply().coeffs
+            want = forward(Field(grid, direct_kernel_sum(u, symbol, delta))).coeffs
             path = _path_taken(before)
             paths.add(path)
-            if path == "band":
-                assert rel_err(got, want) < 1e-13, (n, delta)
-            else:
+            if path == "direct":
                 assert got.tobytes() == want.tobytes(), (n, delta)
-    # the lens amplitude has kinks in its C^2 collar, so it never resolves
-    assert paths == ({"direct"} if name == "lens" else {"band", "direct"})
+            else:
+                assert rel_err(got, want) < 1e-13, (n, delta)
+    assert paths == PATHS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+@pytest.mark.parametrize("n, dim", [(64, 1), (256, 1), (16, 2)])
+def test_slab_on_coefficients_equals_its_dense_matrix(name, n, dim):
+    # apply_slab maps coefficients to coefficients, the map assemble_matrix
+    # writes down: the two agree to the band test's 1e-13 relative on every path
+    spec = get_symbol("translation") if name == "translation" else SPECS[name]
+    spec = spec if dim == 1 else _planar(spec)
+    grid = Grid(n, 2 * np.pi, dim=dim)
+    c = forward(random_field(grid, 24))
+    paths = set()
+    propagator._band_memo.clear()
+    for k in (3, 6, 10):
+        for variant in (Frozen(), Averaged()):
+            slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
+            want = assemble_matrix(slab, grid) @ c.coeffs.ravel()
+            for _ in range(2):      # a depth-free band slab takes the memo the second time
+                before = dict(propagator.counters)
+                got = apply_slab(slab, c).coeffs.ravel()
+                paths.add(_path_taken(before))
+                assert rel_err(got, want) < 1e-13, (k, variant, paths)
+    if dim == 2 and name != "translation":
+        assert paths == {"direct"}      # 16^2 has no subgrid of 32 < n points per axis
+    elif (name, n) == ("hoelder-z", 256):
+        assert paths == {"band"}        # even Delta = 1/8 resolves on 128 points
+    else:
+        assert paths == PATHS[name]
 
 
 def test_two_dimensional_band_slab():
@@ -163,14 +206,14 @@ def test_two_dimensional_band_slab():
     propagator._band_memo.clear()
     propagator._band_memo[(spec, 2.0 ** -9, grid)] = filler
     before = dict(propagator.counters)
-    got = apply_slab(slab, u).values
+    got = slab_samples(slab, u).values
     assert _path_taken(before) == "band"
     want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
     assert rel_err(got, want) < 1e-13
     key = (spec, slab.thickness, grid)
     assert list(propagator._band_memo) == [key]
     assert propagator._band_memo[key][1].shape == filler[1].shape
-    assert apply_slab(slab, u).values.tobytes() == got.tobytes()
+    assert slab_samples(slab, u).values.tobytes() == got.tobytes()
 
 
 def _built_rows(monkeypatch):
@@ -192,14 +235,14 @@ def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
     built = _built_rows(monkeypatch)
     grid = Grid(256, 2 * np.pi)
     u = random_field(grid, 19)
-    apply_slab(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
+    slab_samples(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
     assert sum(rows.size for rows in built) <= 32
     # the first lens slab probes its 32 subgrid rows and then builds all 256
     # in the direct sum; the second, sent there by the memo, builds all 256 once
     lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
     for k in range(2):
         built.clear()
-        apply_slab(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
+        slab_samples(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
         assert [rows.size for rows in built] == ([32, 256] if k == 0 else [256])
         assert np.array_equal(built[0], propagator._band_layout(grid, 32)[0]) == (k == 0)
         assert np.array_equal(built[-1], np.arange(grid.size))
@@ -213,7 +256,7 @@ def test_band_doubles_while_a_squaring_tail_can_resolve():
     u = random_field(grid, 22)
     propagator._band_memo.clear()
     for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
-        apply_slab(SlabSpec(0.0, 2.0 ** -k, spec), u)
+        slab_samples(SlabSpec(0.0, 2.0 ** -k, spec), u)
         assert list(propagator._band_memo) == [(spec, 2.0 ** -k, grid)]
         assert propagator._band_memo[(spec, 2.0 ** -k, grid)][0] == m, k
 
@@ -244,12 +287,12 @@ def test_band_memo_slab_equals_the_probed_slab(name, monkeypatch):
         for variant in (Frozen(), Averaged()):
             propagator._band_memo.clear()
             slab = SlabSpec(0.5, 0.5 + 2.0 ** -k, spec, variant)
-            first = apply_slab(slab, u).values
+            first = slab_samples(slab, u).values
             probed = propagator._band_memo[(spec, slab.thickness, grid)][1] is not None
             built.clear()
             calls.clear()
             before = dict(propagator.counters)
-            again = apply_slab(slab, u).values
+            again = slab_samples(slab, u).values
             assert again.tobytes() == first.tobytes(), (k, variant)
             reused = propagator.counters["band_reuses"] - before["band_reuses"]
             assert reused == probed
@@ -263,11 +306,11 @@ def test_invalid_quadrature_order_raises_on_a_filled_memo_cell():
     spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
     u = random_field(grid, 21)
     propagator._band_memo.clear()
-    apply_slab(SlabSpec(0.0, 2.0 ** -6, spec, Frozen()), u)
+    slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Frozen()), u)
     assert propagator._band_memo[(spec, 2.0 ** -6, grid)][1] is not None
     for order in (0, symbols.MAX_QUADRATURE_ORDER + 1):
         with pytest.raises(ValueError, match="quadrature_order must be in 1..1024"):
-            apply_slab(SlabSpec(0.0, 2.0 ** -6, spec, Averaged(order)), u)
+            slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Averaged(order)), u)
 
 
 def test_z_independent_averaged_equals_frozen(grid64):
@@ -275,8 +318,8 @@ def test_z_independent_averaged_equals_frozen(grid64):
     for name in ("varspeed", "damped-varspeed", "lens"):
         spec = SPECS[name]
         assert spec.z_independent
-        frozen = apply_slab(SlabSpec(0.2, 0.3, spec, Frozen()), u)
-        averaged = apply_slab(SlabSpec(0.2, 0.3, spec, Averaged()), u)
+        frozen = slab_samples(SlabSpec(0.2, 0.3, spec, Frozen()), u)
+        averaged = slab_samples(SlabSpec(0.2, 0.3, spec, Averaged()), u)
         assert rel_err(averaged.values, frozen.values) < 1e-13
 
 
@@ -296,7 +339,7 @@ def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
     for thickness, sizes in ((0.1, [32, grid64.size]), (2.0 ** -10, [32])):
         calls.clear()
         slab = SlabSpec(0.2, 0.2 + thickness, get_symbol("varspeed"), Averaged())
-        apply_slab(slab, random_field(grid64, 13))
+        slab_samples(slab, random_field(grid64, 13))
         assert [z for z, _ in calls] == [0.2] * len(calls)
         assert [x.size for _, x in calls] == [np.unique(x).size for _, x in calls] == sizes
 
@@ -385,7 +428,7 @@ def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     grid = Grid(64, 2 * np.pi) if dim == 1 else Grid(8, 2 * np.pi, dim=2)
     assert grid.size <= propagator._CHUNK_ROWS          # one block of output points
     u = random_field(grid, 16)
-    got = apply_slab(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
+    got = slab_samples(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
     # each table build takes one profile call for the mean of p, and the
     # components take only that one mean, on the same rows: the band
     # subgrid's if the slab probes it, then every output row in one block
@@ -410,7 +453,7 @@ def test_nan_component_named_through_slab(grid64):
                       z_bandwidth=1.0)
     for variant in (Frozen(), Averaged()):
         with pytest.raises(EvaluationError) as err:
-            apply_slab(SlabSpec(0.0, 0.1, spec, variant), random_field(grid64, 14))
+            slab_samples(SlabSpec(0.0, 0.1, spec, variant), random_field(grid64, 14))
         assert "'c0'" in str(err.value)
 
 
@@ -423,7 +466,7 @@ def test_two_dimensional_slab_with_unset_components(n):
     grid = Grid(n, 2 * np.pi, dim=2)
     slab = SlabSpec(0.0, 1.0 / 16.0, SymbolSpec(b1=b1, z_independent=True))
     u = random_field(grid, 15)
-    got = apply_slab(slab, u).values
+    got = slab_samples(slab, u).values
     assert rel_err(got, naive_slab(slab, u)) < 1e-12
     coeffs = assemble_matrix(slab, grid) @ forward(u).coeffs.ravel()
     assert rel_err(got, inverse(SpectralField(grid, coeffs.reshape(grid.shape))).values) < 1e-12
@@ -443,7 +486,7 @@ def test_two_dimensional_multiplier_fast_path(n):
     u = random_field(grid, 16)
     for variant in (Frozen(), Averaged()):
         slab = SlabSpec(0.2, 0.2 + 1.0 / 16.0, spec, variant)
-        got = apply_slab(slab, u).values
+        got = slab_samples(slab, u).values
         assert rel_err(got, naive_slab(slab, u)) < 1e-12
         exact = propagator.exact_multiplier_evolution(spec, slab.z, slab.z_prime, u)
         assert rel_err(got, exact.values) < 1e-12

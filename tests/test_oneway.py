@@ -15,7 +15,7 @@ from thinslab.symbols import (
     averaged_symbol, check_PL, eval_symbol, recommended_quadrature_order,
 )
 
-from conftest import rel_err
+from conftest import rel_err, slab_samples
 
 AP = ApertureConfig(theta1=np.pi / 12.0, theta2=np.pi * 50.0 / 180.0, tau=32.0)
 
@@ -239,8 +239,8 @@ def test_z_dependent_medium_averaged_slab():
     rng = np.random.default_rng(6)
     u = Field(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     z0, z1 = 0.5, 0.625
-    averaged = propagator.apply_slab(propagator.SlabSpec(z0, z1, spec, propagator.Averaged()), u)
-    frozen = propagator.apply_slab(propagator.SlabSpec(z0, z1, spec, propagator.Frozen()), u)
+    averaged = slab_samples(propagator.SlabSpec(z0, z1, spec, propagator.Averaged()), u)
+    frozen = slab_samples(propagator.SlabSpec(z0, z1, spec, propagator.Frozen()), u)
     xi = g.axis_frequencies()
     mean_a = averaged_symbol(spec, z0, z1, 0.0, xi, recommended_quadrature_order(spec, z1 - z0))
     expected = inverse(SpectralField(g, forward(u).coeffs * np.exp(-(z1 - z0) * mean_a)))

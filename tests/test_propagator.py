@@ -8,7 +8,7 @@ import pytest
 from thinslab import propagator
 from thinslab.propagator import (
     Averaged, ContractViolation, Frozen, MatrixSizeError,
-    SlabError, SlabSpec, VariantError, apply_slab, apply_symbol_operator,
+    SlabError, SlabSpec, VariantError, apply_symbol_operator,
     assemble_matrix, exact_multiplier_evolution, operator_norm_hs,
     semigroup_defect,
 )
@@ -17,7 +17,7 @@ from thinslab.spectral import (
 )
 from thinslab.symbols import SymbolSpec, get_symbol
 
-from conftest import node_mean, random_field, rel_err
+from conftest import node_mean, random_field, rel_err, slab_samples
 
 
 def ones_like(z, x, xi):
@@ -68,7 +68,7 @@ def test_zero_symbol_is_identity(grid64):
     slab = SlabSpec(0.0, 0.125, SymbolSpec(x_independent=True, z_independent=True))
     for seed in range(10):
         u = random_field(grid64, seed)
-        v = apply_slab(slab, u)
+        v = slab_samples(slab, u)
         assert rel_err(v.values, u.values) < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_translation_slab_shifts(grid64):
     delta = grid64.spacing * 5
     slab = SlabSpec(0.0, delta, spec, delta_max=1.0)
     u = random_field(grid64, 1)
-    v = apply_slab(slab, u)
+    v = slab_samples(slab, u)
     assert rel_err(v.values, np.roll(u.values, -5)) < 1e-12
 
 
@@ -90,7 +90,7 @@ def test_constant_damping_scalar():
                       x_independent=True, z_independent=True)
     slab = SlabSpec(0.0, 0.1, spec)
     u = random_field(g, 2)
-    v = apply_slab(slab, u)
+    v = slab_samples(slab, u)
     assert rel_err(v.values, np.exp(-0.1 * gamma) * u.values) < 1e-13
 
 
@@ -99,7 +99,7 @@ def test_dense_path_matches_kernel_sum_oracle():
     spec = get_symbol("varspeed")
     slab = SlabSpec(0.0, 1.0 / 16.0, spec)
     u = random_field(g, 3)
-    fast = apply_slab(slab, u)
+    fast = slab_samples(slab, u)
     slow = kernel_sum_oracle(spec, 0.0, 1.0 / 16.0, u)
     assert rel_err(fast.values, slow.values) < 1e-12
 
@@ -109,7 +109,7 @@ def test_averaged_path_matches_kernel_sum_oracle():
     spec = get_symbol("varspeed-z")
     slab = SlabSpec(0.25, 0.25 + 1.0 / 16.0, spec, Averaged())
     u = random_field(g, 4)
-    fast = apply_slab(slab, u)
+    fast = slab_samples(slab, u)
     slow = kernel_sum_oracle(spec, 0.25, 1.0 / 16.0, u, averaged=True)
     assert rel_err(fast.values, slow.values) < 1e-12
 
@@ -122,8 +122,8 @@ def test_multiplier_fast_path_matches_dense(grid64):
     fast_spec = SymbolSpec(b1=b1, x_independent=True, z_independent=True)
     dense_spec = SymbolSpec(b1=b1, z_independent=True)
     u = random_field(grid64, 5)
-    a = apply_slab(SlabSpec(0.0, 0.1, fast_spec), u)
-    b = apply_slab(SlabSpec(0.0, 0.1, dense_spec), u)
+    a = slab_samples(SlabSpec(0.0, 0.1, fast_spec), u)
+    b = slab_samples(SlabSpec(0.0, 0.1, dense_spec), u)
     assert rel_err(a.values, b.values) < 1e-12
 
 
@@ -133,8 +133,8 @@ def test_variant_enforcement(grid64):
     u = random_field(grid64, 6)
     with pytest.raises(VariantError):
         SlabSpec(0.0, 0.1, spec, variant=object())
-    frozen = apply_slab(SlabSpec(0.0, 0.1, spec, Frozen()), u)
-    averaged = apply_slab(SlabSpec(0.0, 0.1, spec, Averaged()), u)
+    frozen = slab_samples(SlabSpec(0.0, 0.1, spec, Frozen()), u)
+    averaged = slab_samples(SlabSpec(0.0, 0.1, spec, Averaged()), u)
     assert rel_err(frozen.values, averaged.values) > 1e-3
 
 
@@ -183,7 +183,7 @@ def _oracle_fourier_matrix(slab, grid):
     for j in range(grid.size):
         e = np.zeros(grid.size)
         e[j] = 1.0
-        P[:, j] = apply_slab(slab, Field(grid, e.reshape(grid.shape))).values.ravel()
+        P[:, j] = slab_samples(slab, Field(grid, e.reshape(grid.shape))).values.ravel()
     F = _explicit_dft(grid)
     return F @ P @ F.conj().T
 
@@ -208,7 +208,7 @@ def test_matrix_columns_are_basis_images(grid64):
         F = _explicit_dft(grid)
         for l in columns:
             mode = Field(grid, F.conj()[l].reshape(grid.shape))
-            col = F @ apply_slab(slab, mode).values.ravel()
+            col = F @ slab_samples(slab, mode).values.ravel()
             assert rel_err(mat[:, l], col) < 1e-11
 
 
@@ -220,7 +220,7 @@ def test_matrix_apply_matches_direct(grid64):
         u = random_field(grid64, seed)
         coeffs = mat @ forward(u).coeffs
         got = inverse(SpectralField(grid64, coeffs)).values
-        assert rel_err(got, apply_slab(slab, u).values) < 1e-10
+        assert rel_err(got, slab_samples(slab, u).values) < 1e-10
 
 
 def test_matrix_size_guard():
@@ -363,8 +363,8 @@ def test_frozen_vs_averaged_second_order():
     diffs, deltas = [], []
     for k in (4, 5, 6, 7):
         d = 2.0 ** (-k)
-        a = apply_slab(SlabSpec(0.3, 0.3 + d, spec, Frozen()), u)
-        b = apply_slab(SlabSpec(0.3, 0.3 + d, spec, Averaged()), u)
+        a = slab_samples(SlabSpec(0.3, 0.3 + d, spec, Frozen()), u)
+        b = slab_samples(SlabSpec(0.3, 0.3 + d, spec, Averaged()), u)
         diffs.append(np.linalg.norm(a.values - b.values))
         deltas.append(d)
     slope = np.polyfit(np.log(deltas), np.log(diffs), 1)[0]

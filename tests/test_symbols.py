@@ -414,6 +414,17 @@ def test_registry_z_independence_flags():
             assert np.max(np.abs(a0 - a1)) > 1e-3
 
 
+@pytest.mark.parametrize("name", available_symbols())
+def test_registry_symbol_on_a_2d_grid_names_its_component(name):
+    # the registry's components take 1-d coordinates; the 2-d coordinate
+    # tuples make them raise or return a wrongly shaped value, which is named
+    grid = Grid(16, 2 * np.pi, dim=2)
+    x = tuple(m.ravel()[:, None] for m in grid.meshes())
+    xi = tuple(m.ravel()[None, :] for m in grid.frequency_meshes())
+    with pytest.raises(EvaluationError, match=r"symbol component '(b1|b0|c1|c0)'.* 2-d grid"):
+        eval_symbol(get_symbol(name), 0.25, x, xi)
+
+
 def test_registry_homogeneity_beyond_cutoff():
     # principal parts are 1-homogeneous in xi above the smoothing cutoff
     xa = np.array([[1.3]])
