@@ -6,10 +6,9 @@ intermediate depth z gets all full slabs up to the last z_k <= z and one
 partial slab [z_k, z].  A slab maps Fourier coefficients to Fourier
 coefficients (:func:`thinslab.propagator.apply_slab`), so a composition
 transforms its datum once at the start and its result once at the end.
-Convergence studies compare the composition at
-z = Z against a reference (the exact multiplier evolution when the symbol
-is x-independent, otherwise a fine-step composition with slab-averaged
-symbols) and fit a log-log rate.  The residual probe measures how far the
+Convergence studies compare the composition at z = Z against a reference
+(the exact multiplier evolution when the symbol is x-independent, otherwise
+a fine-step composition with slab-averaged symbols) and fit a log-log rate.  The residual probe measures how far the
 composition is from solving the evolution equation by combining a centered
 z-difference with a discrete application of the generator.
 """
