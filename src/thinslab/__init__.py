@@ -9,6 +9,7 @@ from .spectral import (
     GridError,
     SpectralField,
     apply_weight,
+    coefficient_norm,
     forward,
     inverse,
     read_field,

@@ -55,7 +55,17 @@ class Subdivision:
 
     @property
     def step(self) -> float:
-        return self.Z / self.n_slabs
+        """Z / n_slabs rounded to 53 - bit_length(n_slabs) significant bits.
+
+        Every multiple k * step with k <= n_slabs is then exact, so every
+        full slab [k * step, (k + 1) * step] has the thickness step bit for
+        bit, and the slabs of one subdivision share one band cell of
+        :func:`thinslab.propagator.apply_slab`.  Z / n_slabs is kept as it
+        is when it has that few bits, as for Z = 1 and a power-of-two count.
+        """
+        mantissa, exponent = math.frexp(self.Z / self.n_slabs)
+        bits = 53 - self.n_slabs.bit_length()
+        return math.ldexp(round(mantissa * 2 ** bits), exponent - bits)
 
 
 def _split_depth(sub: Subdivision, z: float):
@@ -77,10 +87,11 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
 
     The slabs march the Fourier coefficients of u0: one forward transform
     before the first slab and one inverse after the last.
-    ``observer(k, z_k, field)`` is called after each full slab with the
-    field's samples, one inverse transform per call, which the stability
-    checks use to record norms along the way.  A z exactly on a subdivision
-    point gets no partial slab.
+    ``observer(k, z_k, c)`` is called after each full slab with the
+    :class:`thinslab.spectral.SpectralField` of the marched coefficients,
+    which the stability checks and the energy bookkeeping read without a
+    transform; the march goes on from ``c``, so an observer only reads it.
+    A z exactly on a subdivision point gets no partial slab.
     """
     if z is None:
         z = sub.Z
@@ -91,7 +102,7 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
         slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max)
         c = propagator.apply_slab(slab, c)
         if observer is not None:
-            observer(k + 1, (k + 1) * step, spectral.inverse(c))
+            observer(k + 1, (k + 1) * step, c)
     if rem > 0.0:
         slab = SlabSpec(k_full * step, k_full * step + rem, spec, variant, sub.delta_max)
         c = propagator.apply_slab(slab, c)
@@ -284,8 +295,8 @@ def uniform_bound_check(spec: SymbolSpec, u0_family, s: float, Ns) -> UniformBou
         for u0 in u0_family:
             denom = spectral.sobolev_norm(u0, s)
 
-            def observe(k, zk, field):
-                ratios.append(spectral.sobolev_norm(field, s) / denom)
+            def observe(k, zk, c):
+                ratios.append(spectral.coefficient_norm(c, s) / denom)
 
             apply_ansatz(spec, sub, u0, observer=observe)
         per_n.append(float(np.max(ratios, initial=0.0)))

@@ -602,28 +602,29 @@ def _run_oneway(cfg: ExperimentConfig, out, timings, outputs) -> dict:
     partition_rows = []
     snapshots = []
     u0 = _mixed_mode_datum(grid, medium, aperture)
-    e0 = oneway.energy_partition(u0, medium, aperture)
+    e0 = oneway.energy_partition(spectral.forward(u0), medium, aperture)
     partition_rows.append((0.0,) + e0)
     spectral.write_field(os.path.join(out, "snapshot_0000.tslb"), u0)
     snapshots.append("snapshot_0000.tslb")
 
-    def observe(k, zk, fld):
-        partition_rows.append((zk,) + oneway.energy_partition(fld, medium, aperture))
+    def observe(k, zk, c):
+        # coefficients in; only a snapshot takes the inverse transform
+        partition_rows.append((zk,) + oneway.energy_partition(c, medium, aperture))
         if k % cfg.snapshot_every == 0:
             name = f"snapshot_{k:04d}.tslb"
-            spectral.write_field(os.path.join(out, name), fld)
+            spectral.write_field(os.path.join(out, name), spectral.inverse(c))
             snapshots.append(name)
 
-    uZ = oneway.downward_continue(medium, aperture, u0, cfg.Z, cfg.n_slabs,
-                                  damping_scale=cfg.damping_scale,
-                                  delta_max=cfg.delta_max, observer=observe)
+    oneway.downward_continue(medium, aperture, u0, cfg.Z, cfg.n_slabs,
+                             damping_scale=cfg.damping_scale,
+                             delta_max=cfg.delta_max, observer=observe)
     _write_csv(out, outputs, "energy_partition.csv",
                "depth,energy_inside_theta1,energy_between,energy_outside_theta2",
                partition_rows)
     outputs += snapshots
     timings["continuation"] = time.perf_counter() - t0
 
-    eZ = oneway.energy_partition(uZ, medium, aperture)
+    eZ = partition_rows[-1][1:]         # the observer's split at the last slab, z = Z
     if e0[2] > 0.0:
         facts["suppression"] = e0[2] / max(eZ[2], 1e-300)
     if e0[0] > 0.0:

@@ -32,7 +32,7 @@ import numpy as np
 from . import ansatz, spectral, symbols
 from .ansatz import Subdivision
 from .propagator import DELTA_MAX_DEFAULT
-from .spectral import Field
+from .spectral import Field, SpectralField
 from .symbols import SymbolSpec
 
 
@@ -200,12 +200,11 @@ def partition_bins(grid: spectral.Grid, medium: AcousticMedium,
     return inside, between, outside
 
 
-def energy_partition(field: Field, medium: AcousticMedium,
+def energy_partition(c: SpectralField, medium: AcousticMedium,
                      aperture: ApertureConfig):
-    """Spectral energy split (inside, between, outside) against the apertures."""
-    c = spectral.forward(field).coeffs
-    power = np.abs(c) ** 2
-    ins, bet, out = partition_bins(field.grid, medium, aperture)
+    """Spectral energy split (inside, between, outside) of coefficients against the apertures."""
+    power = np.abs(c.coeffs) ** 2
+    ins, bet, out = partition_bins(c.grid, medium, aperture)
     return float(power[ins].sum()), float(power[bet].sum()), float(power[out].sum())
 
 
@@ -231,7 +230,11 @@ def downward_continue(medium: AcousticMedium, aperture: ApertureConfig, u0: Fiel
                       Z: float, n_slabs: int, damping_scale: float = 2.0,
                       delta_max: float = DELTA_MAX_DEFAULT,
                       observer=None) -> Field:
-    """March u0 down through [0, Z] with the frozen one-way thin-slab composition."""
+    """March u0 down through [0, Z] with the frozen one-way thin-slab composition.
+
+    ``observer`` is :func:`thinslab.ansatz.apply_ansatz`'s: it gets the
+    Fourier coefficients after each full slab.
+    """
     check_band_limit(u0, medium, aperture)
     spec = oneway_symbol_spec(medium, aperture, damping_scale)
     sub = Subdivision(Z, n_slabs, delta_max)

@@ -39,11 +39,15 @@ the banded map  c'_i = sum_b A_b[i - b] * c[i - b]  on coefficients (indices
 mod n per axis), with no transform at all, at the cost of the subgrid rows:
 32 of 256 at n = 256.  Otherwise the direct O(N^2) sum is taken over every
 row, the probe's rows included, and its output samples take one forward
-transform.  A depth-free
-symbol has one kernel per thickness, so the band coefficients A_b of the
-last such thickness are kept in a one-cell memo: later slabs of that
-thickness cost the band products alone, with no symbol, no kernel row and
-no FFT.  Dense assembly always builds the full kernel table.
+transform.  A slab's table depends on the depth only through one scalar p,
+:func:`thinslab.symbols.slab_argument`, for a z-independent symbol (p = 0)
+and for one with a z-profile, which is affine in p; so its A_b are an
+entire function of p.  One band cell per (spec, Delta, grid) holds them as
+a Chebyshev series in p, fitted from probes at Chebyshev nodes of an
+interval that grows with the p it serves (a single term for a
+z-independent symbol): later slabs of that key cost one small matvec and
+the band products, with no symbol, no kernel row and no FFT.  Dense
+assembly always builds the full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -60,6 +64,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+
+import math
 
 import numpy as np
 
@@ -100,9 +106,8 @@ class Averaged:
 
     ``quadrature_order`` of None picks an order resolving the symbol's
     declared z-bandwidth on this slab; any other order must be in
-    1..``MAX_QUADRATURE_ORDER``.  It is checked here, because a slab that
-    takes its band coefficients from the memo of :func:`_frequency_sum`
-    takes no slab mean.
+    1..``MAX_QUADRATURE_ORDER``.  It is checked here, because a slab of a
+    z-independent symbol takes no slab mean: its table is the one at p = 0.
     """
 
     quadrature_order: int | None = None
@@ -165,10 +170,12 @@ def _pack(coords, grid: Grid):
 
 # counts of the kernel sums since the last reset, which the run manifest
 # records: sums on the x-band of the amplitude, those of them that took the
-# band coefficients from the memo, direct sums, the largest subgrid size
-# per axis that a band resolved at, and the kernel rows _kernel_blocks built
+# band coefficients from a cell built for an earlier slab, direct sums, the
+# largest subgrid size per axis that a band resolved at, the kernel rows
+# _kernel_blocks built, the band cells that resolved, the probes of cell
+# nodes, and the largest Chebyshev degree of a resolved cell
 counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0,
-            "kernel_rows": 0}
+            "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0}
 
 
 def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
@@ -237,20 +244,18 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     return a if delta is None else np.exp(-delta * a)
 
 
-# The cell of the last (spec, delta, grid) of a symbols.depth_free spec that
-# :func:`_frequency_sum` took, which a new key replaces: (m, inner), the
-# subgrid size its band resolved at and the band coefficients it sums with,
-# or (0, None) when the band did not resolve and its slabs take the direct sum.
-_band_memo: dict = {}
+# The band cell of the last (spec, delta, grid) that _frequency_sum took,
+# which a slab of another key replaces.
+_band_cell: dict = {}
 
 
 def reset_counts() -> None:
     """Zero :data:`counters`, the symbol-table and transform counts of
     :mod:`thinslab.symbols` and :mod:`thinslab.spectral`, and empty the band
-    memo, so that the counts of what follows do not depend on what ran before."""
+    cell, so that the counts of what follows do not depend on what ran before."""
     for counts in (counters, symbols.counters, spectral.counters):
         counts.update(dict.fromkeys(counts, 0))
-    _band_memo.clear()
+    _band_cell.clear()
 
 
 @lru_cache(maxsize=16)
@@ -282,57 +287,28 @@ def _band_layout(grid: Grid, m: int):
     return layout
 
 
-def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
-                   delta: float | None) -> SpectralField:
-    """Sum the Fourier coefficients ``c`` against the kernel of ``symbol``.
+_TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
+_CELL_DEGREES = (8, 16, 24)
 
-    Coefficients in, coefficients out.  An x-independent spec takes the O(N)
-    path: its :func:`_multiplier` scales the coefficients.  Any other kernel
-    is first built on the m^dim-point subgrid of :func:`_band_layout`, m = 32
-    per axis, and transformed over x there.  When every amplitude coefficient
-    outside the inner half of that band is at most 1e-15 of the largest
-    |amplitude|, the amplitude is band-limited to machine precision and the
-    slab's samples are
 
-        sum_b e^(i b . w0 x) * inverse(A_b * c),   |b| < m/4 per axis,
+def _fits(grid: Grid, m: int) -> bool:
+    """Whether a subgrid of m < n points per axis has a table of at most 2^22 entries."""
+    return 0 < m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22
 
-    with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period).
-    On coefficients that is a banded map, since e^(i b . w0 x) shifts the
-    index by b: output coefficient i sums A_b[i - b] * c[i - b] over the
-    band, and no transform is taken.  Otherwise m doubles
-    below n, each doubling building its whole subgrid, while a tail that
-    squares with each doubling could still reach the tolerance:
-    outer^(2^r) <= 1e-15 |amplitude|^(2^r), with r the doublings left.  A
-    subgrid table holds at most 2^22 entries (64 MB, m = 32 on a 64^2 grid).
-    When the band does not resolve, the direct O(N^2) sum is taken block by
-    block over every row of :func:`_kernel_blocks`, the probe's rows included,
-    and its output samples take one forward transform.
 
-    Slabs of a :func:`thinslab.symbols.depth_free` spec share one kernel per
-    (spec, delta, grid), so its first slab leaves the one cell of
-    ``_band_memo``: the resolved m with its band coefficients, which later
-    slabs sum with directly (no symbol, no kernel row, no FFT), or 0,
-    which sends them to the direct sum at once.  A slab on another key
-    replaces the cell; the studies and the one-way march apply each
-    thickness of a dyadic subdivision in one contiguous run, so one cell
-    serves every reuse there.  The 2^22-entry table cap bounds the cell
-    below 2^21 coefficients (32 MB): a 2-D 64^2 cell takes 14.7 MB, and a
-    1-D n = 256 cell at m = 128 takes 258 KB.
+def _probe(grid: Grid, symbol, delta: float | None, m: int):
+    """The amplitude's x-band coefficients on subgrids of m points per axis and up.
+
+    Returns (m, inner, amplitude): the subgrid size the band resolved at, its
+    (bands, size) coefficients and max |amplitude|, or (0, None, amplitude)
+    when it does not resolve.  Each try builds the subgrid's kernel rows and
+    takes their FFT over x; the band resolves when every coefficient outside
+    its inner half is at most 1e-15 of max |amplitude|.  m doubles while a
+    tail that squares with each doubling could still reach that:
+    outer^(2^r) <= 1e-15 |amplitude|^(2^r), with r the doublings left.
     """
-    grid = c.grid
-    if spec.x_independent:
-        return SpectralField(grid, c.coeffs * _multiplier(grid, symbol, delta))
-    coeffs = c.coeffs.ravel()
-    tol = 1e-15
-    key = (spec, delta, grid) if symbols.depth_free(spec) else None
-    m, inner = _band_memo.get(key, (32, None))
-    if inner is not None:
-        counters["band_reuses"] += 1
-
-    def fits(size):     # a subgrid below n whose table holds at most 2^22 entries
-        return 0 < size < grid.n_points and size ** grid.dim * grid.size <= 2 ** 22
-
-    while inner is None and fits(m):
+    amplitude = 0.0
+    while _fits(grid, m):
         rows, coefficient, _ = _band_layout(grid, m)
         table = _kernel_table(grid, symbol, delta, rows)
         amplitude = np.abs(table).max()
@@ -343,17 +319,223 @@ def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
         magnitude = np.abs(spectrum).ravel()
         magnitude[coefficient] = 0.0
         outer = magnitude.max()
-        if outer <= tol * amplitude:
-            inner = np.take(spectrum, coefficient)
-            break
-        left = sum(fits(m << r) for r in range(1, 23))      # doublings left
-        if not (outer / amplitude) ** (2 ** left) <= tol:    # NaN fails too
+        if outer <= _TOL * amplitude:
+            return m, np.take(spectrum, coefficient), amplitude
+        left = sum(_fits(grid, m << r) for r in range(1, 23))      # doublings left
+        if not (outer / amplitude) ** (2 ** left) <= _TOL:          # NaN fails too
             break
         m *= 2
-    table = spectrum = magnitude = None     # freed before either sum allocates
-    if key is not None and key not in _band_memo:
-        _band_memo.clear()
-        _band_memo[key] = (m, inner) if inner is not None else (0, None)
+    return 0, None, amplitude
+
+
+@lru_cache(maxsize=8)
+def _cosine_transform(degree: int) -> np.ndarray:
+    """The (degree + 1)^2 matrix taking values at t_j = cos(pi j / degree) to Chebyshev coefficients.
+
+    c_k = (2 / degree) sum_j'' f_j cos(pi j k / degree), where '' halves the
+    terms j = 0 and j = degree, and c_0 and c_degree are halved as well; the
+    interpolant sum_k c_k T_k(t) takes the value f_j at every t_j.
+    """
+    j = np.arange(degree + 1)
+    transform = np.cos(np.pi * np.outer(j, j) / degree) * (2.0 / degree)
+    transform[:, [0, -1]] *= 0.5
+    transform[[0, -1]] *= 0.5
+    transform.flags.writeable = False
+    return transform
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """The band coefficients A_b of one (spec, delta, grid) as a Chebyshev series in p.
+
+    ``coef[k]`` is the (bands * size) coefficient of T_k(t), t the image of
+    p in [lo, hi] on [-1, 1], on the subgrid of ``m`` points per axis; a
+    point interval holds the one term A_b.  ``coef`` None marks a cell that
+    did not resolve, with m = 0.
+    """
+
+    lo: float
+    hi: float
+    m: int
+    coef: np.ndarray | None
+
+    def band(self, p: float, grid: Grid) -> np.ndarray:
+        """A_b at p, shaped (bands, size): the one term of a point cell, else T(t) @ coef.
+
+        T_k(t) = cos(k arccos t), one vectorized cos for the whole row.
+        """
+        if len(self.coef) == 1:
+            return self.coef[0].reshape(-1, grid.size)
+        t = min(1.0, max(-1.0, (2.0 * p - self.lo - self.hi) / (self.hi - self.lo)))
+        chebyshev = np.cos(np.arange(len(self.coef)) * math.acos(t))
+        return _real_matmul(chebyshev, self.coef).reshape(-1, grid.size)
+
+
+def _real_matmul(real: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """real @ values for a real matrix or vector and complex rows, on their float view.
+
+    A real factor scales the real and imaginary parts alike, so this is one
+    real BLAS product over the interleaved pairs; numpy's mixed real-complex
+    product first casts the real factor and costs several times the CPU time.
+    """
+    return (real @ values.view(np.float64)).view(np.complex128)
+
+
+def _build_cell(grid: Grid, spec: SymbolSpec, symbol, delta: float | None,
+                lo: float, hi: float) -> _Cell:
+    """Interpolate the band coefficients of the tables at p in [lo, hi] by Chebyshev series.
+
+    A point interval is the slab's own :func:`_probe` with ``symbol``, a
+    series of degree 0.  Otherwise the cell probes the Chebyshev-Lobatto
+    nodes p_j = mid + half * cos(pi j / degree) for degree 8, 16 and 24 in
+    turn, each at the spec's table at p_j; nodes that a lower degree shares
+    are probed once.  Every node is re-probed at the largest m any node
+    needed, and the node values take the cosine transform of
+    :func:`_cosine_transform`.  The cell resolves at the first degree whose
+    last two coefficients are at most 1e-15 of max |amplitude|; it does not
+    when a node's band does not resolve, when no degree's tail reaches that,
+    or when the series would hold more than 2^20 coefficients (16 MB).
+    """
+    failed = _Cell(lo, hi, 0, None)
+    if lo == hi:
+        m, inner, _ = _probe(grid, symbol, delta, 32)
+        counters["cell_nodes"] += 1
+        if inner is None:
+            return failed
+        counters["band_cells"] += 1
+        return _Cell(lo, hi, m, inner.reshape(1, -1))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m, amplitude = 32, 0.0
+    known = {}          # node as the reduced fraction (j, degree) of pi -> its A_b at m
+    for degree in _CELL_DEGREES:
+        nodes = [(j // math.gcd(j, degree), degree // math.gcd(j, degree))
+                 for j in range(degree + 1)]
+        values = None
+        while values is None:
+            width = (m // 2 - 1) ** grid.dim * grid.size
+            if (degree + 1) * width > 2 ** 20:
+                return failed
+            values = np.empty((degree + 1, width), dtype=np.complex128)
+            for row, node in zip(values, nodes):
+                if node in known:
+                    row[:] = known[node]
+            # rows of values, not copies: the previous degree's table is freed
+            known = {node: row for row, node in zip(values, nodes) if node in known}
+            for row, (j, d) in zip(values, nodes):
+                if (j, d) in known:
+                    continue
+                p = mid + half * math.cos(math.pi * j / d)
+                node_m, inner, node_amplitude = _probe(
+                    grid, partial(symbols.argument_table, spec, p), delta, m)
+                counters["cell_nodes"] += 1
+                if inner is None:
+                    return failed
+                amplitude = max(amplitude, node_amplitude)
+                if node_m > m:      # every other node is probed again at this m
+                    m, known, values = node_m, {(j, d): inner.ravel()}, None
+                    break
+                row[:] = inner.ravel()
+                known[j, d] = row
+        transform = _cosine_transform(degree)
+        if np.abs(_real_matmul(transform[-2:], values)).max() <= _TOL * amplitude:
+            for start in range(0, width, 1024):     # in place, one column block at a time
+                block = values[:, start:start + 1024]
+                block[:] = _real_matmul(transform, block)
+            counters["band_cells"] += 1
+            counters["cell_degree_max"] = max(counters["cell_degree_max"], degree)
+            return _Cell(lo, hi, m, values)
+    return failed
+
+
+def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
+    """(m, A_b) of the amplitude's x-band for a slab at argument p, or (0, None).
+
+    A slab with no argument (p None) takes its own :func:`_probe`.  Any other
+    takes A_b from the band cell of its (spec, delta, grid) when p lies in
+    the cell's interval.  Without a cell for the key, the slab builds the
+    point cell at its own p; outside a resolved cell's interval, it rebuilds
+    the cell over the hull of the interval and p, widened past p by twice
+    that hull's width, so a march whose p drifts one way rebuilds its cell a
+    logarithmic number of times.  A slab whose cell did not resolve takes
+    its own probe, or goes to the direct sum at once when the cell is the
+    point cell of its own p (every slab of a z-independent spec takes p = 0).
+    """
+    if p is None:
+        return _probe(grid, symbol, delta, 32)[:2]
+    key = (spec, delta, grid)
+    cell = _band_cell.get(key)
+    if cell is not None and cell.lo <= p <= cell.hi and cell.coef is not None:
+        counters["band_reuses"] += 1
+        return cell.m, cell.band(p, grid)
+    if cell is not None and cell.coef is None:
+        if p == cell.lo == cell.hi:
+            return 0, None
+        return _probe(grid, symbol, delta, 32)[:2]
+    lo = hi = p
+    if cell is not None:
+        lo, hi = min(cell.lo, p), max(cell.hi, p)
+        lo, hi = (lo - 2.0 * (hi - lo), hi) if p < cell.lo else (lo, hi + 2.0 * (hi - lo))
+    del cell                # the old cell is freed before the new one's nodes are probed
+    _band_cell.clear()
+    cell = _band_cell[key] = _build_cell(grid, spec, symbol, delta, lo, hi)
+    if cell.coef is not None:
+        return cell.m, cell.band(p, grid)
+    if lo == hi:
+        return 0, None
+    return _probe(grid, symbol, delta, 32)[:2]
+
+
+def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
+                   delta: float | None, p) -> SpectralField:
+    """Sum the Fourier coefficients ``c`` against the kernel of ``symbol``.
+
+    Coefficients in, coefficients out.  An x-independent spec takes the O(N)
+    path: its :func:`_multiplier` scales the coefficients.  ``p`` is the
+    :func:`thinslab.symbols.slab_argument` of the slab, or None; with a p,
+    the kernel's table is the spec's table at p and ``symbol`` is not called.
+    Any other kernel takes the band coefficients of its amplitude from
+    :func:`_band_coefficients`: on the m^dim-point subgrid of
+    :func:`_band_layout`, with m = 32 per axis doubled while the tail can
+    still resolve, every amplitude coefficient outside the inner half of the
+    band is at most 1e-15 of the largest |amplitude|.  The amplitude is then
+    band-limited to machine precision and the slab's samples are
+
+        sum_b e^(i b . w0 x) * inverse(A_b * c),   |b| < m/4 per axis,
+
+    with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period).
+    On coefficients that is a banded map, since e^(i b . w0 x) shifts the
+    index by b: output coefficient i sums A_b[i - b] * c[i - b] over the
+    band, and no transform is taken.  A subgrid table holds at most 2^22
+    entries (64 MB, m = 32 on a 64^2 grid).  When the band does not resolve,
+    the direct O(N^2) sum is taken block by block over every row of
+    :func:`_kernel_blocks`, the probe's rows included, and its output samples
+    take one forward transform.
+
+    A slab's table depends on the depth only through p, so its A_b are an
+    entire function of p for the affine-in-p profiled specs, and a constant
+    for a z-independent one (p = 0).  The band cell ``_band_cell`` holds
+    them for one (spec, delta, grid) as a Chebyshev series in p over an
+    interval (:func:`_build_cell`), so a later slab of that key whose p lies
+    in it costs one (degree + 1)-term matvec and the band products: no
+    symbol, no kernel row, no FFT.  A z-independent spec's cell is the point
+    p = 0, degree 0, whose one term the slabs sum with directly, with no
+    matvec.  A slab on another key replaces the cell.  Every full slab of a
+    subdivision has one thickness (:attr:`thinslab.ansatz.Subdivision.step`),
+    and the studies and the one-way march apply the slabs of a subdivision
+    in one contiguous run, so one cell serves all of them.  A series holds
+    at most 2^20 coefficients (16 MB): a 1-D n = 128 cell at m = 64 and
+    degree 24 takes 1.6 MB, and a 2-D 64^2 point cell 14.7 MB, so a 2-D
+    z-profiled slab takes its own probe.  When a cell does not resolve, a
+    slab takes its own probe, and then the band or the direct sum, as a
+    slab with no p does.
+    """
+    grid = c.grid
+    if spec.x_independent:
+        return SpectralField(grid, c.coeffs * _multiplier(grid, symbol, delta))
+    if p is not None:
+        symbol = partial(symbols.argument_table, spec, p)
+    coeffs = c.coeffs.ravel()
+    m, inner = _band_coefficients(grid, spec, symbol, delta, p)
     if inner is not None:
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)
@@ -372,14 +554,21 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
 
     ``c`` holds the coefficients of :func:`thinslab.spectral.forward`, and so
     does the result: a slab's Fourier-basis matrix is :func:`assemble_matrix`.
+    The slab's argument p is taken at its bottom (Frozen) or as its mean.
     """
-    return _frequency_sum(c, slab.spec, partial(_slab_symbol, slab), slab.thickness)
+    if isinstance(slab.variant, Frozen):
+        p = symbols.slab_argument(slab.spec, slab.z)
+    else:
+        p = symbols.slab_argument(slab.spec, slab.z, slab.z_prime,
+                                  slab.variant.quadrature_order)
+    return _frequency_sum(c, slab.spec, partial(_slab_symbol, slab), slab.thickness, p)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
     return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
-                                           partial(symbols.eval_symbol, spec, z), None))
+                                           partial(symbols.eval_symbol, spec, z), None,
+                                           symbols.slab_argument(spec, z)))
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -396,7 +585,7 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
     return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
                                            partial(symbols.averaged_symbol, spec, z0, z1),
-                                           z1 - z0))
+                                           z1 - z0, None))
 
 
 # ---------------------------------------------------------------------------

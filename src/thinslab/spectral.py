@@ -201,12 +201,16 @@ def _bracket_lattice(grid: Grid) -> np.ndarray:
     return np.sqrt(1.0 + xi_squared(grid))
 
 
-def sobolev_norm(field: Field, s: float) -> float:
-    """H^s norm: l2 norm of <xi>^s-weighted Fourier coefficients."""
-    c = forward(field).coeffs
+def coefficient_norm(c: SpectralField, s: float) -> float:
+    """H^s norm from the Fourier coefficients: l2 norm of the <xi>^s-weighted ``c.coeffs``."""
     if s == 0:
-        return float(np.linalg.norm(c))
-    return float(np.linalg.norm(_bracket_lattice(field.grid) ** s * c))
+        return float(np.linalg.norm(c.coeffs))
+    return float(np.linalg.norm(_bracket_lattice(c.grid) ** s * c.coeffs))
+
+
+def sobolev_norm(field: Field, s: float) -> float:
+    """H^s norm of samples: the :func:`coefficient_norm` of their :func:`forward` transform."""
+    return coefficient_norm(forward(field), s)
 
 
 def apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:

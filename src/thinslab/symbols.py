@@ -99,16 +99,6 @@ def component_argument(spec: SymbolSpec, z):
     return p
 
 
-def depth_free(spec: SymbolSpec) -> bool:
-    """Whether the spec's tables do not depend on the depth: a z-independent spec.
-
-    Its :func:`eval_symbol` table at any z and its :func:`averaged_symbol`
-    mean over any slab are then one table, so slabs can share what is
-    derived from it.
-    """
-    return spec.z_independent
-
-
 def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     """Evaluate a = -i*(b1+b0) + (c1+c0) on broadcastable coordinates.
 
@@ -118,16 +108,43 @@ def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     default are not evaluated.  The set ones are evaluated before the table
     is allocated, so the memory their temporaries free is reused for it.
     """
-    return _table(spec, component_argument(spec, z), x, xi)
+    return argument_table(spec, component_argument(spec, z), x, xi)
 
 
-# tables built by _table since the last propagator.reset_counts: one per
-# eval_symbol call, Gauss nodes of a slab mean included, and one per
-# z-profiled slab mean
+def slab_argument(spec: SymbolSpec, z0: float, z1: float | None = None,
+                  quadrature_order: int | None = None):
+    """The one scalar p that a slab's table depends on, or None when there is none.
+
+    With ``z1`` None the slab is frozen at z0; otherwise its symbol is the
+    slab mean over [z0, z1], at ``quadrature_order`` (None takes
+    :func:`recommended_quadrature_order`).  A z-independent spec has one
+    table at every depth, so every slab takes p = 0.  A spec with a
+    ``z_profile`` takes p = z_profile(z0) frozen, and the mean of p averaged:
+    one vectorized profile call over the Gauss-Legendre nodes, the weighted
+    values summed in node order.  Its components are affine in p, so its
+    slab mean is its table at that p.  Any other spec returns None: its
+    table depends on the depth through more than one scalar.
+    """
+    if spec.z_independent:
+        return 0.0
+    if spec.z_profile is None:
+        return None
+    if z1 is None:
+        return float(component_argument(spec, z0))
+    if quadrature_order is None:
+        quadrature_order = recommended_quadrature_order(spec, z1 - z0)
+    nodes, weights = _gl_nodes(quadrature_order)
+    p = component_argument(spec, 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * nodes)
+    return float(np.cumsum(0.5 * weights * p)[-1])
+
+
+# tables built by argument_table since the last propagator.reset_counts: one per
+# eval_symbol call, Gauss nodes of a slab mean included, and one per table
+# taken at a slab argument p (a z-profiled slab mean, a slab or a cell node)
 counters = {"symbol_tables": 0}
 
 
-def _table(spec: SymbolSpec, p, x, xi) -> np.ndarray:
+def argument_table(spec: SymbolSpec, p, x, xi) -> np.ndarray:
     """The symbol table of :func:`eval_symbol` with the components at argument p.
 
     A component that raises ValueError on these coordinates, or returns a
@@ -190,12 +207,12 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
 
     A z-independent spec is its own mean: its :func:`eval_symbol` table at z0.
     A spec with a ``z_profile`` is affine in p = z_profile(z), so its mean is
-    its table at the mean of p: one vectorized profile call over the nodes,
-    the weighted values summed in node order, and one table.  That differs
-    from the node sum below by rounding only.  Any other spec is the sum in
-    node order of its :func:`eval_symbol` tables, each scaled by half the
-    Gauss weight; :func:`eval_symbol` names a component that fails at a node,
-    and a mean that overflows only in the sum raises a generic EvaluationError.
+    its table at the :func:`slab_argument` mean of p, one table.  That
+    differs from the node sum below by rounding only.  Any other spec is the
+    sum in node order of its :func:`eval_symbol` tables, each scaled by half
+    the Gauss weight; :func:`eval_symbol` names a component that fails at a
+    node, and a mean that overflows only in the sum raises a generic
+    EvaluationError.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
@@ -204,11 +221,11 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     check_quadrature_order(quadrature_order)
     if spec.z_independent:
         return eval_symbol(spec, z0, x, xi)
+    p = slab_argument(spec, z0, z1, quadrature_order)
+    if p is not None:
+        return argument_table(spec, p, x, xi)
     nodes, weights = _gl_nodes(quadrature_order)
     mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-    if spec.z_profile is not None:
-        p = component_argument(spec, mid + half * nodes)
-        return _table(spec, np.cumsum(0.5 * weights * p)[-1], x, xi)
     mean = None
     for t, w in zip(nodes, weights):
         table = eval_symbol(spec, mid + half * t, x, xi)

@@ -169,9 +169,9 @@ def test_criterion_9_oneway_demo():
                           float(np.max(np.abs(uz.values / u0.values - expected))))
     lens = O.lens_medium(period=2 * np.pi)
     u0 = _mixed_mode_datum(g, lens, ap)
-    e0 = O.energy_partition(u0, lens, ap)
+    e0 = O.energy_partition(ts.forward(u0), lens, ap)
     uZ = O.downward_continue(lens, ap, u0, 1.0, 64, damping_scale=2.0)
-    eZ = O.energy_partition(uZ, lens, ap)
+    eZ = O.energy_partition(ts.forward(uZ), lens, ap)
     suppression = e0[2] / max(eZ[2], 1e-300)
     inside_change = abs(eZ[0] / e0[0] - 1.0)
     elapsed = time.perf_counter() - start

@@ -147,8 +147,11 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     # at n = 64 the 128-slab reference (Delta = 1/128) resolves the x-band of
     # its amplitude on the 32-point subgrid; the study slabs (1/8, 1/16) and
-    # the 64-slab cross-check do not, and take the direct sum.  The reference's
-    # 127 later slabs take the first one's band coefficients from the memo.
+    # the 64-slab cross-check do not, and take the direct sum.  varspeed is
+    # z-independent, so each thickness has one point cell (degree 0) whose one
+    # node is its first slab's probe: four nodes, and one cell that resolved.
+    # The reference's 127 later slabs take the first one's band coefficients
+    # from that cell.
     # Symbol tables: one per direct slab, one more per probed subgrid of the
     # three direct thicknesses and of the reference, and one per dense matrix of
     # the six-thickness norm sweep.  Kernel rows: every row of each direct slab
@@ -156,7 +159,7 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     # the six dense matrices.  A slab maps coefficients, so each of the four
     # compositions takes one transform at each end and each direct slab one
     # forward transform of its output samples; four H^s norms and one property
-    # case take six more.  A rerun resets the counts and the memo, and a
+    # case take six more.  A rerun resets the counts and the cells, and a
     # rejected configuration counts nothing.
     cfg = resolve_config("varspeed", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path / "vs")})
@@ -166,14 +169,16 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
         assert manifest["counters"] == {"band_sums": 128, "band_reuses": 127,
                                         "direct_sums": 88, "band_points_max": 32,
                                         "kernel_rows": 6144, "symbol_tables": 98,
-                                        "transforms": 102}
+                                        "transforms": 102, "band_cells": 1,
+                                        "cell_nodes": 4, "cell_degree_max": 0}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "direct_sums": 0,
                                     "band_points_max": 0, "kernel_rows": 0,
-                                    "symbol_tables": 0, "transforms": 0}
+                                    "symbol_tables": 0, "transforms": 0, "band_cells": 0,
+                                    "cell_nodes": 0, "cell_degree_max": 0}
 
 
 def test_run_report_csv_and_json(tmp_path):

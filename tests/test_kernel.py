@@ -110,23 +110,28 @@ def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
 
 
 def _path_taken(before):
-    """The path of the one slab or operator sum since ``before``, from the kernel-sum counters."""
+    """The path of the one slab or operator sum since ``before``, from the kernel-sum counters.
+
+    "cell" is a band sum that took A_b from a cell built for an earlier slab,
+    "band" one that built kernel rows: its own probe, or the nodes of a cell.
+    """
     after = propagator.counters
     sums = after["band_sums"] + after["direct_sums"] - before["band_sums"] - before["direct_sums"]
     if sums == 0:
         return "multiplier"
     assert sums == 1
     if after["band_reuses"] > before["band_reuses"]:
-        return "memo"
+        return "cell"
     return "band" if after["band_sums"] > before["band_sums"] else "direct"
 
 
-# the paths the slabs of each spec take below on 1-d grids: only a depth-free,
-# x-dependent spec reuses a memo, and the lens amplitude has kinks in its C^2
+# the paths the slabs of each spec take below on 1-d grids: every x-dependent
+# registry spec's slabs depend on one argument p, so a later slab of a key
+# takes A_b from its cell, and the lens amplitude has kinks in its C^2
 # collar, so it never resolves
 PATHS = {
-    "varspeed": {"band", "memo", "direct"}, "damped-varspeed": {"band", "memo", "direct"},
-    "varspeed-z": {"band", "direct"}, "hoelder-z": {"band", "direct"},
+    "varspeed": {"band", "cell", "direct"}, "damped-varspeed": {"band", "cell", "direct"},
+    "varspeed-z": {"band", "cell", "direct"}, "hoelder-z": {"band", "cell", "direct"},
     "lens": {"direct"}, "translation": {"multiplier"},
 }
 
@@ -134,32 +139,35 @@ PATHS = {
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_band_slab_matches_direct_kernel_sum(name):
     # every slab and operator sum on the x-band of its amplitude matches the
-    # direct sum over all kernel rows to 1e-13 relative, in coefficients; one
-    # that falls back to the direct sum equals its forward transform bit for bit
+    # direct sum over all kernel rows to 1e-13 relative, in coefficients, the
+    # first time and again from its cell; one that falls back to the direct
+    # sum equals its forward transform bit for bit
     spec = SPECS[name]
     paths = set()
-    propagator._band_memo.clear()
+    propagator._band_cell.clear()
     for n in (64, 128, 256, 512):
         grid = Grid(n, 2 * np.pi)
         u = random_field(grid, n)
         c = forward(u)
         operator = partial(symbols.eval_symbol, spec, 0.3)
-        cases = [(operator, None, partial(propagator._frequency_sum, c, spec, operator, None))]
+        cases = [(operator, None, partial(propagator._frequency_sum, c, spec, operator, None,
+                                          symbols.slab_argument(spec, 0.3)))]
         for k in range(3, 11):
             for variant in (Frozen(), Averaged()):
                 slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
                 cases.append((partial(propagator._slab_symbol, slab), slab.thickness,
                               partial(apply_slab, slab, c)))
         for symbol, delta, apply in cases:
-            before = dict(propagator.counters)
-            got = apply().coeffs
             want = forward(Field(grid, direct_kernel_sum(u, symbol, delta))).coeffs
-            path = _path_taken(before)
-            paths.add(path)
-            if path == "direct":
-                assert got.tobytes() == want.tobytes(), (n, delta)
-            else:
-                assert rel_err(got, want) < 1e-13, (n, delta)
+            for _ in range(2):
+                before = dict(propagator.counters)
+                got = apply().coeffs
+                path = _path_taken(before)
+                paths.add(path)
+                if path == "direct":
+                    assert got.tobytes() == want.tobytes(), (n, delta)
+                else:
+                    assert rel_err(got, want) < 1e-13, (n, delta, path)
     assert paths == PATHS[name]
 
 
@@ -173,12 +181,12 @@ def test_slab_on_coefficients_equals_its_dense_matrix(name, n, dim):
     grid = Grid(n, 2 * np.pi, dim=dim)
     c = forward(random_field(grid, 24))
     paths = set()
-    propagator._band_memo.clear()
+    propagator._band_cell.clear()
     for k in (3, 6, 10):
         for variant in (Frozen(), Averaged()):
             slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
             want = assemble_matrix(slab, grid) @ c.coeffs.ravel()
-            for _ in range(2):      # a depth-free band slab takes the memo the second time
+            for _ in range(2):      # a band slab takes the cell the second time
                 before = dict(propagator.counters)
                 got = apply_slab(slab, c).coeffs.ravel()
                 paths.add(_path_taken(before))
@@ -186,15 +194,15 @@ def test_slab_on_coefficients_equals_its_dense_matrix(name, n, dim):
     if dim == 2 and name != "translation":
         assert paths == {"direct"}      # 16^2 has no subgrid of 32 < n points per axis
     elif (name, n) == ("hoelder-z", 256):
-        assert paths == {"band"}        # even Delta = 1/8 resolves on 128 points
+        assert paths == {"band", "cell"}    # even Delta = 1/8 resolves on 128 points
     else:
         assert paths == PATHS[name]
 
 
 def test_two_dimensional_band_slab():
-    # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid; its memo
+    # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid; its point
     # cell holds 225 x 4096 coefficients, 14.7 MB, and replaces a cell of
-    # that size held for another key, so the memo never holds more than one
+    # that size held for another key, so the store never holds more than one
     def b1(z, x, xi):
         return (1.0 + 0.2 * np.cos(x[0]) * np.sin(x[1])) * (xi[0] + 0.5 * xi[1])
 
@@ -202,17 +210,17 @@ def test_two_dimensional_band_slab():
     spec = SymbolSpec(b1=b1, z_independent=True)
     slab = SlabSpec(0.0, 2.0 ** -10, spec)
     u = random_field(grid, 18)
-    filler = (32, np.zeros((225, grid.size), dtype=np.complex128))
-    propagator._band_memo.clear()
-    propagator._band_memo[(spec, 2.0 ** -9, grid)] = filler
+    filler = propagator._Cell(0.0, 0.0, 32, np.zeros((1, 225 * grid.size), dtype=np.complex128))
+    propagator._band_cell.clear()
+    propagator._band_cell[(spec, 2.0 ** -9, grid)] = filler
     before = dict(propagator.counters)
     got = slab_samples(slab, u).values
     assert _path_taken(before) == "band"
     want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
     assert rel_err(got, want) < 1e-13
     key = (spec, slab.thickness, grid)
-    assert list(propagator._band_memo) == [key]
-    assert propagator._band_memo[key][1].shape == filler[1].shape
+    assert list(propagator._band_cell) == [key]
+    assert propagator._band_cell[key].coef.shape == filler.coef.shape
     assert slab_samples(slab, u).values.tobytes() == got.tobytes()
 
 
@@ -231,14 +239,14 @@ def _built_rows(monkeypatch):
 
 
 def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
-    propagator._band_memo.clear()
+    propagator._band_cell.clear()
     built = _built_rows(monkeypatch)
     grid = Grid(256, 2 * np.pi)
     u = random_field(grid, 19)
     slab_samples(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
     assert sum(rows.size for rows in built) <= 32
     # the first lens slab probes its 32 subgrid rows and then builds all 256
-    # in the direct sum; the second, sent there by the memo, builds all 256 once
+    # in the direct sum; the second, sent there by its cell, builds all 256 once
     lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
     for k in range(2):
         built.clear()
@@ -254,41 +262,109 @@ def test_band_doubles_while_a_squaring_tail_can_resolve():
     # at 1/8 it cannot reach 1e-15 within the two doublings left
     spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
     u = random_field(grid, 22)
-    propagator._band_memo.clear()
+    propagator._band_cell.clear()
     for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
         slab_samples(SlabSpec(0.0, 2.0 ** -k, spec), u)
-        assert list(propagator._band_memo) == [(spec, 2.0 ** -k, grid)]
-        assert propagator._band_memo[(spec, 2.0 ** -k, grid)][0] == m, k
+        assert list(propagator._band_cell) == [(spec, 2.0 ** -k, grid)]
+        assert propagator._band_cell[(spec, 2.0 ** -k, grid)].m == m, k
+
+
+def _apply_against_direct_sum(slab, u, c):
+    """Apply ``slab`` to c = forward(u), check it against the direct kernel sum, return its path."""
+    before = dict(propagator.counters)
+    got = apply_slab(slab, c).coeffs
+    path = _path_taken(before)
+    symbol = partial(propagator._slab_symbol, slab)
+    want = forward(Field(u.grid, direct_kernel_sum(u, symbol, slab.thickness))).coeffs
+    if path == "direct":
+        assert got.tobytes() == want.tobytes(), slab
+    else:
+        assert rel_err(got, want) < 1e-13, (slab, path)
+    return path
+
+
+@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_parametric_cell_slabs_match_direct_kernel_sum(name, n):
+    # z-profiled slabs of twelve depths per Delta, both variants in turn, as a
+    # study marches them: a slab that takes A_b from a Chebyshev series in p
+    # (degree > 0) matches the direct kernel sum to 1e-13 relative, and so does
+    # every other path; some slab lies outside its cell's interval and
+    # rebuilds the cell over a grown one.  At Delta = 1/8 and 1/16 no x-band
+    # resolves on fewer than n points, so those slabs take the direct sum
+    spec, grid = SPECS[name], Grid(n, 2 * np.pi)
+    u = random_field(grid, 25)
+    c = forward(u)
+    propagator.reset_counts()
+    parametric, grown = {}, 0
+    for k in (3, 4, 6, 10):
+        delta = 2.0 ** -k
+        key = (spec, delta, grid)
+        for j in np.unique(np.linspace(0, 2 ** k - 1, 12).astype(int)):
+            for variant in (Frozen(), Averaged()):
+                before = propagator._band_cell.get(key)
+                slab = SlabSpec(j * delta, (j + 1) * delta, spec, variant)
+                path = _apply_against_direct_sum(slab, u, c)
+                cell = propagator._band_cell[key]
+                if path in ("band", "cell") and cell.coef is not None and len(cell.coef) > 1:
+                    parametric[k] = parametric.get(k, 0) + 1
+                    grown += (before is not None and before.coef is not None
+                              and (cell.lo, cell.hi) != (before.lo, before.hi))
+    assert parametric[10] == 23         # every slab but the first, whose cell is its point
+    assert grown > 0
+    if n == 128:
+        assert parametric[6] > 0        # Delta = 1/64 resolves only on 64 points
+    assert propagator.counters["cell_degree_max"] in propagator._CELL_DEGREES
+
+
+def test_a_cell_that_does_not_resolve_falls_back_to_the_slab_probe():
+    # p = 10 z scales the x-variation of the speed: at p = 5 a slab's x-band
+    # resolves on 32 of 64 points, at p = 15 it does not.  The slab at z = 0.5
+    # lies outside its cell's interval [0, 0.03] and rebuilds the cell over
+    # [0, 15], whose end node does not resolve, so that slab and the next
+    # take their own probe and band sum
+    spec = SymbolSpec(b1=lambda p, x, xi: (1.0 + 0.3 * p * np.cos(x)) * xi,
+                      z_bandwidth=1.0, z_profile=lambda z: 10.0 * z)
+    grid, delta = Grid(64, 2 * np.pi), 2.0 ** -10
+    u = random_field(grid, 26)
+    c = forward(u)
+    propagator.reset_counts()
+    paths = [_apply_against_direct_sum(SlabSpec(z, z + delta, spec), u, c)
+             for z in (0.0, delta, 2 * delta, 0.5, 0.25)]
+    cell = propagator._band_cell[(spec, delta, grid)]
+    assert cell.coef is None and (cell.lo, cell.hi) == (0.0, 15.0)
+    assert paths == ["band", "band", "cell", "band", "band"]
+    assert propagator.counters["band_sums"] == 5 and propagator.counters["band_reuses"] == 1
 
 
 def _counted_symbol(monkeypatch):
-    """Record the depth of every symbols.eval_symbol call."""
+    """Record the argument p of every symbol table, symbols.argument_table."""
     calls = []
-    original = symbols.eval_symbol
+    original = symbols.argument_table
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(symbols, "eval_symbol", counting)
+    monkeypatch.setattr(symbols, "argument_table", counting)
     return calls
 
 
 @pytest.mark.parametrize("name", ["varspeed", "damped-varspeed"])
 def test_band_memo_slab_equals_the_probed_slab(name, monkeypatch):
-    # a depth-free slab whose band resolved leaves its coefficients in the
-    # memo: the next slab on that (spec, Delta, grid) equals it bytewise and
-    # takes no symbol and no kernel row; one that fell back takes the direct
-    # sum again, bytewise equal too
+    # a depth-free slab whose band resolved leaves its coefficients in its
+    # point cell: the next slab on that (spec, Delta, grid) equals it bytewise
+    # and takes no symbol and no kernel row; one that fell back takes the
+    # direct sum again, bytewise equal too
     spec, grid = SPECS[name], Grid(256, 2 * np.pi)
     u = random_field(grid, 20)
     built, calls = _built_rows(monkeypatch), _counted_symbol(monkeypatch)
     for k in range(3, 11):
         for variant in (Frozen(), Averaged()):
-            propagator._band_memo.clear()
+            propagator._band_cell.clear()
             slab = SlabSpec(0.5, 0.5 + 2.0 ** -k, spec, variant)
             first = slab_samples(slab, u).values
-            probed = propagator._band_memo[(spec, slab.thickness, grid)][1] is not None
+            probed = propagator._band_cell[(spec, slab.thickness, grid)].coef is not None
             built.clear()
             calls.clear()
             before = dict(propagator.counters)
@@ -305,9 +381,9 @@ def test_band_memo_slab_equals_the_probed_slab(name, monkeypatch):
 def test_invalid_quadrature_order_raises_on_a_filled_memo_cell():
     spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
     u = random_field(grid, 21)
-    propagator._band_memo.clear()
+    propagator._band_cell.clear()
     slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Frozen()), u)
-    assert propagator._band_memo[(spec, 2.0 ** -6, grid)][1] is not None
+    assert propagator._band_cell[(spec, 2.0 ** -6, grid)].coef is not None
     for order in (0, symbols.MAX_QUADRATURE_ORDER + 1):
         with pytest.raises(ValueError, match="quadrature_order must be in 1..1024"):
             slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Averaged(order)), u)
@@ -324,23 +400,24 @@ def test_z_independent_averaged_equals_frozen(grid64):
 
 
 def test_z_independent_averaged_evaluates_once(grid64, monkeypatch):
-    # the table is taken at the slab bottom only, never at the Gauss nodes, on
-    # distinct rows per build: a slab that falls back probes its 32 subgrid
-    # rows and then builds every row, one that resolves only the probe
+    # the table is taken at the one argument p = 0 of a depth-free spec, never
+    # at the Gauss nodes, on distinct rows per build: a slab that falls back
+    # probes its 32 subgrid rows and then builds every row, one that resolves
+    # only the probe
     calls = []
-    original = symbols.eval_symbol
+    original = symbols.argument_table
 
     def counting(*args, **kwargs):
         calls.append((args[1], np.ravel(args[2])))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(symbols, "eval_symbol", counting)
-    propagator._band_memo.clear()
+    monkeypatch.setattr(symbols, "argument_table", counting)
+    propagator._band_cell.clear()
     for thickness, sizes in ((0.1, [32, grid64.size]), (2.0 ** -10, [32])):
         calls.clear()
         slab = SlabSpec(0.2, 0.2 + thickness, get_symbol("varspeed"), Averaged())
         slab_samples(slab, random_field(grid64, 13))
-        assert [z for z, _ in calls] == [0.2] * len(calls)
+        assert [p for p, _ in calls] == [0.0] * len(calls)
         assert [x.size for _, x in calls] == [np.unique(x).size for _, x in calls] == sizes
 
 
@@ -429,11 +506,12 @@ def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     assert grid.size <= propagator._CHUNK_ROWS          # one block of output points
     u = random_field(grid, 16)
     got = slab_samples(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
-    # each table build takes one profile call for the mean of p, and the
-    # components take only that one mean, on the same rows: the band
-    # subgrid's if the slab probes it, then every output row in one block
-    builds = calls.pop("z_profile")
-    assert builds == calls["b1"] <= 2
+    # the slab takes one profile call for the mean of p, and the components
+    # take only that one mean, on the same rows: the band subgrid's if the
+    # slab probes it, then every output row in one block
+    assert calls.pop("z_profile") == 1
+    builds = calls["b1"]
+    assert builds <= 2
     assert len(set(arguments)) == 1
     assert sorted(points) == sorted(calls)
     built = [np.arange(grid.size)]

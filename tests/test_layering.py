@@ -5,6 +5,7 @@ import inspect
 import pathlib
 
 import thinslab
+from thinslab import propagator, symbols
 
 # the package __init__ re-exports the library layers and none of harness or cli
 ORDER = ["spectral", "symbols", "propagator", "ansatz", "oneway", "__init__", "harness", "cli"]
@@ -100,6 +101,29 @@ def test_only_the_table_builder_and_the_frequency_sum_build_kernel_rows():
     namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
               for scope in _scopes_naming(ast.parse(path.read_text()), "_kernel_blocks")}
     assert namers == {"propagator._kernel_table", "propagator._frequency_sum"}, namers
+
+
+def test_the_band_cell_is_the_one_store_of_band_coefficients():
+    # a slab's band coefficients live in propagator._band_cell, which only
+    # _band_coefficients fills and reset_counts empties: no second memo, and
+    # no depth-free flag beside the slab argument of symbols.slab_argument
+    containers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            if isinstance(getattr(node, "value", None), (ast.Dict, ast.List, ast.Set)):
+                containers |= {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+    assert {name for name in containers if name.startswith("propagator.")} == {
+        "propagator.counters", "propagator._band_cell"}, containers
+    namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope in _scopes_naming(ast.parse(path.read_text()), "_band_cell")}
+    assert namers == {"propagator.<module>", "propagator.reset_counts",
+                      "propagator._band_coefficients"}, namers
+    assert not any(scope for path in sorted(PACKAGE.glob("*.py"))
+                   for scope in _scopes_naming(ast.parse(path.read_text()), "depth_free"))
+    assert not any(hasattr(module, name) for module in (propagator, symbols)
+                   for name in ("depth_free", "_band_memo"))
 
 
 # exported for library users although no other package module calls them
