@@ -69,10 +69,15 @@ class Subdivision:
 
 
 def _split_depth(sub: Subdivision, z: float):
-    """Number of full slabs below z, plus the partial remainder (or 0.0)."""
+    """Number of full slabs below z, plus the partial remainder (or 0.0).
+
+    z = Z is the end of the last full slab, n_slabs * step, which differs
+    from Z by the rounding of the step only.
+    """
     if not (0.0 <= z <= sub.Z * (1.0 + 1e-12)):
         raise PositionError(f"z = {z} outside [0, {sub.Z}]")
-    z = min(z, sub.Z)
+    if z >= sub.Z:
+        return sub.n_slabs, 0.0
     k = int(math.floor(z / sub.step + _BOUNDARY_TOL))
     k = min(k, sub.n_slabs)
     rem = z - k * sub.step

@@ -82,6 +82,14 @@ def test_every_slab_of_a_subdivision_shares_one_cell(n_slabs):
     assert counts["band_cells"] == counts["cell_nodes"] == 1
 
 
+def test_z_at_the_end_takes_every_slab_and_no_partial_one():
+    # n_slabs * step differs from Z in its last bits once the step is
+    # rounded, so z = Z is taken as the end of the last full slab
+    for Z in (1.0, 0.3):
+        for n in range(1, 300):
+            assert ansatz._split_depth(Subdivision(Z, n, delta_max=Z), Z) == (n, 0.0), (Z, n)
+
+
 def test_observer_sees_every_slab(grid64):
     spec = get_symbol("translation")
     sub = Subdivision(1.0, 8)
