@@ -46,8 +46,10 @@ entire function of p.  One band cell per (spec, Delta, grid) holds them as
 a Chebyshev series in p, fitted from probes at Chebyshev nodes of an
 interval that grows with the p it serves (a single term for a
 z-independent symbol): later slabs of that key cost one small matvec and
-the band products, with no symbol, no kernel row and no FFT.  Dense
-assembly always builds the full kernel table.
+the band products, with no symbol, no kernel row and no FFT.  A store
+keeps the cells of a run's keys, up to 2^20 coefficients held, so a march
+that returns to a key builds no cell.  Dense assembly always builds the
+full kernel table.
 
 Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
 x-independent slab is the diagonal matrix of its multiplier, with no kernel
@@ -244,15 +246,16 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     return a if delta is None else np.exp(-delta * a)
 
 
-# The band cell of the last (spec, delta, grid) that _frequency_sum took,
-# which a slab of another key replaces.
+# The band cells of the (spec, delta, grid) keys that _frequency_sum took, in
+# the order _band_coefficients inserted them.
 _band_cell: dict = {}
 
 
 def reset_counts() -> None:
     """Zero :data:`counters`, the symbol-table and transform counts of
-    :mod:`thinslab.symbols` and :mod:`thinslab.spectral`, and empty the band
-    cell, so that the counts of what follows do not depend on what ran before."""
+    :mod:`thinslab.symbols` and :mod:`thinslab.spectral`, and empty the store
+    of band cells, so that the counts of what follows do not depend on what
+    ran before."""
     for counts in (counters, symbols.counters, spectral.counters):
         counts.update(dict.fromkeys(counts, 0))
     _band_cell.clear()
@@ -289,6 +292,7 @@ def _band_layout(grid: Grid, m: int):
 
 _TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
 _CELL_DEGREES = (8, 16, 24)
+_CELL_COEFFICIENTS = 2 ** 20    # 16 MB: the cap of one series and of the cells held
 
 
 def _fits(grid: Grid, m: int) -> bool:
@@ -413,7 +417,7 @@ def _build_cell(grid: Grid, spec: SymbolSpec, symbol, delta: float | None,
         values = None
         while values is None:
             width = (m // 2 - 1) ** grid.dim * grid.size
-            if (degree + 1) * width > 2 ** 20:
+            if (degree + 1) * width > _CELL_COEFFICIENTS:
                 return failed
             values = np.empty((degree + 1, width), dtype=np.complex128)
             for row, node in zip(values, nodes):
@@ -459,6 +463,12 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
     logarithmic number of times.  A slab whose cell did not resolve takes
     its own probe, or goes to the direct sum at once when the cell is the
     point cell of its own p (every slab of a z-independent spec takes p = 0).
+    With a p, the probes take the spec's table at p, not ``symbol``.
+
+    :data:`_band_cell` holds a cell per key, so a march that returns to a key
+    finds its cell.  A rebuild drops the key's old cell before its nodes are
+    probed and inserts the key anew.  While the cells held exceed 2^20
+    coefficients (16 MB), the oldest-inserted go first, all but the newest.
     """
     if p is None:
         return _probe(grid, symbol, delta, 32)[:2]
@@ -467,6 +477,7 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
     if cell is not None and cell.lo <= p <= cell.hi and cell.coef is not None:
         counters["band_reuses"] += 1
         return cell.m, cell.band(p, grid)
+    symbol = partial(symbols.argument_table, spec, p)
     if cell is not None and cell.coef is None:
         if p == cell.lo == cell.hi:
             return 0, None
@@ -476,8 +487,11 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
         lo, hi = min(cell.lo, p), max(cell.hi, p)
         lo, hi = (lo - 2.0 * (hi - lo), hi) if p < cell.lo else (lo, hi + 2.0 * (hi - lo))
     del cell                # the old cell is freed before the new one's nodes are probed
-    _band_cell.clear()
+    _band_cell.pop(key, None)
     cell = _band_cell[key] = _build_cell(grid, spec, symbol, delta, lo, hi)
+    while len(_band_cell) > 1 and sum(kept.coef.size for kept in _band_cell.values()
+                                      if kept.coef is not None) > _CELL_COEFFICIENTS:
+        del _band_cell[next(iter(_band_cell))]      # the oldest-inserted cell
     if cell.coef is not None:
         return cell.m, cell.band(p, grid)
     if lo == hi:
@@ -492,7 +506,8 @@ def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
     Coefficients in, coefficients out.  An x-independent spec takes the O(N)
     path: its :func:`_multiplier` scales the coefficients.  ``p`` is the
     :func:`thinslab.symbols.slab_argument` of the slab, or None; with a p,
-    the kernel's table is the spec's table at p and ``symbol`` is not called.
+    the kernel's table is the spec's table at p, built only for a probe or
+    the direct sum, and ``symbol`` is not called (it may be None).
     Any other kernel takes the band coefficients of its amplitude from
     :func:`_band_coefficients`: on the m^dim-point subgrid of
     :func:`_band_layout`, with m = 32 per axis doubled while the tail can
@@ -513,27 +528,27 @@ def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
 
     A slab's table depends on the depth only through p, so its A_b are an
     entire function of p for the affine-in-p profiled specs, and a constant
-    for a z-independent one (p = 0).  The band cell ``_band_cell`` holds
-    them for one (spec, delta, grid) as a Chebyshev series in p over an
-    interval (:func:`_build_cell`), so a later slab of that key whose p lies
-    in it costs one (degree + 1)-term matvec and the band products: no
-    symbol, no kernel row, no FFT.  A z-independent spec's cell is the point
-    p = 0, degree 0, whose one term the slabs sum with directly, with no
-    matvec.  A slab on another key replaces the cell.  Every full slab of a
-    subdivision has one thickness (:attr:`thinslab.ansatz.Subdivision.step`),
-    and the studies and the one-way march apply the slabs of a subdivision
-    in one contiguous run, so one cell serves all of them.  A series holds
-    at most 2^20 coefficients (16 MB): a 1-D n = 128 cell at m = 64 and
-    degree 24 takes 1.6 MB, and a 2-D 64^2 point cell 14.7 MB, so a 2-D
-    z-profiled slab takes its own probe.  When a cell does not resolve, a
-    slab takes its own probe, and then the band or the direct sum, as a
-    slab with no p does.
+    for a z-independent one (p = 0).  The band cell of a (spec, delta, grid)
+    holds them as a Chebyshev series in p over an interval
+    (:func:`_build_cell`), so a later slab of that key whose p lies in it
+    costs one (degree + 1)-term matvec and the band products: no symbol, no
+    kernel row, no FFT.  A z-independent spec's cell is the point p = 0,
+    degree 0, whose one term the slabs sum with directly, with no matvec.
+    Every full slab of a subdivision has one thickness
+    (:attr:`thinslab.ansatz.Subdivision.step`), so one cell serves all of
+    them, and the store :data:`_band_cell` keeps a cell per key for the
+    rest of the run, so a study that marches the same subdivisions again
+    (another variant, the same fine-step reference) builds no cell twice.
+    A series holds at most 2^20 coefficients (16 MB), and so do the cells
+    held, oldest out first, the newest always kept: a 1-D n = 128 cell at
+    m = 64 and degree 24 takes 1.6 MB, and a 2-D 64^2 point cell 14.7 MB,
+    so a 2-D z-profiled slab takes its own probe.  When a cell does not
+    resolve, a slab takes its own probe, and then the band or the direct
+    sum, as a slab with no p does.
     """
     grid = c.grid
     if spec.x_independent:
         return SpectralField(grid, c.coeffs * _multiplier(grid, symbol, delta))
-    if p is not None:
-        symbol = partial(symbols.argument_table, spec, p)
     coeffs = c.coeffs.ravel()
     m, inner = _band_coefficients(grid, spec, symbol, delta, p)
     if inner is not None:
@@ -542,6 +557,8 @@ def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
         shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
         return SpectralField(grid, shifted.reshape(grid.shape))
     counters["direct_sums"] += 1
+    if p is not None:
+        symbol = partial(symbols.argument_table, spec, p)
     out = np.empty(grid.size, dtype=np.complex128)
     for part, kernel in _kernel_blocks(grid, symbol, delta):
         out[part] = kernel @ coeffs
@@ -554,14 +571,16 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
 
     ``c`` holds the coefficients of :func:`thinslab.spectral.forward`, and so
     does the result: a slab's Fourier-basis matrix is :func:`assemble_matrix`.
-    The slab's argument p is taken at its bottom (Frozen) or as its mean.
+    The slab's argument p is taken at its bottom (Frozen) or as its mean;
+    the slab symbol is built only for a multiplier or a slab with no p.
     """
     if isinstance(slab.variant, Frozen):
         p = symbols.slab_argument(slab.spec, slab.z)
     else:
         p = symbols.slab_argument(slab.spec, slab.z, slab.z_prime,
                                   slab.variant.quadrature_order)
-    return _frequency_sum(c, slab.spec, partial(_slab_symbol, slab), slab.thickness, p)
+    symbol = partial(_slab_symbol, slab) if slab.spec.x_independent or p is None else None
+    return _frequency_sum(c, slab.spec, symbol, slab.thickness, p)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:

@@ -279,9 +279,17 @@ def weierstrass(z, alpha: float):
     value of the term-by-term loop bit for bit.
     """
     terms = np.cos(np.multiply.outer(np.asarray(z, dtype=float), _WEIERSTRASS_FREQUENCIES))
-    # Python's pow: numpy's vectorized power can differ from it in the last bit
-    terms *= [2.0 ** (-alpha * k) for k in range(WEIERSTRASS_TERMS + 1)]
+    terms *= _weierstrass_weights(alpha)
     return np.cumsum(terms, axis=-1).take(-1, axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _weierstrass_weights(alpha: float) -> np.ndarray:
+    """Read-only weights 2^(-alpha k), k = 0..``WEIERSTRASS_TERMS``."""
+    # Python's pow: numpy's vectorized power can differ from it in the last bit
+    weights = np.array([2.0 ** (-alpha * k) for k in range(WEIERSTRASS_TERMS + 1)])
+    weights.flags.writeable = False
+    return weights
 
 
 def weierstrass_bandwidth() -> float:

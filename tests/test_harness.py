@@ -181,6 +181,28 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
                                     "cell_nodes": 0, "cell_degree_max": 0}
 
 
+def test_compared_variants_share_their_band_cells(tmp_path):
+    # hoelder-z at n = 128 with compare_variants marches the frozen study and
+    # then the averaged one, each with the same 256- and 128-slab fine-step
+    # reference.  Every band cell stays in the store for the run, so the
+    # averaged study builds no cell and probes no node: the run fits the 8
+    # cells from 82 nodes that the frozen study alone fits (18 from 189 and
+    # 14016 kernel rows when a slab on another key dropped the cell)
+    counts = {}
+    for compare in ("true", "false"):
+        cfg = resolve_config("hoelder-z", {}, {
+            "n_points": "128", "Ns": "8,16", "n_ref": "256", "norm_points": "64",
+            "compare_variants": compare, "output_dir": str(tmp_path / compare)})
+        assert harness.run(cfg) == harness.EXIT_OK
+        counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
+    assert counts["true"] == {"band_sums": 811, "band_reuses": 760, "direct_sums": 5,
+                              "band_points_max": 64, "kernel_rows": 8576,
+                              "symbol_tables": 173, "transforms": 31, "band_cells": 8,
+                              "cell_nodes": 82, "cell_degree_max": 16}
+    for name in ("band_cells", "cell_nodes", "cell_degree_max"):
+        assert counts["true"][name] == counts["false"][name], name
+
+
 def test_run_report_csv_and_json(tmp_path):
     out = tmp_path / "vs"
     cfg = resolve_config("varspeed", {}, {

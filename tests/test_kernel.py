@@ -259,14 +259,65 @@ def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
 def test_band_doubles_while_a_squaring_tail_can_resolve():
     # varspeed at n = 256: the outer tail at Delta = 1/16 reads 9.1e-5, 8.1e-13
     # and 2.6e-16 of max|A| on 32, 64 and 128 points, so it resolves on 128;
-    # at 1/8 it cannot reach 1e-15 within the two doublings left
+    # at 1/8 it cannot reach 1e-15 within the two doublings left.  Each
+    # thickness keeps its own cell
     spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
     u = random_field(grid, 22)
     propagator._band_cell.clear()
     for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
         slab_samples(SlabSpec(0.0, 2.0 ** -k, spec), u)
-        assert list(propagator._band_cell) == [(spec, 2.0 ** -k, grid)]
+        assert list(propagator._band_cell)[-1] == (spec, 2.0 ** -k, grid)
         assert propagator._band_cell[(spec, 2.0 ** -k, grid)].m == m, k
+    assert len(propagator._band_cell) == 4
+
+
+def test_a_march_that_returns_to_a_key_builds_no_cell(monkeypatch):
+    # hoelder-z at n = 128: march Delta = 1/64, then 1/32, then 1/64 again.
+    # The store keeps both keys' cells, so the second 1/64 march takes every
+    # slab from its cell, with no kernel row, no symbol table and no cell
+    # node, and matches the first march, whose cell grew as it went, to 1e-13
+    spec, grid = SPECS["hoelder-z"], Grid(128, 2 * np.pi)
+    c = forward(random_field(grid, 27))
+    built = _built_rows(monkeypatch)
+    propagator.reset_counts()
+
+    def march(k):
+        return [apply_slab(SlabSpec(j * 2.0 ** -k, (j + 1) * 2.0 ** -k, spec), c).coeffs
+                for j in range(2 ** k)]
+
+    first = march(6)
+    march(5)
+    assert list(propagator._band_cell) == [(spec, 2.0 ** -k, grid) for k in (6, 5)]
+    assert all(cell.coef is not None for cell in propagator._band_cell.values())
+    built.clear()
+    before = dict(propagator.counters)
+    tables = symbols.counters["symbol_tables"]
+    again = march(6)
+    assert built == [] and symbols.counters["symbol_tables"] == tables
+    assert propagator.counters["cell_nodes"] == before["cell_nodes"]
+    assert propagator.counters["band_reuses"] - before["band_reuses"] == 64
+    assert max(rel_err(a, b) for a, b in zip(again, first)) < 1e-13
+
+
+def test_the_store_drops_its_oldest_cells_and_keeps_the_newest(monkeypatch):
+    # three filler cells of 400000 coefficients each, then a varspeed point
+    # cell of 15 x 256: the store exceeds 2^20 coefficients and drops the
+    # oldest filler alone.  Below a budget that the newest cell alone
+    # exceeds, the store keeps that cell and drops every other
+    spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
+    u = random_field(grid, 28)
+    fillers = [(spec, 2.0 ** -k, grid) for k in (3, 4, 5)]
+    propagator.reset_counts()
+    for key in fillers:
+        propagator._band_cell[key] = propagator._Cell(
+            0.0, 0.0, 32, np.zeros((1, 400000), dtype=np.complex128))
+    slab_samples(SlabSpec(0.0, 2.0 ** -10, spec), u)
+    newest = (spec, 2.0 ** -10, grid)
+    assert list(propagator._band_cell) == fillers[1:] + [newest]
+    assert propagator._band_cell[newest].coef.size == 15 * 256
+    monkeypatch.setattr(propagator, "_CELL_COEFFICIENTS", 1000)
+    slab_samples(SlabSpec(0.0, 2.0 ** -9, spec), u)
+    assert list(propagator._band_cell) == [(spec, 2.0 ** -9, grid)]
 
 
 def _apply_against_direct_sum(slab, u, c):

@@ -105,8 +105,9 @@ def test_only_the_table_builder_and_the_frequency_sum_build_kernel_rows():
 
 def test_the_band_cell_is_the_one_store_of_band_coefficients():
     # a slab's band coefficients live in propagator._band_cell, which only
-    # _band_coefficients fills and reset_counts empties: no second memo, and
-    # no depth-free flag beside the slab argument of symbols.slab_argument
+    # _band_coefficients fills and evicts from and reset_counts empties: no
+    # second memo, and no depth-free flag beside the slab argument of
+    # symbols.slab_argument
     containers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -233,6 +233,22 @@ def test_weierstrass_equals_sequential_sum(z):
         assert np.array_equal(got, expected)
 
 
+def test_weierstrass_weights_are_cached_and_keep_every_bit():
+    # the weights are built once per alpha, read-only; a scalar and an array
+    # call after the first still equal the term-by-term loop bit for bit
+    z = np.linspace(-1.0, 1.0, 7)
+    for alpha in (0.5, 0.3):
+        weights = symbols._weierstrass_weights(alpha)
+        assert symbols._weierstrass_weights(alpha) is weights
+        assert not weights.flags.writeable
+        for _ in range(2):
+            for point in (0.77, z):
+                expected = sum(2.0 ** (-alpha * k) * np.cos(2.0 ** k * np.pi * np.asarray(point))
+                               for k in range(symbols.WEIERSTRASS_TERMS + 1))
+                assert np.asarray(weierstrass(point, alpha)).tobytes() == \
+                    np.asarray(expected).tobytes()
+
+
 def test_weierstrass_hoelder_bound():
     # |W(z1)-W(z2)| <= C |z1-z2|^alpha with C = sum 2^(-alpha k) (pi 2^k)^alpha ... bounded
     # empirical check against the triangle-inequality constant
