@@ -13,53 +13,46 @@ slabs transforms once at its start and once at its end
 either frozen at the slab bottom, a(slab.z, x', xi), or replaced by its slab
 mean, which :func:`thinslab.symbols.averaged_symbol` takes; how the mean is
 taken follows from the symbol's z-declarations, which only that function
-reads.  When the symbol does not depend on x the sum collapses exactly to a
-Fourier multiplier, built in one place, :func:`_multiplier`;
-:func:`_frequency_sum` scales the coefficients with it for slabs, for the
-operator a(z, x, D_x) and for the exact multiplier evolution.  The last two
-keep samples in and out, one transform on each side.
+reads.
+
+How a slab is taken is decided in one place, :func:`_operator`: as the
+Fourier multiplier of :func:`_multiplier` when the symbol does not depend
+on x, as the banded map of its amplitude's x-band when that resolves to
+1e-15, and otherwise as the direct O(N^2) sum.  :func:`_frequency_sum`
+applies the result, for slabs, for the operator a(z, x, D_x) and for the
+exact multiplier evolution (the last two keep samples in and out, one
+transform on each side).  :func:`assemble_matrix` writes the same result
+down as a dense Fourier-basis matrix, a plain complex ndarray: a diagonal
+matrix, a scattered band, or a direct slab's kernel table transformed once
+over its output points.  So the matrix an H^s norm is taken from is the
+slab the march applies.
 
 The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
-output rows (every row, or a given set of them), and serves slab
-application, the operator a(z, x, D_x) itself and dense assembly: the
-direct sum takes its blocks one by one, and :func:`_kernel_table` gathers
-them into the one table of the band probe or of a dense matrix.  It works
-on the integer lattice of :func:`_lattice`, x = j * spacing and
+output rows (every row, or a given set of them): the direct sum takes its
+blocks one by one, and :func:`_kernel_table` gathers them into the one
+table of a band probe or of a direct slab's dense matrix.  It works on the
+integer lattice of :func:`_lattice`, x = j * spacing and
 xi = k * 2 pi / period, and each slab entry costs one complex exp of the
 fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n, with j . k an
 exact integer product, so the kernel sum matches the FFT convention of
 :mod:`thinslab.spectral` to machine precision.
 
 A slab's amplitude exp(-Delta * a) is nearly constant in x on a thin slab,
-and analytic in x for the registry's transport symbols.  So
-:func:`_frequency_sum` first builds the kernel rows of a 32-point-per-axis
-subgrid (doubled while the tail can still resolve) and takes their FFT over
-x.  When the amplitude's x-Fourier band resolves there to 1e-15, the slab is
-the banded map  c'_i = sum_b A_b[i - b] * c[i - b]  on coefficients (indices
-mod n per axis), with no transform at all, at the cost of the subgrid rows:
-32 of 256 at n = 256.  Otherwise the direct O(N^2) sum is taken over every
-row, the probe's rows included, and its output samples take one forward
-transform.  A slab's table depends on the depth only through one scalar p,
-:func:`thinslab.symbols.slab_argument`, for a z-independent symbol (p = 0)
-and for one with a z-profile, which is affine in p; so its A_b are an
-entire function of p.  One band cell per (spec, Delta, grid) holds them as
-a Chebyshev series in p, fitted from probes at Chebyshev nodes of an
-interval that grows with the p it serves (a single term for a
-z-independent symbol): later slabs of that key cost one small matvec and
-the band products, with no symbol, no kernel row and no FFT.  A store
-keeps the cells of a run's keys, up to 2^20 coefficients held, so a march
-that returns to a key builds no cell.  Dense assembly always builds the
-full kernel table.
+and analytic in x for the registry's transport symbols, so its x-band is
+found from the kernel rows of a 32-point-per-axis subgrid (doubled while
+the tail can still resolve): 32 of 256 rows at n = 256.  The band
+coefficients depend on the depth only through one scalar p,
+:func:`thinslab.symbols.slab_argument`; one band cell per (spec, Delta,
+grid) holds them as a Chebyshev series in p, and a store keeps the cells
+of a run's keys, so a later slab or dense matrix of a key whose p its cell
+covers builds no symbol table, no kernel row and no FFT.
 
-Dense slab matrices are plain complex ndarrays in the Fourier basis.  An
-x-independent slab is the diagonal matrix of its multiplier, with no kernel
-table and no FFT; any other slab's kernel table is transformed once over its
-output points.  The H^s operator norm of a matrix with no nonzero
-off-diagonal entry is its largest |diagonal entry|, since the weights
-<xi>^s commute with it; any other matrix is weighted with the grid's
-<xi>^s on both sides and gets its largest singular value from one LAPACK
-singular-value computation.  Dense matrices are capped at
-MATRIX_SIZE_LIMIT points, so the norm is exact and always affordable.
+The H^s operator norm of a matrix with no nonzero off-diagonal entry is
+its largest |diagonal entry|, since the weights <xi>^s commute with it; any
+other matrix is weighted with the grid's <xi>^s on both sides and gets its
+largest singular value from one LAPACK singular-value computation.  Dense
+matrices are capped at MATRIX_SIZE_LIMIT points, so the norm is exact and
+always affordable.
 """
 
 from __future__ import annotations
@@ -170,12 +163,12 @@ def _pack(coords, grid: Grid):
     return coords[0] if grid.dim == 1 else coords
 
 
-# counts of the kernel sums since the last reset, which the run manifest
-# records: sums on the x-band of the amplitude, those of them that took the
-# band coefficients from a cell built for an earlier slab, direct sums, the
-# largest subgrid size per axis that a band resolved at, the kernel rows
-# _kernel_blocks built, the band cells that resolved, the probes of cell
-# nodes, and the largest Chebyshev degree of a resolved cell
+# counts since the last reset, which the run manifest records: band and
+# direct sums applied, the largest subgrid size per axis a band sum took, and,
+# for slab application and dense assembly alike, the band coefficients taken
+# from a cell built earlier, the kernel rows _kernel_blocks built, the band
+# cells that resolved, the probes of cell nodes, and the largest Chebyshev
+# degree of a resolved cell
 counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0,
             "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0}
 
@@ -223,7 +216,9 @@ def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
 def _kernel_table(grid: Grid, symbol, delta: float | None, rows=None) -> np.ndarray:
     """The (rows, size) kernel table of :func:`_kernel_blocks`, rows None every point.
 
-    A table of at most ``_CHUNK_ROWS`` rows is its one block, not a copy.
+    It holds a band probe's subgrid rows, or every row of a direct slab's
+    dense matrix.  A table of at most ``_CHUNK_ROWS`` rows is its one block,
+    not a copy.
     """
     blocks = _kernel_blocks(grid, symbol, delta, rows)
     count = grid.size if rows is None else len(rows)
@@ -246,7 +241,7 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     return a if delta is None else np.exp(-delta * a)
 
 
-# The band cells of the (spec, delta, grid) keys that _frequency_sum took, in
+# The band cells of the (spec, delta, grid) keys that _operator took, in
 # the order _band_coefficients inserted them.
 _band_cell: dict = {}
 
@@ -499,95 +494,94 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
     return _probe(grid, symbol, delta, 32)[:2]
 
 
-def _frequency_sum(c: SpectralField, spec: SymbolSpec, symbol,
-                   delta: float | None, p) -> SpectralField:
-    """Sum the Fourier coefficients ``c`` against the kernel of ``symbol``.
+def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
+    """How the kernel of ``symbol`` is taken on ``grid``: the one decision for a slab.
 
-    Coefficients in, coefficients out.  An x-independent spec takes the O(N)
-    path: its :func:`_multiplier` scales the coefficients.  ``p`` is the
-    :func:`thinslab.symbols.slab_argument` of the slab, or None; with a p,
-    the kernel's table is the spec's table at p, built only for a probe or
-    the direct sum, and ``symbol`` is not called (it may be None).
-    Any other kernel takes the band coefficients of its amplitude from
-    :func:`_band_coefficients`: on the m^dim-point subgrid of
-    :func:`_band_layout`, with m = 32 per axis doubled while the tail can
-    still resolve, every amplitude coefficient outside the inner half of the
-    band is at most 1e-15 of the largest |amplitude|.  The amplitude is then
-    band-limited to machine precision and the slab's samples are
+    Returns the :func:`_multiplier` array of an x-independent spec, the band
+    ``(m, A_b)`` when the amplitude's x-band resolves, or else the symbol
+    whose kernel the direct sum takes.  ``p`` is the slab's
+    :func:`thinslab.symbols.slab_argument`, or None; with a p, the kernel's
+    table is the spec's table at p, ``partial(symbols.argument_table, spec,
+    p)``, and ``symbol`` serves only a multiplier.
+
+    The band comes from :func:`_band_coefficients`: on the m^dim-point
+    subgrid of :func:`_band_layout`, with m = 32 per axis doubled while the
+    tail can still resolve, every amplitude coefficient outside the inner
+    half of the band is at most 1e-15 of the largest |amplitude|.  The
+    amplitude is then band-limited to machine precision and the slab's
+    samples are
 
         sum_b e^(i b . w0 x) * inverse(A_b * c),   |b| < m/4 per axis,
 
     with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period).
     On coefficients that is a banded map, since e^(i b . w0 x) shifts the
     index by b: output coefficient i sums A_b[i - b] * c[i - b] over the
-    band, and no transform is taken.  A subgrid table holds at most 2^22
-    entries (64 MB, m = 32 on a 64^2 grid).  When the band does not resolve,
-    the direct O(N^2) sum is taken block by block over every row of
-    :func:`_kernel_blocks`, the probe's rows included, and its output samples
-    take one forward transform.
+    band, and no transform is taken.  When the band does not resolve, the
+    direct O(N^2) sum takes every kernel row, the probe's rows built again.
 
     A slab's table depends on the depth only through p, so its A_b are an
     entire function of p for the affine-in-p profiled specs, and a constant
     for a z-independent one (p = 0).  The band cell of a (spec, delta, grid)
-    holds them as a Chebyshev series in p over an interval
-    (:func:`_build_cell`), so a later slab of that key whose p lies in it
-    costs one (degree + 1)-term matvec and the band products: no symbol, no
-    kernel row, no FFT.  A z-independent spec's cell is the point p = 0,
-    degree 0, whose one term the slabs sum with directly, with no matvec.
-    Every full slab of a subdivision has one thickness
-    (:attr:`thinslab.ansatz.Subdivision.step`), so one cell serves all of
-    them, and the store :data:`_band_cell` keeps a cell per key for the
-    rest of the run, so a study that marches the same subdivisions again
-    (another variant, the same fine-step reference) builds no cell twice.
-    A series holds at most 2^20 coefficients (16 MB), and so do the cells
-    held, oldest out first, the newest always kept: a 1-D n = 128 cell at
-    m = 64 and degree 24 takes 1.6 MB, and a 2-D 64^2 point cell 14.7 MB,
-    so a 2-D z-profiled slab takes its own probe.  When a cell does not
-    resolve, a slab takes its own probe, and then the band or the direct
-    sum, as a slab with no p does.
+    holds them as a Chebyshev series in p (:func:`_build_cell`), so a later
+    slab or matrix of that key whose p the cell covers costs at most one
+    (degree + 1)-term matvec: no symbol, no kernel row, no FFT.  Every full
+    slab of a subdivision has one thickness, so one cell serves them all.
     """
-    grid = c.grid
     if spec.x_independent:
-        return SpectralField(grid, c.coeffs * _multiplier(grid, symbol, delta))
-    coeffs = c.coeffs.ravel()
+        return _multiplier(grid, symbol, delta)
     m, inner = _band_coefficients(grid, spec, symbol, delta, p)
     if inner is not None:
+        return m, inner
+    return symbol if p is None else partial(symbols.argument_table, spec, p)
+
+
+def _frequency_sum(c: SpectralField, operator, delta: float | None) -> SpectralField:
+    """Apply an :func:`_operator` result of thickness ``delta`` to coefficients ``c``.
+
+    A multiplier scales them, a band sums A_b[i - b] * c[i - b] with no
+    transform, and a direct sum's output samples take one forward transform.
+    """
+    grid = c.grid
+    if isinstance(operator, np.ndarray):
+        return SpectralField(grid, c.coeffs * operator)
+    coeffs = c.coeffs.ravel()
+    if isinstance(operator, tuple):
+        m, inner = operator
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)
         shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
         return SpectralField(grid, shifted.reshape(grid.shape))
     counters["direct_sums"] += 1
-    if p is not None:
-        symbol = partial(symbols.argument_table, spec, p)
     out = np.empty(grid.size, dtype=np.complex128)
-    for part, kernel in _kernel_blocks(grid, symbol, delta):
+    for part, kernel in _kernel_blocks(grid, operator, delta):
         out[part] = kernel @ coeffs
     out /= np.sqrt(grid.size)
     return spectral.forward(Field(grid, out.reshape(grid.shape)))
+
+
+def _slab_operator(slab: SlabSpec, grid: Grid):
+    """The :func:`_operator` of one slab on ``grid``, at the slab argument p
+    of its bottom (Frozen) or its mean (Averaged)."""
+    bounds = (slab.z,) if isinstance(slab.variant, Frozen) else (
+        slab.z, slab.z_prime, slab.variant.quadrature_order)
+    p = symbols.slab_argument(slab.spec, *bounds)
+    return _operator(grid, slab.spec, partial(_slab_symbol, slab), slab.thickness, p)
 
 
 def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
     """Apply one thin-slab propagator (either variant) to Fourier coefficients.
 
     ``c`` holds the coefficients of :func:`thinslab.spectral.forward`, and so
-    does the result: a slab's Fourier-basis matrix is :func:`assemble_matrix`.
-    The slab's argument p is taken at its bottom (Frozen) or as its mean;
-    the slab symbol is built only for a multiplier or a slab with no p.
+    does the result: :func:`assemble_matrix` writes the same slab down as a matrix.
     """
-    if isinstance(slab.variant, Frozen):
-        p = symbols.slab_argument(slab.spec, slab.z)
-    else:
-        p = symbols.slab_argument(slab.spec, slab.z, slab.z_prime,
-                                  slab.variant.quadrature_order)
-    symbol = partial(_slab_symbol, slab) if slab.spec.x_independent or p is None else None
-    return _frequency_sum(c, slab.spec, symbol, slab.thickness, p)
+    return _frequency_sum(c, _slab_operator(slab, c.grid), slab.thickness)
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
-                                           partial(symbols.eval_symbol, spec, z), None,
-                                           symbols.slab_argument(spec, z)))
+    operator = _operator(field.grid, spec, partial(symbols.eval_symbol, spec, z), None,
+                         symbols.slab_argument(spec, z))
+    return spectral.inverse(_frequency_sum(spectral.forward(field), operator, None))
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -602,9 +596,9 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    return spectral.inverse(_frequency_sum(spectral.forward(field), spec,
-                                           partial(symbols.averaged_symbol, spec, z0, z1),
-                                           z1 - z0, None))
+    operator = _operator(field.grid, spec, partial(symbols.averaged_symbol, spec, z0, z1),
+                         z1 - z0, None)
+    return spectral.inverse(_frequency_sum(spectral.forward(field), operator, z1 - z0))
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +611,26 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     Entry [k, l] maps coefficient l of :func:`spectral.forward` to
     coefficient k, both in the flattened increasing-frequency order, so
     column l holds the coefficients of the slab applied to the l-th Fourier
-    mode.  An x-independent slab is the exact diagonal matrix of its
-    :func:`_multiplier`, with every off-diagonal entry zero, built without a
-    kernel table or an FFT.  Otherwise the kernel table B (output points x
-    input coefficients) is built by :func:`_kernel_table` and transformed
-    once over its output points, so the matrix is F B.
+    mode.  It writes down the :func:`_slab_operator` that :func:`apply_slab`
+    applies: a multiplier as its exact diagonal matrix; a band scattered
+    into the zero matrix, entry [i, i - b] = A_b[i - b] (indices mod n per
+    axis); and only a direct slab as its :func:`_kernel_table` B (output
+    points x input coefficients) transformed once over its output points, F B.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
             f"grid size {grid.size} exceeds dense-assembly limit {MATRIX_SIZE_LIMIT}")
-    symbol = partial(_slab_symbol, slab)
-    if slab.spec.x_independent:
-        return np.diag(_multiplier(grid, symbol, slab.thickness).ravel())
+    operator = _slab_operator(slab, grid)
     size = grid.size
-    B = _kernel_table(grid, symbol, slab.thickness).reshape(grid.shape + (size,))
+    if isinstance(operator, np.ndarray):
+        return np.diag(operator.ravel())
+    if isinstance(operator, tuple):
+        m, inner = operator
+        source = _band_layout(grid, m)[2]
+        T = np.zeros((size, size), dtype=np.complex128)
+        T[np.arange(size), source % size] = np.take(inner, source)
+        return T
+    B = _kernel_table(grid, operator, slab.thickness).reshape(grid.shape + (size,))
     FB = np.fft.fft(B, axis=0) if grid.dim == 1 else np.fft.fft2(B, axes=(0, 1))
     FB = FB[spectral._shift(grid.n_points, grid.dim)]    # forward's coefficient order
     FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k

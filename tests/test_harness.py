@@ -151,12 +151,16 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     # z-independent, so each thickness has one point cell (degree 0) whose one
     # node is its first slab's probe: four nodes, and one cell that resolved.
     # The reference's 127 later slabs take the first one's band coefficients
-    # from that cell.
+    # from that cell.  The six-thickness norm sweep (1/16 .. 1/512) assembles
+    # the slab that a march would take: 1/128 from its cell, 1/16 and 1/64 as
+    # the direct sums their failed cells name, and 1/32, 1/256 and 1/512 from
+    # three new point cells, of which the last two resolve.
     # Symbol tables: one per direct slab, one more per probed subgrid of the
-    # three direct thicknesses and of the reference, and one per dense matrix of
-    # the six-thickness norm sweep.  Kernel rows: every row of each direct slab
-    # (88 x 64), the 32-row subgrid of each of the four probes and every row of
-    # the six dense matrices.  A slab maps coefficients, so each of the four
+    # three direct thicknesses and of the reference, and six in the sweep (its
+    # three probes and three direct tables).  Kernel rows: every row of each
+    # direct slab (88 x 64), the 32-row subgrid of each of the four probes,
+    # and in the sweep three probes of 32 rows and three direct tables of 64.
+    # A slab maps coefficients, so each of the four
     # compositions takes one transform at each end and each direct slab one
     # forward transform of its output samples; four H^s norms and one property
     # case take six more.  A rerun resets the counts and the cells, and a
@@ -166,11 +170,11 @@ def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
     for _ in range(2):
         assert harness.run(cfg) == harness.EXIT_OK
         manifest = json.loads((tmp_path / "vs" / "manifest.json").read_text())
-        assert manifest["counters"] == {"band_sums": 128, "band_reuses": 127,
+        assert manifest["counters"] == {"band_sums": 128, "band_reuses": 128,
                                         "direct_sums": 88, "band_points_max": 32,
-                                        "kernel_rows": 6144, "symbol_tables": 98,
-                                        "transforms": 102, "band_cells": 1,
-                                        "cell_nodes": 4, "cell_degree_max": 0}
+                                        "kernel_rows": 6048, "symbol_tables": 98,
+                                        "transforms": 102, "band_cells": 3,
+                                        "cell_nodes": 7, "cell_degree_max": 0}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
@@ -185,9 +189,12 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # hoelder-z at n = 128 with compare_variants marches the frozen study and
     # then the averaged one, each with the same 256- and 128-slab fine-step
     # reference.  Every band cell stays in the store for the run, so the
-    # averaged study builds no cell and probes no node: the run fits the 8
-    # cells from 82 nodes that the frozen study alone fits (18 from 189 and
-    # 14016 kernel rows when a slab on another key dropped the cell)
+    # averaged study builds no cell and probes no node: the run fits the 11
+    # cells from 88 nodes that the frozen study and the norm sweep alone fit.
+    # The sweep's six dense matrices on 64 points take 6 point cells, 3 of
+    # which resolve (8 from 82 nodes when dense assembly built the full
+    # table; 18 from 189 and 14016 kernel rows when a slab on another key
+    # dropped the cell)
     counts = {}
     for compare in ("true", "false"):
         cfg = resolve_config("hoelder-z", {}, {
@@ -197,8 +204,8 @@ def test_compared_variants_share_their_band_cells(tmp_path):
         counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
     assert counts["true"] == {"band_sums": 811, "band_reuses": 760, "direct_sums": 5,
                               "band_points_max": 64, "kernel_rows": 8576,
-                              "symbol_tables": 173, "transforms": 31, "band_cells": 8,
-                              "cell_nodes": 82, "cell_degree_max": 16}
+                              "symbol_tables": 176, "transforms": 31, "band_cells": 11,
+                              "cell_nodes": 88, "cell_degree_max": 16}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
 

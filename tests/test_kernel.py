@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinslab import oneway, propagator, symbols
+from thinslab import oneway, propagator, spectral, symbols
 from thinslab.propagator import Averaged, Frozen, SlabSpec, apply_slab, assemble_matrix
 from thinslab.spectral import Field, Grid, SpectralField, forward, inverse
 from thinslab.symbols import EvaluationError, SymbolSpec, get_symbol
@@ -77,6 +77,11 @@ def direct_kernel_sum(field, symbol, delta):
     return (out / np.sqrt(grid.size)).reshape(grid.shape)
 
 
+def operator_sum(c, spec, symbol, p):
+    """The operator a(z, x, D_x) on coefficients, taken as propagator._operator decides."""
+    return propagator._frequency_sum(c, propagator._operator(c.grid, spec, symbol, None, p), None)
+
+
 def _planar(spec):
     """The 2-d spec whose components are the 1-d ones at (x_0, xi_0 + xi_1 / 2)."""
     unset = SymbolSpec().b1
@@ -92,7 +97,7 @@ def _planar(spec):
 @pytest.mark.parametrize("name", ["varspeed", "lens"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
-    # the band probe and dense assembly both take rows through _kernel_table:
+    # the band probe and a direct slab's dense matrix take rows through _kernel_table:
     # a scattered, unsorted row set, in one block or several, equals the
     # matching rows of the full table bit for bit
     grid = Grid(2 * propagator._CHUNK_ROWS, 2 * np.pi) if dim == 1 else Grid(32, 2 * np.pi, dim=2)
@@ -127,8 +132,10 @@ def _path_taken(before):
 
 # the paths the slabs of each spec take below on 1-d grids: every x-dependent
 # registry spec's slabs depend on one argument p, so a later slab of a key
-# takes A_b from its cell, and the lens amplitude has kinks in its C^2
-# collar, so it never resolves
+# takes A_b from its cell, and the lens amplitude's x-band is steep, not
+# kinked, so it never resolves: at n = 256, Delta = 1/64 its outer tail is
+# 5.6e-4 to 1.1e-5 of the amplitude on 32 to 256 points, and a C-infinity
+# damping collar leaves it unresolved too
 PATHS = {
     "varspeed": {"band", "cell", "direct"}, "damped-varspeed": {"band", "cell", "direct"},
     "varspeed-z": {"band", "cell", "direct"}, "hoelder-z": {"band", "cell", "direct"},
@@ -150,7 +157,7 @@ def test_band_slab_matches_direct_kernel_sum(name):
         u = random_field(grid, n)
         c = forward(u)
         operator = partial(symbols.eval_symbol, spec, 0.3)
-        cases = [(operator, None, partial(propagator._frequency_sum, c, spec, operator, None,
+        cases = [(operator, None, partial(operator_sum, c, spec, operator,
                                           symbols.slab_argument(spec, 0.3)))]
         for k in range(3, 11):
             for variant in (Frozen(), Averaged()):
@@ -186,6 +193,7 @@ def test_slab_on_coefficients_equals_its_dense_matrix(name, n, dim):
         for variant in (Frozen(), Averaged()):
             slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
             want = assemble_matrix(slab, grid) @ c.coeffs.ravel()
+            propagator._band_cell.clear()   # else the slab takes the cell assembly built
             for _ in range(2):      # a band slab takes the cell the second time
                 before = dict(propagator.counters)
                 got = apply_slab(slab, c).coeffs.ravel()
@@ -197,6 +205,47 @@ def test_slab_on_coefficients_equals_its_dense_matrix(name, n, dim):
         assert paths == {"band", "cell"}    # even Delta = 1/8 resolves on 128 points
     else:
         assert paths == PATHS[name]
+
+
+def full_table_matrix(slab, grid):
+    """A slab's 1-d Fourier-basis matrix without the band: the diagonal of
+    exp(-Delta a) at x = 0 for an x-independent spec, else the full kernel table
+    of the slab symbol transformed over its output points, in increasing-frequency
+    order, over N."""
+    symbol = partial(propagator._slab_symbol, slab)
+    if slab.spec.x_independent:
+        return np.diag(np.exp(-slab.thickness * symbol(0.0, grid.frequency_meshes()[0])))
+    table = propagator._kernel_table(grid, symbol, slab.thickness)
+    return np.fft.fft(table, axis=0)[spectral._shift(grid.n_points, 1)] / grid.size
+
+
+@pytest.mark.parametrize("name", symbols.available_symbols())
+@pytest.mark.parametrize("n", [64, 256])
+def test_dense_matrix_matches_the_full_kernel_table(name, n):
+    # assemble_matrix writes down the slab the march takes: a band scattered
+    # into the zero matrix agrees with the transformed full kernel table to
+    # 1e-13 relative, and a direct slab or a multiplier equals it bit for bit
+    spec, grid = get_symbol(name), Grid(n, 2 * np.pi)
+    paths = set()
+    propagator._band_cell.clear()
+    for k in (3, 4, 6, 10):
+        for variant in (Frozen(), Averaged()):
+            slab = SlabSpec(0.3, 0.3 + 2.0 ** -k, spec, variant)
+            got, want = assemble_matrix(slab, grid), full_table_matrix(slab, grid)
+            operator = propagator._slab_operator(slab, grid)
+            path = ("multiplier" if isinstance(operator, np.ndarray)
+                    else "band" if isinstance(operator, tuple) else "direct")
+            paths.add(path)
+            if path == "band":
+                assert rel_err(got, want) < 1e-13, (k, variant)
+            else:
+                assert got.tobytes() == want.tobytes(), (k, variant, path)
+    if spec.x_independent:
+        assert paths == {"multiplier"}
+    elif (name, n) == ("hoelder-z", 256):
+        assert paths == {"band"}    # even Delta = 1/8 resolves on 128 points
+    else:
+        assert paths == {"band", "direct"}
 
 
 def test_two_dimensional_band_slab():

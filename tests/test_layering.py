@@ -103,6 +103,16 @@ def test_only_the_table_builder_and_the_frequency_sum_build_kernel_rows():
     assert namers == {"propagator._kernel_table", "propagator._frequency_sum"}, namers
 
 
+def test_one_builder_decides_how_a_slab_is_taken():
+    # multiplier, band or direct sum is decided in propagator._operator alone,
+    # for the march, dense assembly, the operator a(z, x, D_x) and the exact
+    # multiplier evolution alike
+    for name in ("_band_coefficients", "_multiplier"):
+        namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                  for scope in _scopes_naming(ast.parse(path.read_text()), name)}
+        assert namers == {"propagator._operator"}, (name, namers)
+
+
 def test_the_band_cell_is_the_one_store_of_band_coefficients():
     # a slab's band coefficients live in propagator._band_cell, which only
     # _band_coefficients fills and evicts from and reset_counts empties: no
