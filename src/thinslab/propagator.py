@@ -42,10 +42,12 @@ and analytic in x for the registry's transport symbols, so its x-band is
 found from the kernel rows of a 32-point-per-axis subgrid (doubled while
 the tail can still resolve): 32 of 256 rows at n = 256.  The band
 coefficients depend on the depth only through one scalar p,
-:func:`thinslab.symbols.slab_argument`; one band cell per (spec, Delta,
-grid) holds them as a Chebyshev series in p, and a store keeps the cells
-of a run's keys, so a later slab or dense matrix of a key whose p its cell
-covers builds no symbol table, no kernel row and no FFT.
+:func:`thinslab.symbols.slab_argument`.  One band cell per (spec, Delta,
+grid) and tile [2k - 1, 2k + 1] of p holds them: the probe of the tile's
+first p, then one Chebyshev series in p fitted once over the whole tile.
+A store keeps the cells of a run's keys, so a later slab or dense matrix
+whose p lies in a fitted tile builds no symbol table, no kernel row and no
+FFT.
 
 The H^s operator norm of a matrix with no nonzero off-diagonal entry is
 its largest |diagonal entry|, since the weights <xi>^s commute with it; any
@@ -241,8 +243,8 @@ def _multiplier(grid: Grid, symbol, delta: float | None) -> np.ndarray:
     return a if delta is None else np.exp(-delta * a)
 
 
-# The band cells of the (spec, delta, grid) keys that _operator took, in
-# the order _band_coefficients inserted them.
+# The band cells of the (spec, delta, grid, tile) keys that _operator took,
+# in the order _band_coefficients inserted them.
 _band_cell: dict = {}
 
 
@@ -286,7 +288,6 @@ def _band_layout(grid: Grid, m: int):
 
 
 _TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
-_CELL_DEGREES = (8, 16, 24)
 _CELL_COEFFICIENTS = 2 ** 20    # 16 MB: the cap of one series and of the cells held
 
 
@@ -345,27 +346,26 @@ def _cosine_transform(degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cell:
-    """The band coefficients A_b of one (spec, delta, grid) as a Chebyshev series in p.
+    """The band coefficients A_b of one (spec, delta, grid, tile) as a Chebyshev series in p.
 
-    ``coef[k]`` is the (bands * size) coefficient of T_k(t), t the image of
-    p in [lo, hi] on [-1, 1], on the subgrid of ``m`` points per axis; a
-    point interval holds the one term A_b.  ``coef`` None marks a cell that
-    did not resolve, with m = 0.
+    ``coef[k]`` is the (bands * size) coefficient of T_k(t), t = p - c the
+    image on [-1, 1] of p in the tile [c - 1, c + 1], on the subgrid of
+    ``m`` points per axis.  A point cell holds the one term A_b at its p,
+    ``point``; a tile fit has ``point`` None.  ``coef`` None marks a cell
+    that did not resolve, with m = 0.
     """
 
-    lo: float
-    hi: float
+    point: float | None
     m: int
     coef: np.ndarray | None
 
-    def band(self, p: float, grid: Grid) -> np.ndarray:
-        """A_b at p, shaped (bands, size): the one term of a point cell, else T(t) @ coef.
+    def band(self, t: float, grid: Grid) -> np.ndarray:
+        """A_b at t in [-1, 1], shaped (bands, size): the one term of a point cell, else T(t) @ coef.
 
         T_k(t) = cos(k arccos t), one vectorized cos for the whole row.
         """
         if len(self.coef) == 1:
             return self.coef[0].reshape(-1, grid.size)
-        t = min(1.0, max(-1.0, (2.0 * p - self.lo - self.hi) / (self.hi - self.lo)))
         chebyshev = np.cos(np.arange(len(self.coef)) * math.acos(t))
         return _real_matmul(chebyshev, self.coef).reshape(-1, grid.size)
 
@@ -380,69 +380,70 @@ def _real_matmul(real: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (real @ values.view(np.float64)).view(np.complex128)
 
 
-def _build_cell(grid: Grid, spec: SymbolSpec, symbol, delta: float | None,
-                lo: float, hi: float) -> _Cell:
-    """Interpolate the band coefficients of the tables at p in [lo, hi] by Chebyshev series.
+def _node_table(grid: Grid, degree: int, m: int) -> np.ndarray | None:
+    """An empty table of the degree + 1 node rows on m points per axis, or None above 2^20 entries."""
+    width = (m // 2 - 1) ** grid.dim * grid.size
+    if (degree + 1) * width <= _CELL_COEFFICIENTS:
+        return np.empty((degree + 1, width), dtype=np.complex128)
+    return None
 
-    A point interval is the slab's own :func:`_probe` with ``symbol``, a
-    series of degree 0.  Otherwise the cell probes the Chebyshev-Lobatto
-    nodes p_j = mid + half * cos(pi j / degree) for degree 8, 16 and 24 in
-    turn, each at the spec's table at p_j; nodes that a lower degree shares
-    are probed once.  Every node is re-probed at the largest m any node
-    needed, and the node values take the cosine transform of
-    :func:`_cosine_transform`.  The cell resolves at the first degree whose
+
+def _build_cell(grid: Grid, spec: SymbolSpec, delta: float | None, tile: int,
+                point: float | None) -> _Cell:
+    """The band cell of the tile [tile, tile + 2]: a point cell at ``point``, else a tile fit.
+
+    A point cell is the slab's own :func:`_probe` of the spec's table at
+    p = ``point``, a series of degree 0.  A tile fit probes the
+    Chebyshev-Lobatto nodes p_j = tile + 1 + cos(pi j / degree) for degree
+    8, 16 and 32 in turn, each at the spec's table at p_j.  The ladder is
+    nested: the even nodes of degree 2d are the nodes of degree d, so a
+    higher degree probes only its odd nodes.  A node whose band needs more
+    points per axis than m raises m, and every other node of that degree is
+    probed again at the new m.  The node values take the cosine transform of
+    :func:`_cosine_transform`.  The fit resolves at the first degree whose
     last two coefficients are at most 1e-15 of max |amplitude|; it does not
     when a node's band does not resolve, when no degree's tail reaches that,
     or when the series would hold more than 2^20 coefficients (16 MB).
     """
-    failed = _Cell(lo, hi, 0, None)
-    if lo == hi:
-        m, inner, _ = _probe(grid, symbol, delta, 32)
+    failed = _Cell(point, 0, None)
+    if point is not None:
+        m, inner, _ = _probe(grid, partial(symbols.argument_table, spec, point), delta, 32)
         counters["cell_nodes"] += 1
         if inner is None:
             return failed
         counters["band_cells"] += 1
-        return _Cell(lo, hi, m, inner.reshape(1, -1))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    m, amplitude = 32, 0.0
-    known = {}          # node as the reduced fraction (j, degree) of pi -> its A_b at m
-    for degree in _CELL_DEGREES:
-        nodes = [(j // math.gcd(j, degree), degree // math.gcd(j, degree))
-                 for j in range(degree + 1)]
-        values = None
-        while values is None:
-            width = (m // 2 - 1) ** grid.dim * grid.size
-            if (degree + 1) * width > _CELL_COEFFICIENTS:
+        return _Cell(point, m, inner.reshape(1, -1))
+    m, amplitude, values = 32, 0.0, None
+    for degree in (8, 16, 32):
+        coarse, values = values, _node_table(grid, degree, m)
+        if values is None:
+            return failed
+        probed = np.zeros(degree + 1, dtype=bool)
+        if coarse is not None:
+            values[::2], probed[::2] = coarse, True
+        del coarse          # the previous degree's table is freed
+        while not probed.all():
+            j = int(np.argmin(probed))
+            p = tile + 1.0 + math.cos(math.pi * j / degree)
+            node_m, inner, node_amplitude = _probe(
+                grid, partial(symbols.argument_table, spec, p), delta, m)
+            counters["cell_nodes"] += 1
+            if inner is None:
                 return failed
-            values = np.empty((degree + 1, width), dtype=np.complex128)
-            for row, node in zip(values, nodes):
-                if node in known:
-                    row[:] = known[node]
-            # rows of values, not copies: the previous degree's table is freed
-            known = {node: row for row, node in zip(values, nodes) if node in known}
-            for row, (j, d) in zip(values, nodes):
-                if (j, d) in known:
-                    continue
-                p = mid + half * math.cos(math.pi * j / d)
-                node_m, inner, node_amplitude = _probe(
-                    grid, partial(symbols.argument_table, spec, p), delta, m)
-                counters["cell_nodes"] += 1
-                if inner is None:
+            amplitude = max(amplitude, node_amplitude)
+            if node_m > m:      # every other node is probed again at this m
+                m, values, probed[:] = node_m, _node_table(grid, degree, node_m), False
+                if values is None:
                     return failed
-                amplitude = max(amplitude, node_amplitude)
-                if node_m > m:      # every other node is probed again at this m
-                    m, known, values = node_m, {(j, d): inner.ravel()}, None
-                    break
-                row[:] = inner.ravel()
-                known[j, d] = row
+            values[j], probed[j] = inner.ravel(), True
         transform = _cosine_transform(degree)
         if np.abs(_real_matmul(transform[-2:], values)).max() <= _TOL * amplitude:
-            for start in range(0, width, 1024):     # in place, one column block at a time
+            for start in range(0, values.shape[1], 1024):   # in place, one column block at a time
                 block = values[:, start:start + 1024]
                 block[:] = _real_matmul(transform, block)
             counters["band_cells"] += 1
             counters["cell_degree_max"] = max(counters["cell_degree_max"], degree)
-            return _Cell(lo, hi, m, values)
+            return _Cell(None, m, values)
     return failed
 
 
@@ -450,48 +451,39 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
     """(m, A_b) of the amplitude's x-band for a slab at argument p, or (0, None).
 
     A slab with no argument (p None) takes its own :func:`_probe`.  Any other
-    takes A_b from the band cell of its (spec, delta, grid) when p lies in
-    the cell's interval.  Without a cell for the key, the slab builds the
-    point cell at its own p; outside a resolved cell's interval, it rebuilds
-    the cell over the hull of the interval and p, widened past p by twice
-    that hull's width, so a march whose p drifts one way rebuilds its cell a
-    logarithmic number of times.  A slab whose cell did not resolve takes
+    takes A_b from the band cell of its (spec, delta, grid) and its tile
+    [2k - 1, 2k + 1], k = round(p / 2).  The first p of a tile builds the
+    point cell of that p, the slab's own probe; a second distinct p replaces
+    it by the Chebyshev fit over the whole tile, which serves every later p
+    of the tile and is never refit.  A slab whose cell did not resolve takes
     its own probe, or goes to the direct sum at once when the cell is the
     point cell of its own p (every slab of a z-independent spec takes p = 0).
     With a p, the probes take the spec's table at p, not ``symbol``.
 
     :data:`_band_cell` holds a cell per key, so a march that returns to a key
-    finds its cell.  A rebuild drops the key's old cell before its nodes are
-    probed and inserts the key anew.  While the cells held exceed 2^20
-    coefficients (16 MB), the oldest-inserted go first, all but the newest.
+    finds its cell.  A new cell goes to the end of the store's order, and
+    while the cells held exceed 2^20 coefficients (16 MB), the first in that
+    order go first, all but the newest.
     """
     if p is None:
         return _probe(grid, symbol, delta, 32)[:2]
-    key = (spec, delta, grid)
+    tile = 2 * round(p / 2) - 1
+    key = (spec, delta, grid, tile)
     cell = _band_cell.get(key)
-    if cell is not None and cell.lo <= p <= cell.hi and cell.coef is not None:
+    if cell is None or cell.point not in (p, None):
+        cell = _build_cell(grid, spec, delta, tile, p if cell is None else None)
+        _band_cell.pop(key, None)       # a tile fit goes last, not in its point cell's place
+        _band_cell[key] = cell
+        while len(_band_cell) > 1 and sum(kept.coef.size for kept in _band_cell.values()
+                                          if kept.coef is not None) > _CELL_COEFFICIENTS:
+            del _band_cell[next(iter(_band_cell))]      # the oldest-inserted cell
+    elif cell.coef is not None:
         counters["band_reuses"] += 1
-        return cell.m, cell.band(p, grid)
-    symbol = partial(symbols.argument_table, spec, p)
-    if cell is not None and cell.coef is None:
-        if p == cell.lo == cell.hi:
-            return 0, None
-        return _probe(grid, symbol, delta, 32)[:2]
-    lo = hi = p
-    if cell is not None:
-        lo, hi = min(cell.lo, p), max(cell.hi, p)
-        lo, hi = (lo - 2.0 * (hi - lo), hi) if p < cell.lo else (lo, hi + 2.0 * (hi - lo))
-    del cell                # the old cell is freed before the new one's nodes are probed
-    _band_cell.pop(key, None)
-    cell = _band_cell[key] = _build_cell(grid, spec, symbol, delta, lo, hi)
-    while len(_band_cell) > 1 and sum(kept.coef.size for kept in _band_cell.values()
-                                      if kept.coef is not None) > _CELL_COEFFICIENTS:
-        del _band_cell[next(iter(_band_cell))]      # the oldest-inserted cell
     if cell.coef is not None:
-        return cell.m, cell.band(p, grid)
-    if lo == hi:
+        return cell.m, cell.band(p - tile - 1.0, grid)
+    if cell.point == p:
         return 0, None
-    return _probe(grid, symbol, delta, 32)[:2]
+    return _probe(grid, partial(symbols.argument_table, spec, p), delta, 32)[:2]
 
 
 def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
@@ -522,10 +514,11 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     A slab's table depends on the depth only through p, so its A_b are an
     entire function of p for the affine-in-p profiled specs, and a constant
     for a z-independent one (p = 0).  The band cell of a (spec, delta, grid)
-    holds them as a Chebyshev series in p (:func:`_build_cell`), so a later
-    slab or matrix of that key whose p the cell covers costs at most one
-    (degree + 1)-term matvec: no symbol, no kernel row, no FFT.  Every full
-    slab of a subdivision has one thickness, so one cell serves them all.
+    and a tile of p holds them as a Chebyshev series in p
+    (:func:`_build_cell`), so a later slab or matrix of that key whose p
+    lies in a fitted tile costs at most one (degree + 1)-term matvec: no
+    symbol, no kernel row, no FFT.  Every full slab of a subdivision has
+    one thickness, so one cell per tile serves them all.
     """
     if spec.x_independent:
         return _multiplier(grid, symbol, delta)

@@ -69,7 +69,9 @@ class SymbolSpec:
     ``z_profile``, when set, is a vectorized real function p(z): the
     components then take the scalar p = z_profile(z) in place of z and must
     be affine in p, so that the slab mean of the symbol is the symbol at the
-    slab mean of p.
+    slab mean of p.  The propagator keeps a slab's band coefficients per
+    thickness and tile [2k - 1, 2k + 1] of p, so a profile kept in [-1, 1],
+    as the registry's are, keeps each thickness in one band cell.
     """
 
     b1: Callable = _zero
@@ -440,7 +442,7 @@ def check_QL_family(q_evaluator) -> QLReport:
 # canned symbol registry
 
 
-_HOELDER_NORMALIZER = 3.5   # bounds |weierstrass(z, 1/2)| for the canned modulation
+_HOELDER_NORMALIZER = 3.5   # bounds |weierstrass(z, 1/2)|, so the canned profile stays in [-1, 1]
 
 
 def _make_translation(period: float) -> SymbolSpec:

@@ -189,12 +189,13 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # hoelder-z at n = 128 with compare_variants marches the frozen study and
     # then the averaged one, each with the same 256- and 128-slab fine-step
     # reference.  Every band cell stays in the store for the run, so the
-    # averaged study builds no cell and probes no node: the run fits the 11
-    # cells from 88 nodes that the frozen study and the norm sweep alone fit.
-    # The sweep's six dense matrices on 64 points take 6 point cells, 3 of
-    # which resolve (8 from 82 nodes when dense assembly built the full
-    # table; 18 from 189 and 14016 kernel rows when a slab on another key
-    # dropped the cell)
+    # averaged study builds no cell and probes no node: the run fits the 7
+    # cells from 46 nodes that the frozen study and the norm sweep alone fit.
+    # Every p lies in the tile [-1, 1].  Each reference thickness builds the
+    # point cell of its first p and then one tile fit of degree 16 (18 nodes);
+    # the study's 1/8 and 1/16 resolve neither at their first p, 0.954, nor
+    # at the tile's first node, p = 1 (2 nodes each).  The sweep's six dense
+    # matrices on 64 points take 6 point cells, 3 of which resolve
     counts = {}
     for compare in ("true", "false"):
         cfg = resolve_config("hoelder-z", {}, {
@@ -202,12 +203,32 @@ def test_compared_variants_share_their_band_cells(tmp_path):
             "compare_variants": compare, "output_dir": str(tmp_path / compare)})
         assert harness.run(cfg) == harness.EXIT_OK
         counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
-    assert counts["true"] == {"band_sums": 811, "band_reuses": 760, "direct_sums": 5,
-                              "band_points_max": 64, "kernel_rows": 8576,
-                              "symbol_tables": 176, "transforms": 31, "band_cells": 11,
-                              "cell_nodes": 88, "cell_degree_max": 16}
+    assert counts["true"] == {"band_sums": 811, "band_reuses": 764, "direct_sums": 5,
+                              "band_points_max": 64, "kernel_rows": 6336,
+                              "symbol_tables": 132, "transforms": 31, "band_cells": 7,
+                              "cell_nodes": 46, "cell_degree_max": 16}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
+
+
+def test_profiled_registry_specs_keep_p_in_one_tile():
+    # a band cell fits p over a tile of width 2, and a default run of a
+    # profiled spec uses the one tile [-1, 1]: hoelder-z divides its
+    # Weierstrass sum by a bound of the weights' sum, and varspeed-z takes
+    # p = z <= Z = 1.  Frozen slabs take p at any depth in [0, Z], averaged ones
+    # the slab mean of p over slabs of thickness 1/8 to 1/512
+    assert sum(symbols._weierstrass_weights(0.5)) < symbols._HOELDER_NORMALIZER
+    profiled = [name for name in symbols.available_symbols()
+                if symbols.get_symbol(name).z_profile is not None]
+    assert profiled == ["varspeed-z", "hoelder-z"]
+    for name in profiled:
+        spec, Z = symbols.get_symbol(name), resolve_config(name, {}, {}).Z
+        ps = [symbols.slab_argument(spec, z) for z in np.linspace(0.0, Z, 4097)]
+        for k in (3, 6, 9):
+            delta = Z * 2.0 ** -k
+            ps += [symbols.slab_argument(spec, j * delta, (j + 1) * delta)
+                   for j in range(2 ** k)]
+        assert max(abs(p) for p in ps) <= 1.0, name
 
 
 def test_run_report_csv_and_json(tmp_path):

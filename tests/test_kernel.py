@@ -259,15 +259,15 @@ def test_two_dimensional_band_slab():
     spec = SymbolSpec(b1=b1, z_independent=True)
     slab = SlabSpec(0.0, 2.0 ** -10, spec)
     u = random_field(grid, 18)
-    filler = propagator._Cell(0.0, 0.0, 32, np.zeros((1, 225 * grid.size), dtype=np.complex128))
+    filler = propagator._Cell(0.0, 32, np.zeros((1, 225 * grid.size), dtype=np.complex128))
     propagator._band_cell.clear()
-    propagator._band_cell[(spec, 2.0 ** -9, grid)] = filler
+    propagator._band_cell[(spec, 2.0 ** -9, grid, -1)] = filler
     before = dict(propagator.counters)
     got = slab_samples(slab, u).values
     assert _path_taken(before) == "band"
     want = direct_kernel_sum(u, partial(propagator._slab_symbol, slab), slab.thickness)
     assert rel_err(got, want) < 1e-13
-    key = (spec, slab.thickness, grid)
+    key = (spec, slab.thickness, grid, -1)
     assert list(propagator._band_cell) == [key]
     assert propagator._band_cell[key].coef.shape == filler.coef.shape
     assert slab_samples(slab, u).values.tobytes() == got.tobytes()
@@ -315,16 +315,17 @@ def test_band_doubles_while_a_squaring_tail_can_resolve():
     propagator._band_cell.clear()
     for k, m in ((3, 0), (4, 128), (5, 64), (10, 32)):
         slab_samples(SlabSpec(0.0, 2.0 ** -k, spec), u)
-        assert list(propagator._band_cell)[-1] == (spec, 2.0 ** -k, grid)
-        assert propagator._band_cell[(spec, 2.0 ** -k, grid)].m == m, k
+        assert list(propagator._band_cell)[-1] == (spec, 2.0 ** -k, grid, -1)
+        assert propagator._band_cell[(spec, 2.0 ** -k, grid, -1)].m == m, k
     assert len(propagator._band_cell) == 4
 
 
 def test_a_march_that_returns_to_a_key_builds_no_cell(monkeypatch):
     # hoelder-z at n = 128: march Delta = 1/64, then 1/32, then 1/64 again.
-    # The store keeps both keys' cells, so the second 1/64 march takes every
-    # slab from its cell, with no kernel row, no symbol table and no cell
-    # node, and matches the first march, whose cell grew as it went, to 1e-13
+    # Every p lies in the tile [-1, 1], so each key holds one cell, fitted
+    # over the tile at its second slab.  The store keeps both keys' cells, so
+    # the second 1/64 march takes every slab from its cell, with no kernel
+    # row, no symbol table and no cell node, and matches the first to 1e-13
     spec, grid = SPECS["hoelder-z"], Grid(128, 2 * np.pi)
     c = forward(random_field(grid, 27))
     built = _built_rows(monkeypatch)
@@ -336,7 +337,7 @@ def test_a_march_that_returns_to_a_key_builds_no_cell(monkeypatch):
 
     first = march(6)
     march(5)
-    assert list(propagator._band_cell) == [(spec, 2.0 ** -k, grid) for k in (6, 5)]
+    assert list(propagator._band_cell) == [(spec, 2.0 ** -k, grid, -1) for k in (6, 5)]
     assert all(cell.coef is not None for cell in propagator._band_cell.values())
     built.clear()
     before = dict(propagator.counters)
@@ -355,18 +356,18 @@ def test_the_store_drops_its_oldest_cells_and_keeps_the_newest(monkeypatch):
     # exceeds, the store keeps that cell and drops every other
     spec, grid = SPECS["varspeed"], Grid(256, 2 * np.pi)
     u = random_field(grid, 28)
-    fillers = [(spec, 2.0 ** -k, grid) for k in (3, 4, 5)]
+    fillers = [(spec, 2.0 ** -k, grid, -1) for k in (3, 4, 5)]
     propagator.reset_counts()
     for key in fillers:
         propagator._band_cell[key] = propagator._Cell(
-            0.0, 0.0, 32, np.zeros((1, 400000), dtype=np.complex128))
+            0.0, 32, np.zeros((1, 400000), dtype=np.complex128))
     slab_samples(SlabSpec(0.0, 2.0 ** -10, spec), u)
-    newest = (spec, 2.0 ** -10, grid)
+    newest = (spec, 2.0 ** -10, grid, -1)
     assert list(propagator._band_cell) == fillers[1:] + [newest]
     assert propagator._band_cell[newest].coef.size == 15 * 256
     monkeypatch.setattr(propagator, "_CELL_COEFFICIENTS", 1000)
     slab_samples(SlabSpec(0.0, 2.0 ** -9, spec), u)
-    assert list(propagator._band_cell) == [(spec, 2.0 ** -9, grid)]
+    assert list(propagator._band_cell) == [(spec, 2.0 ** -9, grid, -1)]
 
 
 def _apply_against_direct_sum(slab, u, c):
@@ -389,52 +390,105 @@ def test_parametric_cell_slabs_match_direct_kernel_sum(name, n):
     # z-profiled slabs of twelve depths per Delta, both variants in turn, as a
     # study marches them: a slab that takes A_b from a Chebyshev series in p
     # (degree > 0) matches the direct kernel sum to 1e-13 relative, and so does
-    # every other path; some slab lies outside its cell's interval and
-    # rebuilds the cell over a grown one.  At Delta = 1/8 and 1/16 no x-band
-    # resolves on fewer than n points, so those slabs take the direct sum
+    # every other path.  Every p lies in the tile [-1, 1]: its second distinct
+    # p fits the tile once, and every later slab of the key takes that fit.
+    # At Delta = 1/8 and 1/16 no x-band resolves on fewer than n points, so
+    # those slabs take the direct sum
     spec, grid = SPECS[name], Grid(n, 2 * np.pi)
     u = random_field(grid, 25)
     c = forward(u)
     propagator.reset_counts()
-    parametric, grown = {}, 0
+    parametric, fits = {}, {}
     for k in (3, 4, 6, 10):
         delta = 2.0 ** -k
-        key = (spec, delta, grid)
         for j in np.unique(np.linspace(0, 2 ** k - 1, 12).astype(int)):
             for variant in (Frozen(), Averaged()):
-                before = propagator._band_cell.get(key)
                 slab = SlabSpec(j * delta, (j + 1) * delta, spec, variant)
                 path = _apply_against_direct_sum(slab, u, c)
-                cell = propagator._band_cell[key]
+                cell = propagator._band_cell[(spec, delta, grid, -1)]
+                if cell.point is None:
+                    assert fits.setdefault(k, cell) is cell     # never refit
                 if path in ("band", "cell") and cell.coef is not None and len(cell.coef) > 1:
                     parametric[k] = parametric.get(k, 0) + 1
-                    grown += (before is not None and before.coef is not None
-                              and (cell.lo, cell.hi) != (before.lo, before.hi))
     assert parametric[10] == 23         # every slab but the first, whose cell is its point
-    assert grown > 0
     if n == 128:
         assert parametric[6] > 0        # Delta = 1/64 resolves only on 64 points
-    assert propagator.counters["cell_degree_max"] in propagator._CELL_DEGREES
+    assert propagator.counters["cell_degree_max"] in (8, 16, 32)
+
+
+# p = 10 z scales the x-variation of the speed: at n = 64 and Delta = 1/1024
+# a slab's x-band resolves on 32 points up to p = 10.5, and not at 10.95 or 11
+TENFOLD = SymbolSpec(b1=lambda p, x, xi: (1.0 + 0.3 * p * np.cos(x)) * xi,
+                     z_bandwidth=1.0, z_profile=lambda z: 10.0 * z)
 
 
 def test_a_cell_that_does_not_resolve_falls_back_to_the_slab_probe():
-    # p = 10 z scales the x-variation of the speed: at p = 5 a slab's x-band
-    # resolves on 32 of 64 points, at p = 15 it does not.  The slab at z = 0.5
-    # lies outside its cell's interval [0, 0.03] and rebuilds the cell over
-    # [0, 15], whose end node does not resolve, so that slab and the next
-    # take their own probe and band sum
-    spec = SymbolSpec(b1=lambda p, x, xi: (1.0 + 0.3 * p * np.cos(x)) * xi,
-                      z_bandwidth=1.0, z_profile=lambda z: 10.0 * z)
-    grid, delta = Grid(64, 2 * np.pi), 2.0 ** -10
+    # TENFOLD at n = 64 and Delta = 1/1024.  In the tile [-1, 1], z = 0
+    # builds the point cell of p = 0, z = Delta fits the tile, and z = 2 Delta
+    # takes that fit.  In the tile [9, 11], z = 1 builds the point cell of
+    # p = 10 and z = 1.02 the tile fit, whose first node, p = 11, does not
+    # resolve.  So that slab, z = 1 again and z = 1.095 take their own probe:
+    # a band sum where it resolves, else the direct sum
+    spec, grid, delta = TENFOLD, Grid(64, 2 * np.pi), 2.0 ** -10
     u = random_field(grid, 26)
     c = forward(u)
     propagator.reset_counts()
     paths = [_apply_against_direct_sum(SlabSpec(z, z + delta, spec), u, c)
-             for z in (0.0, delta, 2 * delta, 0.5, 0.25)]
-    cell = propagator._band_cell[(spec, delta, grid)]
-    assert cell.coef is None and (cell.lo, cell.hi) == (0.0, 15.0)
-    assert paths == ["band", "band", "cell", "band", "band"]
-    assert propagator.counters["band_sums"] == 5 and propagator.counters["band_reuses"] == 1
+             for z in (0.0, delta, 2 * delta, 1.0, 1.02, 1.0, 1.095)]
+    assert paths == ["band", "band", "cell", "band", "band", "band", "direct"]
+    failed = propagator._band_cell[(spec, delta, grid, 9)]
+    assert failed.point is None and failed.coef is None
+    assert len(propagator._band_cell[(spec, delta, grid, -1)].coef) > 1
+    assert propagator.counters["band_sums"] == 6 and propagator.counters["band_reuses"] == 1
+
+
+def test_a_profile_that_crosses_tiles_fits_each_tile_once(monkeypatch):
+    # TENFOLD at n = 64 and Delta = 1/1024, slabs every 5 Delta from z = 0 to
+    # 0.35, both variants: p = 10 z, or its slab mean, crosses the tiles
+    # [-1, 1], [1, 3] and [3, 5], and each is fitted once.  The march back
+    # re-enters every tile, takes every slab from a fit and probes no node.
+    # Every slab matches the direct kernel sum to 1e-13
+    spec, grid, delta = TENFOLD, Grid(64, 2 * np.pi), 2.0 ** -10
+    u = random_field(grid, 29)
+    c = forward(u)
+    built, build = [], propagator._build_cell
+
+    def recording(grid, spec, delta, tile, point):
+        built.append((tile, point))
+        return build(grid, spec, delta, tile, point)
+
+    monkeypatch.setattr(propagator, "_build_cell", recording)
+    propagator.reset_counts()
+    slabs = [SlabSpec(j * delta, (j + 1) * delta, spec, variant)
+             for j in range(0, 360, 5) for variant in (Frozen(), Averaged())]
+    for slab in slabs:
+        _apply_against_direct_sum(slab, u, c)
+    assert [tile for tile, point in built if point is None] == [-1, 1, 3]
+    assert all(len(cell.coef) > 1 for cell in propagator._band_cell.values())
+    built.clear()
+    nodes = propagator.counters["cell_nodes"]
+    assert {_apply_against_direct_sum(slab, u, c) for slab in reversed(slabs)} == {"cell"}
+    assert built == [] and propagator.counters["cell_nodes"] == nodes
+
+
+def test_a_dense_matrix_next_to_a_march_takes_the_march_cell():
+    # hoelder-z at n = 128: the averaged march at Delta = 1/512 fits the tile
+    # [-1, 1] from slab means of p below 0.92.  The norm sweep's frozen matrix
+    # at z = 0, p = 0.954, lies in the same tile: it probes no cell node and
+    # builds no kernel row, and it matches the full transformed kernel table
+    # to 1e-13.  A cell fitted only over the march's p took 17 node probes here
+    spec, grid, delta = SPECS["hoelder-z"], Grid(128, 2 * np.pi), 2.0 ** -9
+    c = forward(random_field(grid, 30))
+    propagator.reset_counts()
+    for j in range(512):
+        apply_slab(SlabSpec(j * delta, (j + 1) * delta, spec, Averaged()), c)
+    before = dict(propagator.counters)
+    slab = SlabSpec(0.0, delta, spec)
+    got = assemble_matrix(slab, grid)
+    for name in ("cell_nodes", "kernel_rows"):
+        assert propagator.counters[name] == before[name], name
+    assert propagator.counters["band_reuses"] == before["band_reuses"] + 1
+    assert rel_err(got, full_table_matrix(slab, grid)) < 1e-13
 
 
 def _counted_symbol(monkeypatch):
@@ -464,7 +518,7 @@ def test_band_memo_slab_equals_the_probed_slab(name, monkeypatch):
             propagator._band_cell.clear()
             slab = SlabSpec(0.5, 0.5 + 2.0 ** -k, spec, variant)
             first = slab_samples(slab, u).values
-            probed = propagator._band_cell[(spec, slab.thickness, grid)].coef is not None
+            probed = propagator._band_cell[(spec, slab.thickness, grid, -1)].coef is not None
             built.clear()
             calls.clear()
             before = dict(propagator.counters)
@@ -483,7 +537,7 @@ def test_invalid_quadrature_order_raises_on_a_filled_memo_cell():
     u = random_field(grid, 21)
     propagator._band_cell.clear()
     slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Frozen()), u)
-    assert propagator._band_cell[(spec, 2.0 ** -6, grid)].coef is not None
+    assert propagator._band_cell[(spec, 2.0 ** -6, grid, -1)].coef is not None
     for order in (0, symbols.MAX_QUADRATURE_ORDER + 1):
         with pytest.raises(ValueError, match="quadrature_order must be in 1..1024"):
             slab_samples(SlabSpec(0.0, 2.0 ** -6, spec, Averaged(order)), u)
