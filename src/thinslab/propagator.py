@@ -39,8 +39,9 @@ exact integer product, so the kernel sum matches the FFT convention of
 
 A slab's amplitude exp(-Delta * a) is nearly constant in x on a thin slab,
 and analytic in x for the registry's transport symbols, so its x-band is
-found from the kernel rows of a 32-point-per-axis subgrid (doubled while
-the tail can still resolve): 32 of 256 rows at n = 256.  The band
+found from the kernel rows of a 32-point-per-axis subgrid, doubled while
+the band does not resolve and the subgrid fits: 32 of 256 rows at n = 256
+for a thin slab, 128 for Delta = 1/8.  The band
 coefficients depend on the depth only through one scalar p,
 :func:`thinslab.symbols.slab_argument`.  One band cell per (spec, Delta,
 grid) and tile [2k - 1, 2k + 1] of p holds them: the probe of the tile's
@@ -293,7 +294,7 @@ _CELL_COEFFICIENTS = 2 ** 20    # 16 MB: the cap of one series and of the cells 
 
 def _fits(grid: Grid, m: int) -> bool:
     """Whether a subgrid of m < n points per axis has a table of at most 2^22 entries."""
-    return 0 < m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22
+    return m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22
 
 
 def _probe(grid: Grid, symbol, delta: float | None, m: int):
@@ -302,28 +303,25 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     Returns (m, inner, amplitude): the subgrid size the band resolved at, its
     (bands, size) coefficients and max |amplitude|, or (0, None, amplitude)
     when it does not resolve.  Each try builds the subgrid's kernel rows and
-    takes their FFT over x; the band resolves when every coefficient outside
-    its inner half is at most 1e-15 of max |amplitude|.  m doubles while a
-    tail that squares with each doubling could still reach that:
-    outer^(2^r) <= 1e-15 |amplitude|^(2^r), with r the doublings left.
+    takes their FFT over x in place; the band resolves when every
+    coefficient outside its inner half is at most 1e-15 of max |amplitude|.
+    m doubles while the subgrid :func:`_fits`.
     """
     amplitude = 0.0
     while _fits(grid, m):
         rows, coefficient, _ = _band_layout(grid, m)
-        table = _kernel_table(grid, symbol, delta, rows)
-        amplitude = np.abs(table).max()
-        spectrum = np.fft.fft(table.reshape((m,) * grid.dim + (grid.size,)), axis=0)
-        for axis in range(1, grid.dim):     # in place: one subgrid-sized copy
-            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        spectrum = _kernel_table(grid, symbol, delta, rows)
+        amplitude = np.abs(spectrum).max()
+        cube = spectrum.reshape((m,) * grid.dim + (grid.size,))
+        for axis in range(grid.dim):
+            np.fft.fft(cube, axis=axis, out=cube)
         spectrum /= m ** grid.dim           # exact: m is a power of two
         magnitude = np.abs(spectrum).ravel()
         magnitude[coefficient] = 0.0
         outer = magnitude.max()
+        del magnitude                       # freed before the band is taken
         if outer <= _TOL * amplitude:
             return m, np.take(spectrum, coefficient), amplitude
-        left = sum(_fits(grid, m << r) for r in range(1, 23))      # doublings left
-        if not (outer / amplitude) ** (2 ** left) <= _TOL:          # NaN fails too
-            break
         m *= 2
     return 0, None, amplitude
 
@@ -498,7 +496,7 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
 
     The band comes from :func:`_band_coefficients`: on the m^dim-point
     subgrid of :func:`_band_layout`, with m = 32 per axis doubled while the
-    tail can still resolve, every amplitude coefficient outside the inner
+    subgrid :func:`_fits`, every amplitude coefficient outside the inner
     half of the band is at most 1e-15 of the largest |amplitude|.  The
     amplitude is then band-limited to machine precision and the slab's
     samples are

@@ -207,22 +207,20 @@ def averaged_symbol(spec: SymbolSpec, z0: float, z1: float, x, xi,
     Gauss-Legendre mean is exact for z-dependence polynomial of degree
     < 2*quadrature_order.
 
-    A z-independent spec is its own mean: its :func:`eval_symbol` table at z0.
-    A spec with a ``z_profile`` is affine in p = z_profile(z), so its mean is
-    its table at the :func:`slab_argument` mean of p, one table.  That
-    differs from the node sum below by rounding only.  Any other spec is the
-    sum in node order of its :func:`eval_symbol` tables, each scaled by half
-    the Gauss weight; :func:`eval_symbol` names a component that fails at a
-    node, and a mean that overflows only in the sum raises a generic
-    EvaluationError.
+    A z-independent spec is its own mean, and a spec with a ``z_profile`` is
+    affine in p = z_profile(z): either is its table at the
+    :func:`slab_argument` of the slab (p = 0 for the first), one table.  For
+    a profiled spec that differs from the node sum below by rounding only.
+    Any other spec is the sum in node order of its :func:`eval_symbol`
+    tables, each scaled by half the Gauss weight; :func:`eval_symbol` names
+    a component that fails at a node, and a mean that overflows only in the
+    sum raises a generic EvaluationError.
     """
     if not (z1 > z0):
         raise ValueError(f"slab [{z0}, {z1}] must have positive thickness")
     if quadrature_order is None:
         quadrature_order = recommended_quadrature_order(spec, z1 - z0)
     check_quadrature_order(quadrature_order)
-    if spec.z_independent:
-        return eval_symbol(spec, z0, x, xi)
     p = slab_argument(spec, z0, z1, quadrature_order)
     if p is not None:
         return argument_table(spec, p, x, xi)
