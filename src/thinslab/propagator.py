@@ -17,38 +17,33 @@ reads.
 
 How a slab is taken is decided in one place, :func:`_operator`: as the
 Fourier multiplier of :func:`_multiplier` when the symbol does not depend
-on x, as the banded map of its amplitude's x-band when that resolves to
-1e-15, and otherwise as the direct O(N^2) sum.  :func:`_frequency_sum`
-applies the result, for slabs, for the operator a(z, x, D_x) and for the
-exact multiplier evolution (the last two keep samples in and out, one
-transform on each side).  :func:`assemble_matrix` writes the same result
-down as a dense Fourier-basis matrix, a plain complex ndarray: a diagonal
-matrix, a scattered band, or a direct slab's kernel table transformed once
-over its output points.  So the matrix an H^s norm is taken from is the
-slab the march applies.
+on x, and otherwise as a band sum.  Entry [i, l] of a slab's Fourier-basis
+matrix is the x-Fourier coefficient i - l (mod n per axis) of its
+amplitude column exp(-Delta * a(x, xi_l)), so the slab sums the inner band
+of a subgrid where that resolves to 1e-15, and else every band on all n
+points: the top rung, the direct O(N^2) kernel sum.  :func:`_frequency_sum`
+applies the result on coefficients with no transform, for slabs, for the
+operator a(z, x, D_x) and for the exact multiplier evolution.
+:func:`assemble_matrix` writes it down as a dense complex ndarray: a
+diagonal, a scattered band, or the top rung's column blocks.  So the
+matrix an H^s norm is taken from is the slab the march applies.
 
-The kernel is built in one place, :func:`_kernel_blocks`, on blocks of
-output rows (every row, or a given set of them): the direct sum takes its
-blocks one by one, and :func:`_kernel_table` gathers them into the one
-table of a band probe or of a direct slab's dense matrix.  It works on the
-integer lattice of :func:`_lattice`, x = j * spacing and
-xi = k * 2 pi / period, and each slab entry costs one complex exp of the
-fused exponent  -Delta * a + i * 2 pi ((j . k) mod n) / n, with j . k an
-exact integer product, so the kernel sum matches the FFT convention of
-:mod:`thinslab.spectral` to machine precision.
+The amplitude is built in one place, :func:`_amplitude`, on the integer
+lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
+one complex exp per entry and no phase: a subgrid probe takes blocks of
+its rows, the top rung blocks of its input columns.
 
-A slab's amplitude exp(-Delta * a) is nearly constant in x on a thin slab,
-and analytic in x for the registry's transport symbols, so its x-band is
-found from the kernel rows of a 32-point-per-axis subgrid, doubled while
-the band does not resolve and the subgrid fits: 32 of 256 rows at n = 256
-for a thin slab, 128 for Delta = 1/8.  The band
-coefficients depend on the depth only through one scalar p,
-:func:`thinslab.symbols.slab_argument`.  One band cell per (spec, Delta,
-grid) and tile [2k - 1, 2k + 1] of p holds them: the probe of the tile's
-first p, then one Chebyshev series in p fitted once over the whole tile.
-A store keeps the cells of a run's keys, so a later slab or dense matrix
-whose p lies in a fitted tile builds no symbol table, no kernel row and no
-FFT.
+A slab's amplitude is nearly constant in x on a thin slab, and analytic in
+x for the registry's transport symbols, so its x-band is found from the
+amplitude rows of a 32-point-per-axis subgrid, doubled while the band does
+not resolve and the subgrid fits: 32 of 256 rows at n = 256 for a thin
+slab, 128 for Delta = 1/8.  The band coefficients depend on the depth only
+through one scalar p, :func:`thinslab.symbols.slab_argument`.  One band
+cell per (spec, Delta, grid) and tile [2k - 1, 2k + 1] of p holds them:
+the probe of the tile's first p, then one Chebyshev series in p fitted
+once over the whole tile.  A store keeps the cells of a run's keys, so a
+later slab or dense matrix whose p lies in a fitted tile builds no symbol
+table, no amplitude row and no FFT.  The top rung keeps no cell.
 
 The H^s operator norm of a matrix with no nonzero off-diagonal entry is
 its largest |diagonal entry|, since the weights <xi>^s commute with it; any
@@ -166,70 +161,34 @@ def _pack(coords, grid: Grid):
     return coords[0] if grid.dim == 1 else coords
 
 
-# counts since the last reset, which the run manifest records: band and
-# direct sums applied, the largest subgrid size per axis a band sum took, and,
-# for slab application and dense assembly alike, the band coefficients taken
-# from a cell built earlier, the kernel rows _kernel_blocks built, the band
-# cells that resolved, the probes of cell nodes, and the largest Chebyshev
-# degree of a resolved cell
-counters = {"band_sums": 0, "band_reuses": 0, "direct_sums": 0, "band_points_max": 0,
+# counts since the last reset, which the run manifest records: band sums and
+# full-band sums applied, the largest subgrid size per axis a band sum took,
+# and, for slab application and dense assembly alike, the band coefficients
+# taken from a cell built earlier, the amplitude rows _amplitude built, the
+# band cells that resolved, the probes of cell nodes, and the largest
+# Chebyshev degree of a resolved cell
+counters = {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0, "band_points_max": 0,
             "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0}
 
 
-def _kernel_blocks(grid: Grid, symbol, delta: float | None, rows=None):
-    """Yield (part, K) over blocks of output points; K[r, k] is a kernel entry.
+def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.ndarray:
+    """The amplitude exp(-delta * a), a itself for ``delta`` None, on ``rows`` x ``columns``.
 
-    ``rows`` is an index array of flat output points, None every point, and
-    ``part`` is the slice of ``rows`` that K's rows are.  The symbol is
-    sampled at x = j * spacing and xi = k * 2 pi / period for the integer
-    indices of :func:`_lattice`: ``symbol(x_packed, xi_packed)`` returns a
-    fresh complex (rows, n_freq) table, which becomes K in place.  With a
-    thickness ``delta`` the entry is exp(i theta - delta * a) with
-    theta = 2 pi ((j . k) mod n) / n, the integer product taken exactly, one
-    complex exp per entry; with ``delta`` None it is e^(i theta) * a.  An
-    entry does not depend on the other rows of its block.  The 1/sqrt(N)
-    normalisation is left to the caller.  Each block adds its rows to
+    ``rows`` and ``columns`` index (array or slice) the flat points and
+    frequencies of :func:`_lattice`; ``symbol(x_packed, xi_packed)`` returns
+    a fresh complex table of a there, which becomes the amplitude in place.
+    An entry does not depend on the other rows or columns of its table.  The
+    table adds its entries over the grid size, its count of full rows, to
     ``counters["kernel_rows"]``.
     """
-    n = grid.n_points
     j, k = _lattice(grid)
-    if rows is not None:
-        j = j[:, rows]
-    x = j * grid.spacing
-    xif = _pack(tuple(c[None, :] for c in k * (2.0 * np.pi / grid.period)), grid)
-    scale = 2.0 * np.pi / n
-    for start in range(0, j.shape[1], _CHUNK_ROWS):
-        part = slice(start, start + _CHUNK_ROWS)
-        kernel = symbol(_pack(tuple(c[part, None] for c in x), grid), xif)
-        turns = np.einsum("dr,dk->rk", j[:, part], k)
-        turns &= n - 1                      # mod n: grid sizes are powers of two
-        if delta is None:
-            kernel *= np.exp(1j * scale * turns)
-        else:
-            # -delta * a + i * scale * turns, in place: no float table of angles
-            kernel *= -delta / scale
-            kernel.imag += turns
-            del turns
-            kernel *= scale
-            np.exp(kernel, out=kernel)
-        counters["kernel_rows"] += kernel.shape[0]
-        yield part, kernel
-
-
-def _kernel_table(grid: Grid, symbol, delta: float | None, rows=None) -> np.ndarray:
-    """The (rows, size) kernel table of :func:`_kernel_blocks`, rows None every point.
-
-    It holds a band probe's subgrid rows, or every row of a direct slab's
-    dense matrix.  A table of at most ``_CHUNK_ROWS`` rows is its one block,
-    not a copy.
-    """
-    blocks = _kernel_blocks(grid, symbol, delta, rows)
-    count = grid.size if rows is None else len(rows)
-    if count <= _CHUNK_ROWS:
-        return next(blocks)[1]
-    table = np.empty((count, grid.size), dtype=np.complex128)
-    for part, kernel in blocks:
-        table[part] = kernel
+    x = _pack(tuple(c[:, None] for c in j[:, rows] * grid.spacing), grid)
+    xi = _pack(tuple(c[None, :] for c in k[:, columns] * (2.0 * np.pi / grid.period)), grid)
+    table = symbol(x, xi)
+    if delta is not None:
+        table *= -delta
+        np.exp(table, out=table)
+    counters["kernel_rows"] += table.size // grid.size
     return table
 
 
@@ -263,29 +222,46 @@ def reset_counts() -> None:
 def _band_layout(grid: Grid, m: int):
     """Read-only index arrays of the subgrid of the points whose indices are multiples of n/m.
 
-    Returns (rows, coefficient, source): the subgrid's flat points in
-    row-major order and two (bands, size) flat indices over the inner band
-    |b| < m/4 per axis.  The kernel row at subgrid index s carries the phase
-    e^(2 pi i s . k / m), so the FFT over s holds coefficient b of amplitude
-    column k at index (b + k) mod m (``coefficient``): no phase is removed
-    by arithmetic.  Multiplying by e^(i b . w0 x) shifts Fourier indices by
-    b with wrap-around, so output coefficient i takes product b at index
-    (i - b) mod n (``source``).
+    Returns (rows, band_rows, source): the subgrid's flat points in row-major
+    order, the rows b mod m per axis of their FFT that hold the inner band
+    |b| < m/4 per axis, and a (bands, size) flat index.  Multiplying by
+    e^(i b . w0 x) shifts Fourier indices by b with wrap-around, so output
+    coefficient i takes product b at index (i - b) mod n (``source``).
     """
     n, d, size = grid.n_points, grid.dim, grid.size
-    j, k = _lattice(grid)
+    j, _ = _lattice(grid)
     rows = np.flatnonzero(np.all(j % (n // m) == 0, axis=0))
     band = np.arange(1 - m // 4, m // 4)
     b = [band[i.ravel(), None] for i in np.indices((band.size,) * d)]
-    coefficient = np.ravel_multi_index(
-        tuple((b[a] + k[a]) % m for a in range(d)) + (np.arange(size),), (m,) * d + (size,))
+    band_rows = np.ravel_multi_index(tuple(b[a][:, 0] % m for a in range(d)), (m,) * d)
     source = np.arange(band.size ** d)[:, None] * size + np.ravel_multi_index(
         tuple((j[a] - b[a]) % n for a in range(d)), grid.shape)
     # int32 halves what the cache holds; every index is below m^dim * size
-    layout = rows, coefficient.astype(np.int32), source.astype(np.int32)
+    layout = rows, band_rows, source.astype(np.int32)
     for array in layout:
         array.flags.writeable = False
     return layout
+
+
+@lru_cache(maxsize=4)
+def _skew(grid: Grid) -> np.ndarray:
+    """Read-only (grid shape + (width,)) index of the skew gather of the top rung's first block.
+
+    A block holds ``width`` = min(size, ``_CHUNK_ROWS``) input columns from
+    a multiple of ``width``, whose offsets per axis from its first column
+    are those of the grid's first ``width`` points t.  Entry [i, t] is the
+    flat position of [(i - t) mod n per axis, t] in a (size, width) table.
+    """
+    n, size = grid.n_points, grid.size
+    width = min(size, _CHUNK_ROWS)
+    j, _ = _lattice(grid)
+    index = np.ravel_multi_index(tuple((j[a][:, None] - j[a][None, :width]) % n
+                                       for a in range(grid.dim)), grid.shape)
+    index = (index * width + np.arange(width)).reshape(grid.shape + (width,))
+    # int32 halves what the cache holds; every index is below size * 2^8
+    index = index.astype(np.int32)
+    index.flags.writeable = False
+    return index
 
 
 _TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
@@ -297,33 +273,61 @@ def _fits(grid: Grid, m: int) -> bool:
     return m < grid.n_points and m ** grid.dim * grid.size <= 2 ** 22
 
 
+def _x_spectrum(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """The FFT over x of ``table``, its rows the points of ``shape``, in place and over their count."""
+    cube = table.reshape(shape + (-1,))
+    for axis in range(len(shape)):
+        np.fft.fft(cube, axis=axis, out=cube)
+    table /= table.shape[0]             # exact: the count is a power of two
+    return table
+
+
 def _probe(grid: Grid, symbol, delta: float | None, m: int):
     """The amplitude's x-band coefficients on subgrids of m points per axis and up.
 
     Returns (m, inner, amplitude): the subgrid size the band resolved at, its
     (bands, size) coefficients and max |amplitude|, or (0, None, amplitude)
-    when it does not resolve.  Each try builds the subgrid's kernel rows and
-    takes their FFT over x in place; the band resolves when every
-    coefficient outside its inner half is at most 1e-15 of max |amplitude|.
-    m doubles while the subgrid :func:`_fits`.
+    when it does not resolve.  Each try builds the subgrid's amplitude rows,
+    in blocks of at most ``_CHUNK_ROWS``, and takes their FFT over x in
+    place; the band resolves when every coefficient outside its inner half
+    is at most 1e-15 of max |amplitude|.  m doubles while the subgrid
+    :func:`_fits`.
     """
     amplitude = 0.0
     while _fits(grid, m):
-        rows, coefficient, _ = _band_layout(grid, m)
-        spectrum = _kernel_table(grid, symbol, delta, rows)
+        rows, band_rows, _ = _band_layout(grid, m)
+        spectrum = np.empty((rows.size, grid.size), dtype=np.complex128)
+        for start in range(0, rows.size, _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            spectrum[part] = _amplitude(grid, symbol, delta, rows[part], slice(None))
         amplitude = np.abs(spectrum).max()
-        cube = spectrum.reshape((m,) * grid.dim + (grid.size,))
-        for axis in range(grid.dim):
-            np.fft.fft(cube, axis=axis, out=cube)
-        spectrum /= m ** grid.dim           # exact: m is a power of two
-        magnitude = np.abs(spectrum).ravel()
-        magnitude[coefficient] = 0.0
+        _x_spectrum(spectrum, (m,) * grid.dim)
+        magnitude = np.abs(spectrum)
+        magnitude[band_rows] = 0.0
         outer = magnitude.max()
         del magnitude                       # freed before the band is taken
         if outer <= _TOL * amplitude:
-            return m, np.take(spectrum, coefficient), amplitude
+            return m, spectrum[band_rows], amplitude
         m *= 2
     return 0, None, amplitude
+
+
+def _full_band(grid: Grid, symbol, delta: float | None):
+    """Yield (part, T), T the Fourier-basis matrix on the input columns ``part``: the top rung.
+
+    Every band is kept, with no tail test.  Entry [i, l] is the x-Fourier
+    coefficient i - l (mod n per axis) of amplitude column l, so each block
+    of :func:`_skew`'s width takes the FFT over x of its columns' amplitude
+    on all points in place and gathers it through the skew index, rolled by
+    the block's first index per axis.
+    """
+    skew, axes = _skew(grid), tuple(range(grid.dim))
+    width = skew.shape[-1]
+    for start in range(0, grid.size, width):
+        part = slice(start, start + width)
+        spectrum = _x_spectrum(_amplitude(grid, symbol, delta, slice(None), part), grid.shape)
+        index = np.roll(skew, np.unravel_index(start, grid.shape), axis=axes) if start else skew
+        yield part, np.take(spectrum, index).reshape(grid.size, width)
 
 
 @lru_cache(maxsize=8)
@@ -445,18 +449,18 @@ def _build_cell(grid: Grid, spec: SymbolSpec, delta: float | None, tile: int,
     return failed
 
 
-def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
+def _band_coefficients(grid: Grid, spec: SymbolSpec, table, delta: float | None, p):
     """(m, A_b) of the amplitude's x-band for a slab at argument p, or (0, None).
 
-    A slab with no argument (p None) takes its own :func:`_probe`.  Any other
-    takes A_b from the band cell of its (spec, delta, grid) and its tile
-    [2k - 1, 2k + 1], k = round(p / 2).  The first p of a tile builds the
-    point cell of that p, the slab's own probe; a second distinct p replaces
-    it by the Chebyshev fit over the whole tile, which serves every later p
-    of the tile and is never refit.  A slab whose cell did not resolve takes
-    its own probe, or goes to the direct sum at once when the cell is the
-    point cell of its own p (every slab of a z-independent spec takes p = 0).
-    With a p, the probes take the spec's table at p, not ``symbol``.
+    A slab with no argument (p None) takes its own :func:`_probe` of its
+    symbol ``table``.  Any other takes A_b from the band cell of its (spec,
+    delta, grid) and its tile [2k - 1, 2k + 1], k = round(p / 2).  The first
+    p of a tile builds the point cell of that p, the slab's own probe; a
+    second distinct p replaces it by the Chebyshev fit over the whole tile,
+    which serves every later p of the tile and is never refit.  A slab whose
+    cell did not resolve takes its own probe, or goes to the full band at
+    once when the cell is the point cell of its own p (every slab of a
+    z-independent spec takes p = 0).
 
     :data:`_band_cell` holds a cell per key, so a march that returns to a key
     finds its cell.  A new cell goes to the end of the store's order, and
@@ -464,7 +468,7 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
     order go first, all but the newest.
     """
     if p is None:
-        return _probe(grid, symbol, delta, 32)[:2]
+        return _probe(grid, table, delta, 32)[:2]
     tile = 2 * round(p / 2) - 1
     key = (spec, delta, grid, tile)
     cell = _band_cell.get(key)
@@ -481,18 +485,19 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, symbol, delta: float | None
         return cell.m, cell.band(p - tile - 1.0, grid)
     if cell.point == p:
         return 0, None
-    return _probe(grid, partial(symbols.argument_table, spec, p), delta, 32)[:2]
+    return _probe(grid, table, delta, 32)[:2]
 
 
 def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     """How the kernel of ``symbol`` is taken on ``grid``: the one decision for a slab.
 
     Returns the :func:`_multiplier` array of an x-independent spec, the band
-    ``(m, A_b)`` when the amplitude's x-band resolves, or else the symbol
-    whose kernel the direct sum takes.  ``p`` is the slab's
-    :func:`thinslab.symbols.slab_argument`, or None; with a p, the kernel's
-    table is the spec's table at p, ``partial(symbols.argument_table, spec,
-    p)``, and ``symbol`` serves only a multiplier.
+    ``(m, A_b)`` when the amplitude's x-band resolves on a subgrid, or else
+    the column blocks of the :func:`_full_band`, every band kept.  ``p`` is
+    the slab's :func:`thinslab.symbols.slab_argument`, or None; with a p,
+    the amplitude's table is the spec's table at p,
+    ``partial(symbols.argument_table, spec, p)``, and ``symbol`` serves only
+    a multiplier.
 
     The band comes from :func:`_band_coefficients`: on the m^dim-point
     subgrid of :func:`_band_layout`, with m = 32 per axis doubled while the
@@ -506,8 +511,8 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     with A_b the amplitude's x-Fourier coefficient b (w0 = 2 pi / period).
     On coefficients that is a banded map, since e^(i b . w0 x) shifts the
     index by b: output coefficient i sums A_b[i - b] * c[i - b] over the
-    band, and no transform is taken.  When the band does not resolve, the
-    direct O(N^2) sum takes every kernel row, the probe's rows built again.
+    band, and no transform is taken.  When the band does not resolve below
+    n points per axis, the top rung keeps every band on all n points.
 
     A slab's table depends on the depth only through p, so its A_b are an
     entire function of p for the affine-in-p profiled specs, and a constant
@@ -515,22 +520,22 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     and a tile of p holds them as a Chebyshev series in p
     (:func:`_build_cell`), so a later slab or matrix of that key whose p
     lies in a fitted tile costs at most one (degree + 1)-term matvec: no
-    symbol, no kernel row, no FFT.  Every full slab of a subdivision has
+    symbol, no amplitude row, no FFT.  Every full slab of a subdivision has
     one thickness, so one cell per tile serves them all.
     """
     if spec.x_independent:
         return _multiplier(grid, symbol, delta)
-    m, inner = _band_coefficients(grid, spec, symbol, delta, p)
-    if inner is not None:
-        return m, inner
-    return symbol if p is None else partial(symbols.argument_table, spec, p)
+    table = symbol if p is None else partial(symbols.argument_table, spec, p)
+    m, inner = _band_coefficients(grid, spec, table, delta, p)
+    return (m, inner) if inner is not None else _full_band(grid, table, delta)
 
 
-def _frequency_sum(c: SpectralField, operator, delta: float | None) -> SpectralField:
-    """Apply an :func:`_operator` result of thickness ``delta`` to coefficients ``c``.
+def _frequency_sum(c: SpectralField, operator) -> SpectralField:
+    """Apply an :func:`_operator` result to coefficients ``c``, with no transform.
 
-    A multiplier scales them, a band sums A_b[i - b] * c[i - b] with no
-    transform, and a direct sum's output samples take one forward transform.
+    A multiplier scales them, a band sums A_b[i - b] * c[i - b], and the
+    full band sums the products of its column blocks with their
+    coefficients.
     """
     grid = c.grid
     if isinstance(operator, np.ndarray):
@@ -542,12 +547,9 @@ def _frequency_sum(c: SpectralField, operator, delta: float | None) -> SpectralF
         counters["band_points_max"] = max(counters["band_points_max"], m)
         shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
         return SpectralField(grid, shifted.reshape(grid.shape))
-    counters["direct_sums"] += 1
-    out = np.empty(grid.size, dtype=np.complex128)
-    for part, kernel in _kernel_blocks(grid, operator, delta):
-        out[part] = kernel @ coeffs
-    out /= np.sqrt(grid.size)
-    return spectral.forward(Field(grid, out.reshape(grid.shape)))
+    counters["full_band_sums"] += 1
+    out = sum(block @ coeffs[part] for part, block in operator)
+    return SpectralField(grid, out.reshape(grid.shape))
 
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
@@ -565,14 +567,14 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
     ``c`` holds the coefficients of :func:`thinslab.spectral.forward`, and so
     does the result: :func:`assemble_matrix` writes the same slab down as a matrix.
     """
-    return _frequency_sum(c, _slab_operator(slab, c.grid), slab.thickness)
+    return _frequency_sum(c, _slab_operator(slab, c.grid))
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
     operator = _operator(field.grid, spec, partial(symbols.eval_symbol, spec, z), None,
                          symbols.slab_argument(spec, z))
-    return spectral.inverse(_frequency_sum(spectral.forward(field), operator, None))
+    return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
@@ -589,7 +591,7 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
     operator = _operator(field.grid, spec, partial(symbols.averaged_symbol, spec, z0, z1),
                          z1 - z0, None)
-    return spectral.inverse(_frequency_sum(spectral.forward(field), operator, z1 - z0))
+    return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +605,9 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     coefficient k, both in the flattened increasing-frequency order, so
     column l holds the coefficients of the slab applied to the l-th Fourier
     mode.  It writes down the :func:`_slab_operator` that :func:`apply_slab`
-    applies: a multiplier as its exact diagonal matrix; a band scattered
+    applies: a multiplier as its exact diagonal matrix, a band scattered
     into the zero matrix, entry [i, i - b] = A_b[i - b] (indices mod n per
-    axis); and only a direct slab as its :func:`_kernel_table` B (output
-    points x input coefficients) transformed once over its output points, F B.
+    axis), and the full band as its column blocks side by side.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
@@ -615,17 +616,15 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     size = grid.size
     if isinstance(operator, np.ndarray):
         return np.diag(operator.ravel())
+    T = np.zeros((size, size), dtype=np.complex128)
     if isinstance(operator, tuple):
         m, inner = operator
         source = _band_layout(grid, m)[2]
-        T = np.zeros((size, size), dtype=np.complex128)
         T[np.arange(size), source % size] = np.take(inner, source)
-        return T
-    B = _kernel_table(grid, operator, slab.thickness).reshape(grid.shape + (size,))
-    FB = np.fft.fft(B, axis=0) if grid.dim == 1 else np.fft.fft2(B, axes=(0, 1))
-    FB = FB[spectral._shift(grid.n_points, grid.dim)]    # forward's coefficient order
-    FB /= size      # the kernel's 1/sqrt(N) times the unitary transform's; exact for N = 2^k
-    return FB.reshape(size, size)
+    else:
+        for part, block in operator:
+            T[:, part] = block
+    return T
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from thinslab import ansatz, propagator, spectral
+from thinslab import ansatz, oneway, propagator, spectral
 from thinslab.ansatz import (
     ExactMultiplier, FineStep, PositionError, Subdivision, SubdivisionError,
     apply_ansatz, convergence_study, reference_solution, residual_norm,
@@ -103,12 +103,13 @@ def test_observer_sees_every_slab(grid64):
 def test_march_transforms_once_at_each_end():
     # every Delta = 1/64 varspeed slab at n = 256 is a band slab, which maps
     # coefficients to coefficients: the march takes one forward transform of
-    # u0 and one inverse of the result, and an observer reads the coefficients
+    # u0 and one inverse of the result, and an observer reads the coefficients.
+    # A lens slab takes the full band, which maps coefficients as well
     grid = Grid(256, 2 * np.pi)
     spec, sub, u0 = get_symbol("varspeed"), Subdivision(1.0, 64), wave_packet(grid)
     propagator.reset_counts()
     plain = apply_ansatz(spec, sub, u0)
-    assert propagator.counters["band_sums"] == 64 and propagator.counters["direct_sums"] == 0
+    assert propagator.counters["band_sums"] == 64 and propagator.counters["full_band_sums"] == 0
     assert spectral.counters["transforms"] == 2
     propagator.reset_counts()
     seen = []
@@ -116,6 +117,12 @@ def test_march_transforms_once_at_each_end():
     assert seen == list(range(1, 65))
     assert spectral.counters["transforms"] == 2
     assert observed.values.tobytes() == plain.values.tobytes()
+    aperture = oneway.ApertureConfig(theta1=np.pi / 12.0, theta2=np.pi * 50.0 / 180.0, tau=32.0)
+    lens = oneway.oneway_symbol_spec(oneway.lens_medium(), aperture)
+    propagator.reset_counts()
+    apply_ansatz(lens, Subdivision(1.0, 8), u0)
+    assert propagator.counters["band_sums"] == 0 and propagator.counters["full_band_sums"] == 8
+    assert spectral.counters["transforms"] == 2
 
 
 def test_averaged_telescopes_to_exact_multiplier(grid64):

@@ -144,42 +144,41 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out / name).read_bytes() == blob, name
 
 
-def test_manifest_counts_band_and_direct_kernel_sums(tmp_path):
+def test_manifest_counts_band_and_full_band_sums(tmp_path):
     # at n = 64 the 128-slab reference (Delta = 1/128) resolves the x-band of
     # its amplitude on the 32-point subgrid; the study slabs (1/8, 1/16) and
-    # the 64-slab cross-check do not, and take the direct sum.  varspeed is
+    # the 64-slab cross-check do not, and take the full band.  varspeed is
     # z-independent, so each thickness has one point cell (degree 0) whose one
     # node is its first slab's probe: four nodes, and one cell that resolved.
     # The reference's 127 later slabs take the first one's band coefficients
     # from that cell.  The six-thickness norm sweep (1/16 .. 1/512) assembles
     # the slab that a march would take: 1/128 from its cell, 1/16 and 1/64 as
-    # the direct sums their failed cells name, and 1/32, 1/256 and 1/512 from
+    # the full bands their failed cells name, and 1/32, 1/256 and 1/512 from
     # three new point cells, of which the last two resolve.
-    # Symbol tables: one per direct slab, one more per probed subgrid of the
-    # three direct thicknesses and of the reference, and six in the sweep (its
-    # three probes and three direct tables).  Kernel rows: every row of each
-    # direct slab (88 x 64), the 32-row subgrid of each of the four probes,
-    # and in the sweep three probes of 32 rows and three direct tables of 64.
-    # A slab maps coefficients, so each of the four
-    # compositions takes one transform at each end and each direct slab one
-    # forward transform of its output samples; four H^s norms and one property
-    # case take six more.  A rerun resets the counts and the cells, and a
-    # rejected configuration counts nothing.
+    # Symbol tables: one per full-band slab, one more per probed subgrid of
+    # the three full-band thicknesses and of the reference, and six in the
+    # sweep (its three probes and three full-band tables).  Amplitude rows:
+    # every row of each full-band slab (88 x 64), the 32-row subgrid of each
+    # of the four probes, and in the sweep three probes of 32 rows and three
+    # full bands of 64.  A slab maps coefficients, so each of the four
+    # compositions takes one transform at each end, and four H^s norms and
+    # one property case take six more.  A rerun resets the counts and the
+    # cells, and a rejected configuration counts nothing.
     cfg = resolve_config("varspeed", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path / "vs")})
     for _ in range(2):
         assert harness.run(cfg) == harness.EXIT_OK
         manifest = json.loads((tmp_path / "vs" / "manifest.json").read_text())
         assert manifest["counters"] == {"band_sums": 128, "band_reuses": 128,
-                                        "direct_sums": 88, "band_points_max": 32,
+                                        "full_band_sums": 88, "band_points_max": 32,
                                         "kernel_rows": 6048, "symbol_tables": 98,
-                                        "transforms": 102, "band_cells": 3,
+                                        "transforms": 14, "band_cells": 3,
                                         "cell_nodes": 7, "cell_degree_max": 0}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
-    assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "direct_sums": 0,
+    assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0,
                                     "band_points_max": 0, "kernel_rows": 0,
                                     "symbol_tables": 0, "transforms": 0, "band_cells": 0,
                                     "cell_nodes": 0, "cell_degree_max": 0}
@@ -195,9 +194,9 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # study's 1/16 build the point cell of their first p and then one tile
     # fit of degree 16 (18 nodes each; 1/16 resolves on 64 points).  The
     # study's 1/8 resolves neither at its first p, 0.954, nor at the tile's
-    # first node, p = 1 (2 nodes): its first slab takes the one direct sum,
-    # and its later slabs their own probe.  The sweep's six dense matrices on
-    # 64 points take 6 point cells, 3 of which resolve
+    # first node, p = 1 (2 nodes): its first slab takes the one full band,
+    # with no transform, and its later slabs their own probe.  The sweep's six
+    # dense matrices on 64 points take 6 point cells, 3 of which resolve
     counts = {}
     for compare in ("true", "false"):
         cfg = resolve_config("hoelder-z", {}, {
@@ -205,9 +204,9 @@ def test_compared_variants_share_their_band_cells(tmp_path):
             "compare_variants": compare, "output_dir": str(tmp_path / compare)})
         assert harness.run(cfg) == harness.EXIT_OK
         counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
-    assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "direct_sums": 1,
+    assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
-                              "symbol_tables": 97, "transforms": 27, "band_cells": 9,
+                              "symbol_tables": 97, "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name

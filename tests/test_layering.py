@@ -95,19 +95,23 @@ def _scopes_naming(node, name, scope="<module>"):
         yield from _scopes_naming(child, name, scope)
 
 
-def test_only_the_table_builder_and_the_frequency_sum_build_kernel_rows():
-    # the slab kernel is built in one place: every other caller takes its
-    # rows through propagator._kernel_table
+def test_only_the_probe_and_the_top_rung_build_amplitude_rows():
+    # every x-dependent slab is built from one phase-free amplitude table,
+    # propagator._amplitude: the subgrid probe takes its rows and the top rung
+    # its column blocks.  No phase lattice is left, and no second kernel
+    # table beside it
     namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-              for scope in _scopes_naming(ast.parse(path.read_text()), "_kernel_blocks")}
-    assert namers == {"propagator._kernel_table", "propagator._frequency_sum"}, namers
+              for scope in _scopes_naming(ast.parse(path.read_text()), "_amplitude")}
+    assert namers == {"propagator._probe", "propagator._full_band"}, namers
+    assert not any(hasattr(propagator, name) for name in ("_kernel_blocks", "_kernel_table"))
+    assert "einsum" not in (PACKAGE / "propagator.py").read_text()
 
 
 def test_one_builder_decides_how_a_slab_is_taken():
-    # multiplier, band or direct sum is decided in propagator._operator alone,
+    # multiplier, band or full band is decided in propagator._operator alone,
     # for the march, dense assembly, the operator a(z, x, D_x) and the exact
     # multiplier evolution alike
-    for name in ("_band_coefficients", "_multiplier"):
+    for name in ("_band_coefficients", "_multiplier", "_full_band"):
         namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
                   for scope in _scopes_naming(ast.parse(path.read_text()), name)}
         assert namers == {"propagator._operator"}, (name, namers)
