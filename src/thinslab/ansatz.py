@@ -96,15 +96,21 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
     :class:`thinslab.spectral.SpectralField` of the marched coefficients,
     which the stability checks and the energy bookkeeping read without a
     transform; the march goes on from ``c``, so an observer only reads it.
-    A z exactly on a subdivision point gets no partial slab.
+    A z exactly on a subdivision point gets no partial slab.  The slab
+    arguments of the full slabs come from one
+    :func:`thinslab.propagator.slab_arguments` call over all of them; a
+    partial slab takes its own.
     """
     if z is None:
         z = sub.Z
     k_full, rem = _split_depth(sub, z)
     c = spectral.forward(u0)
     step = sub.step
-    for k in range(k_full):
-        slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max)
+    arguments = propagator.slab_arguments(spec, variant, np.arange(k_full) * step,
+                                          np.arange(1, k_full + 1) * step)
+    arguments = [None] * k_full if arguments is None else arguments.tolist()
+    for k, p in enumerate(arguments):
+        slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max, p)
         c = propagator.apply_slab(slab, c)
         if observer is not None:
             observer(k + 1, (k + 1) * step, c)

@@ -38,7 +38,9 @@ x for the registry's transport symbols, so its x-band is found from the
 amplitude rows of a 32-point-per-axis subgrid, doubled while the band does
 not resolve and the subgrid fits: 32 of 256 rows at n = 256 for a thin
 slab, 128 for Delta = 1/8.  The band coefficients depend on the depth only
-through one scalar p, :func:`thinslab.symbols.slab_argument`.  One band
+through one scalar p, :func:`thinslab.symbols.slab_argument`, which a
+slab carries as its ``argument``: a march takes those of its full slabs
+from one profile call over all their nodes.  One band
 cell per (spec, Delta, grid) and tile [2k - 1, 2k + 1] of p holds them:
 the probe of the tile's first p, then one Chebyshev series in p fitted
 once over the whole tile.  A store keeps the cells of a run's keys, so a
@@ -55,7 +57,7 @@ always affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, partial
 
 import math
@@ -110,15 +112,36 @@ class Averaged:
             symbols.check_quadrature_order(self.quadrature_order)
 
 
+def slab_arguments(spec: SymbolSpec, variant, z, z_prime):
+    """The :func:`thinslab.symbols.slab_argument` of slabs [z, z_prime] of one variant.
+
+    Frozen slabs take p at their bottom, Averaged ones the slab mean of p at
+    the variant's quadrature order.  z and z_prime may be arrays of slab
+    bottoms and tops, which take one profile call for all of them.
+    """
+    if isinstance(variant, Averaged):
+        return symbols.slab_argument(spec, z, z_prime, variant.quadrature_order)
+    return symbols.slab_argument(spec, z)
+
+
 @dataclass(frozen=True)
 class SlabSpec:
-    """One slab [z, z_prime] of a symbol evolution."""
+    """One slab [z, z_prime] of a symbol evolution.
+
+    ``argument`` is the slab's :func:`slab_arguments` p, the one scalar its
+    table depends on (None when there is none).  Left at None it is derived
+    here; a march passes the p of its full slabs, which it takes from one
+    call.  It does not take part in comparisons, and ``dataclasses.replace``
+    keeps it, so a replace that moves the slab or changes its spec or
+    variant passes ``argument=None``.
+    """
 
     z: float
     z_prime: float
     spec: SymbolSpec
     variant: object = Frozen()
     delta_max: float = DELTA_MAX_DEFAULT
+    argument: float | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.z < self.z_prime):
@@ -128,6 +151,9 @@ class SlabSpec:
                 f"slab too thick: {self.thickness:g} exceeds delta_max {self.delta_max:g}")
         if not isinstance(self.variant, (Frozen, Averaged)):
             raise VariantError(f"unknown variant {self.variant!r}")
+        if self.argument is None:
+            object.__setattr__(self, "argument",
+                               slab_arguments(self.spec, self.variant, self.z, self.z_prime))
 
     @property
     def thickness(self) -> float:
@@ -553,12 +579,9 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
 
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
-    """The :func:`_operator` of one slab on ``grid``, at the slab argument p
-    of its bottom (Frozen) or its mean (Averaged)."""
-    bounds = (slab.z,) if isinstance(slab.variant, Frozen) else (
-        slab.z, slab.z_prime, slab.variant.quadrature_order)
-    p = symbols.slab_argument(slab.spec, *bounds)
-    return _operator(grid, slab.spec, partial(_slab_symbol, slab), slab.thickness, p)
+    """The :func:`_operator` of one slab on ``grid``, at its ``argument`` p."""
+    return _operator(grid, slab.spec, partial(_slab_symbol, slab), slab.thickness,
+                     slab.argument)
 
 
 def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:

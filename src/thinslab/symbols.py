@@ -113,8 +113,7 @@ def eval_symbol(spec: SymbolSpec, z: float, x, xi) -> np.ndarray:
     return argument_table(spec, component_argument(spec, z), x, xi)
 
 
-def slab_argument(spec: SymbolSpec, z0: float, z1: float | None = None,
-                  quadrature_order: int | None = None):
+def slab_argument(spec: SymbolSpec, z0, z1=None, quadrature_order: int | None = None):
     """The one scalar p that a slab's table depends on, or None when there is none.
 
     With ``z1`` None the slab is frozen at z0; otherwise its symbol is the
@@ -126,24 +125,44 @@ def slab_argument(spec: SymbolSpec, z0: float, z1: float | None = None,
     values summed in node order.  Its components are affine in p, so its
     slab mean is its table at that p.  Any other spec returns None: its
     table depends on the depth through more than one scalar.
+
+    z0 and z1 may be arrays of slab bottoms and tops, such as the full
+    slabs of a march; p is then an array of their broadcast shape, from one
+    profile call over every node of every slab, and each element is bitwise
+    the p of that slab alone.  With ``quadrature_order`` None every slab of
+    the array must take one recommended order (slabs of one thickness do),
+    else ValueError.
     """
     if spec.z_independent:
-        return 0.0
-    if spec.z_profile is None:
+        p = np.zeros(np.broadcast_shapes(np.shape(z0), np.shape(z1)))
+    elif spec.z_profile is None:
         return None
-    if z1 is None:
-        return float(component_argument(spec, z0))
-    if quadrature_order is None:
-        quadrature_order = recommended_quadrature_order(spec, z1 - z0)
-    nodes, weights = _gl_nodes(quadrature_order)
-    p = component_argument(spec, 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * nodes)
-    return float(np.cumsum(0.5 * weights * p)[-1])
+    elif z1 is None:
+        counters["slab_arguments"] += 1
+        p = component_argument(spec, z0)
+    else:
+        counters["slab_arguments"] += 1
+        z0, z1 = np.asarray(z0, dtype=float), np.asarray(z1, dtype=float)
+        if quadrature_order is None:
+            # a set, not np.unique, which imports numpy.ma (0.5 MB) on first use
+            orders = {recommended_quadrature_order(spec, thickness)
+                      for thickness in set(np.ravel(z1 - z0).tolist())}
+            if len(orders) > 1:
+                raise ValueError("slabs that take different quadrature orders "
+                                 f"({sorted(orders)}) need one call each")
+            quadrature_order = min(orders, default=1)     # any order serves no slab
+        nodes, weights = _gl_nodes(quadrature_order)
+        mid, half = (0.5 * (z0 + z1))[..., None], (0.5 * (z1 - z0))[..., None]
+        p = component_argument(spec, mid + half * nodes)
+        p = np.cumsum(0.5 * weights * p, axis=-1)[..., -1]
+    return float(p) if np.ndim(p) == 0 else p
 
 
 # tables built by argument_table since the last propagator.reset_counts: one per
 # eval_symbol call, Gauss nodes of a slab mean included, and one per table
-# taken at a slab argument p (a z-profiled slab mean, a slab or a cell node)
-counters = {"symbol_tables": 0}
+# taken at a slab argument p (a z-profiled slab mean, a slab or a cell node);
+# and the profile calls of slab_argument, one per call for any number of slabs
+counters = {"symbol_tables": 0, "slab_arguments": 0}
 
 
 def argument_table(spec: SymbolSpec, p, x, xi) -> np.ndarray:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from thinslab import ansatz, oneway, propagator, spectral
+from thinslab import ansatz, oneway, propagator, spectral, symbols
 from thinslab.ansatz import (
     ExactMultiplier, FineStep, PositionError, Subdivision, SubdivisionError,
     apply_ansatz, convergence_study, reference_solution, residual_norm,
@@ -80,6 +80,38 @@ def test_every_slab_of_a_subdivision_shares_one_cell(n_slabs):
     counts = propagator.counters
     assert counts["band_sums"] == n_slabs and counts["band_reuses"] == n_slabs - 1
     assert counts["band_cells"] == counts["cell_nodes"] == 1
+
+
+@pytest.mark.parametrize("variant", [Frozen(), Averaged()], ids=["frozen", "averaged"])
+@pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z"])
+def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
+    # the march takes the slab arguments of its full slabs from one profile
+    # call; applying one SlabSpec at a time, each deriving its own argument,
+    # gives the same coefficients bit for bit, after every full slab as the
+    # observer sees them and at the end.  z = 0.3 lies between subdivision
+    # points, so that march ends with a partial slab, which takes its own call
+    spec, grid = get_symbol(name), Grid(128, 2 * np.pi)
+    sub, u0 = Subdivision(1.0, 32), wave_packet(grid)
+    for z in (1.0, 0.3):
+        propagator.reset_counts()
+        seen = []
+        got = apply_ansatz(spec, sub, u0, z=z, variant=variant,
+                           observer=lambda k, zk, c: seen.append((k, zk, c.coeffs.tobytes())))
+        calls = symbols.counters["slab_arguments"]
+        propagator.reset_counts()
+        k_full, rem = ansatz._split_depth(sub, z)
+        c, want = spectral.forward(u0), []
+        for k in range(k_full):
+            slab = SlabSpec(k * sub.step, (k + 1) * sub.step, spec, variant)
+            c = propagator.apply_slab(slab, c)
+            want.append((k + 1, (k + 1) * sub.step, c.coeffs.tobytes()))
+        if rem > 0.0:
+            c = propagator.apply_slab(
+                SlabSpec(k_full * sub.step, k_full * sub.step + rem, spec, variant), c)
+        assert seen == want
+        assert got.values.tobytes() == spectral.inverse(c).values.tobytes()
+        assert calls == 1 + (rem > 0.0)
+        assert symbols.counters["slab_arguments"] == k_full + (rem > 0.0)
 
 
 def test_z_at_the_end_takes_every_slab_and_no_partial_one():

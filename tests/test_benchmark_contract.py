@@ -13,10 +13,12 @@ from thinslab import harness, propagator
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["stability-norms", "oneway-lens"])
+@pytest.mark.parametrize("workload",
+                         ["study-varspeed", "study-hoelder", "stability-norms", "oneway-lens"])
 def test_worker_pass(tmp_path, workload):
-    # one pass of a workload against perfbench/golden.json: stability-norms
-    # calls norm_sweep/semigroup_defect with the keywords the worker passes,
+    # one pass of a workload against perfbench/golden.json: the studies go
+    # through harness.run of their default config, stability-norms calls
+    # norm_sweep/semigroup_defect with the keywords the worker passes,
     # oneway-lens goes through harness.run, the mixed-mode datum and write_field
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

@@ -172,6 +172,7 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
         assert manifest["counters"] == {"band_sums": 128, "band_reuses": 128,
                                         "full_band_sums": 88, "band_points_max": 32,
                                         "kernel_rows": 6048, "symbol_tables": 98,
+                                        "slab_arguments": 0,
                                         "transforms": 14, "band_cells": 3,
                                         "cell_nodes": 7, "cell_degree_max": 0}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
@@ -180,7 +181,8 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0,
                                     "band_points_max": 0, "kernel_rows": 0,
-                                    "symbol_tables": 0, "transforms": 0, "band_cells": 0,
+                                    "symbol_tables": 0, "slab_arguments": 0,
+                                    "transforms": 0, "band_cells": 0,
                                     "cell_nodes": 0, "cell_degree_max": 0}
 
 
@@ -204,12 +206,29 @@ def test_compared_variants_share_their_band_cells(tmp_path):
             "compare_variants": compare, "output_dir": str(tmp_path / compare)})
         assert harness.run(cfg) == harness.EXIT_OK
         counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
+    # Each of the 8 marches takes the slab arguments of its full slabs from one
+    # profile call, and each of the 6 dense matrices takes its own
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
-                              "symbol_tables": 97, "transforms": 26, "band_cells": 9,
+                              "symbol_tables": 97, "slab_arguments": 14,
+                              "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
+
+
+def test_default_hoelder_run_takes_one_profile_call_per_march(tmp_path):
+    # the default hoelder-z run marches 3312 slabs in 12 marches: the frozen
+    # and the averaged study each take the 1024-slab reference, its 512-slab
+    # cross-check and the 4 subdivisions of Ns.  Each march takes the slab
+    # arguments of its full slabs from one profile call, and each of the norm
+    # sweep's 6 dense slabs takes its own: 18 calls, where one call per slab
+    # took 3318
+    cfg = resolve_config("hoelder-z", {}, {"output_dir": str(tmp_path)})
+    assert harness.run(cfg) == harness.EXIT_OK
+    counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
+    assert counters["slab_arguments"] == 18
+    assert counters["band_sums"] + counters["full_band_sums"] == 3312
 
 
 def test_profiled_registry_specs_keep_p_in_one_tile():

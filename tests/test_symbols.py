@@ -148,6 +148,49 @@ def test_profiled_mean_matches_unprofiled_node_mean(name):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _bitwise_same(got, want):
+    return isinstance(got, np.ndarray) and got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", available_symbols())
+def test_array_slab_argument_is_bitwise_the_scalar_one(name):
+    # a march takes the slab arguments of its full slabs from one call over
+    # arrays of bottoms and tops: frozen slabs at any depths, averaged ones of
+    # the march's one thickness at the default order, and slabs of any
+    # thickness at a given order.  Each element is the p of that slab alone,
+    # from one profile call for the whole array
+    spec, step = get_symbol(name), 2.0 ** -7
+    bottoms = np.linspace(0.0, 0.9, 41)
+    tops = bottoms + np.geomspace(1e-3, 0.1, 41)
+    cases = [(np.linspace(0.0, 1.0, 97), None, None),
+             (np.arange(128) * step, np.arange(1, 129) * step, None),
+             (bottoms, tops, 1), (bottoms, tops, 4)]
+    for z0, z1, order in cases:
+        want = [symbols.slab_argument(spec, a, None if z1 is None else b, order)
+                for a, b in zip(z0.tolist(), z0.tolist() if z1 is None else z1.tolist())]
+        assert all(isinstance(p, float) for p in want)
+        symbols.counters["slab_arguments"] = 0
+        got = symbols.slab_argument(spec, z0, z1, order)
+        assert _bitwise_same(got, want), (name, order)
+        assert symbols.counters["slab_arguments"] == (spec.z_profile is not None)
+        if spec.z_independent:
+            assert not got.any()
+
+
+def test_array_slab_argument_needs_one_quadrature_order():
+    # slabs of different thickness can take different default orders, which
+    # one profile call over their nodes cannot; an unprofiled z-dependent spec
+    # has no slab argument in either form
+    spec, z0 = get_symbol("hoelder-z"), np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match="quadrature orders"):
+        symbols.slab_argument(spec, z0, z0 + np.array([2.0 ** -9, 2.0 ** -3]))
+    assert symbols.slab_argument(spec, np.zeros(0), np.zeros(0)).shape == (0,)
+    plain = _unprofiled("hoelder-z")
+    assert symbols.slab_argument(plain, 0.0) is None
+    assert symbols.slab_argument(plain, z0) is None
+    assert symbols.slab_argument(plain, z0, z0 + 0.1) is None
+
+
 def test_nonfinite_profile_raises():
     spec = SymbolSpec(b1=lambda p, x, xi: (1.0 + p) * xi + 0.0 * x, z_bandwidth=1.0,
                       z_profile=lambda z: np.where(np.asarray(z) > 0.5, np.nan, z))
@@ -159,6 +202,11 @@ def test_nonfinite_profile_raises():
     with pytest.raises(EvaluationError) as err:
         averaged_symbol(spec, 0.0, 1.0, X, XI)
     assert "z_profile" in str(err.value)
+    # the slab argument raises it alike for one slab and for an array of slabs
+    z0 = np.array([0.0, 0.5])
+    for bounds in ((0.75,), (z0 + 0.25,), (0.5, 0.625), (z0, z0 + 0.125)):
+        with pytest.raises(EvaluationError, match="z_profile"):
+            symbols.slab_argument(spec, *bounds)
 
 
 def test_averaged_symbol_names_component_nan_past_midslab():
