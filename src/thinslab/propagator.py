@@ -45,7 +45,11 @@ cell per (spec, Delta, grid) and tile [2k - 1, 2k + 1] of p holds them:
 the probe of the tile's first p, then one Chebyshev series in p fitted
 once over the whole tile.  A store keeps the cells of a run's keys, so a
 later slab or dense matrix whose p lies in a fitted tile builds no symbol
-table, no amplitude row and no FFT.  The top rung keeps no cell.
+table, no amplitude row and no FFT.  A march takes the band coefficients of
+its full slabs in blocks: the first slab of a block carries the block's
+arguments as its ``block``, and their tile fit takes one Chebyshev product
+for all of them; any other slab takes a product of its own.  The top rung
+keeps no cell.
 
 The H^s operator norm of a matrix with no nonzero off-diagonal entry is
 its largest |diagonal entry|, since the weights <xi>^s commute with it; any
@@ -134,6 +138,12 @@ class SlabSpec:
     call.  It does not take part in comparisons, and ``dataclasses.replace``
     keeps it, so a replace that moves the slab or changes its spec or
     variant passes ``argument=None``.
+
+    ``block`` holds the arguments of a block of march slabs, this slab's
+    first, whose band coefficients one Chebyshev product takes; only the
+    first slab of a block carries them.  It does not take part in
+    comparisons either, and a replace that moves the slab passes
+    ``block=()``.
     """
 
     z: float
@@ -142,6 +152,7 @@ class SlabSpec:
     variant: object = Frozen()
     delta_max: float = DELTA_MAX_DEFAULT
     argument: float | None = dataclass_field(default=None, compare=False)
+    block: tuple = dataclass_field(default=(), compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.z < self.z_prime):
@@ -191,10 +202,11 @@ def _pack(coords, grid: Grid):
 # full-band sums applied, the largest subgrid size per axis a band sum took,
 # and, for slab application and dense assembly alike, the band coefficients
 # taken from a cell built earlier, the amplitude rows _amplitude built, the
-# band cells that resolved, the probes of cell nodes, and the largest
-# Chebyshev degree of a resolved cell
+# band cells that resolved, the probes of cell nodes, the largest Chebyshev
+# degree of a resolved cell, and the Chebyshev products of tile fits taken
 counters = {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0, "band_points_max": 0,
-            "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0}
+            "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0,
+            "band_products": 0}
 
 
 def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.ndarray:
@@ -380,22 +392,27 @@ class _Cell:
     image on [-1, 1] of p in the tile [c - 1, c + 1], on the subgrid of
     ``m`` points per axis.  A point cell holds the one term A_b at its p,
     ``point``; a tile fit has ``point`` None.  ``coef`` None marks a cell
-    that did not resolve, with m = 0.
+    that did not resolve, with m = 0.  ``rows`` holds the A_b that a block
+    product took for later slabs of a march, keyed by their p, until those
+    slabs take them.
     """
 
     point: float | None
     m: int
     coef: np.ndarray | None
+    rows: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
-    def band(self, t: float, grid: Grid) -> np.ndarray:
-        """A_b at t in [-1, 1], shaped (bands, size): the one term of a point cell, else T(t) @ coef.
+    def bands(self, t: np.ndarray, grid: Grid) -> np.ndarray:
+        """A_b at each t in [-1, 1] of a tile fit, shaped (len(t), bands, size): one T(t) @ coef.
 
-        T_k(t) = cos(k arccos t), one vectorized cos for the whole row.
+        T_k(t) = cos(k arccos t), one vectorized cos for every row.  A row
+        does not depend on the other rows of its product when there are at
+        least two (numpy hands a one-row product to gemv, whose rows differ
+        in their last bits), so a lone slab takes the row of ``[t, t]``.
         """
-        if len(self.coef) == 1:
-            return self.coef[0].reshape(-1, grid.size)
-        chebyshev = np.cos(np.arange(len(self.coef)) * math.acos(t))
-        return _real_matmul(chebyshev, self.coef).reshape(-1, grid.size)
+        chebyshev = np.cos(np.arange(len(self.coef)) * np.arccos(t)[:, None])
+        counters["band_products"] += 1
+        return _real_matmul(chebyshev, self.coef).reshape(len(t), -1, grid.size)
 
 
 def _real_matmul(real: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -475,18 +492,22 @@ def _build_cell(grid: Grid, spec: SymbolSpec, delta: float | None, tile: int,
     return failed
 
 
-def _band_coefficients(grid: Grid, spec: SymbolSpec, table, delta: float | None, p):
-    """(m, A_b) of the amplitude's x-band for a slab at argument p, or (0, None).
+def _band_coefficients(grid: Grid, spec: SymbolSpec, delta: float | None, p, block: tuple):
+    """(m, A_b) of the amplitude's x-band for a slab at argument p, from its band cell.
 
-    A slab with no argument (p None) takes its own :func:`_probe` of its
-    symbol ``table``.  Any other takes A_b from the band cell of its (spec,
-    delta, grid) and its tile [2k - 1, 2k + 1], k = round(p / 2).  The first
-    p of a tile builds the point cell of that p, the slab's own probe; a
-    second distinct p replaces it by the Chebyshev fit over the whole tile,
-    which serves every later p of the tile and is never refit.  A slab whose
-    cell did not resolve takes its own probe, or goes to the full band at
-    once when the cell is the point cell of its own p (every slab of a
-    z-independent spec takes p = 0).
+    Returns (0, None) when the slab goes to the full band at once, and None
+    when it takes its own probe: when it has no argument (p None), or when
+    its cell did not resolve and is not the point cell of its own p (every
+    slab of a z-independent spec takes p = 0).  A slab takes A_b from the
+    band cell of its (spec, delta, grid) and its tile [2k - 1, 2k + 1],
+    k = round(p / 2).  The first p of a tile builds the point cell of that
+    p, the slab's own probe; a second distinct p replaces it by the
+    Chebyshev fit over the whole tile, which serves every later p of the
+    tile and is never refit.
+
+    A tile fit takes A_b from the row a block product left in the cell for
+    p, else from one product over the arguments of ``block`` in its tile,
+    keeping the other rows for their slabs, else from a product of its own.
 
     :data:`_band_cell` holds a cell per key, so a march that returns to a key
     finds its cell.  A new cell goes to the end of the store's order, and
@@ -494,7 +515,7 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, table, delta: float | None,
     order go first, all but the newest.
     """
     if p is None:
-        return _probe(grid, table, delta, 32)[:2]
+        return None
     tile = 2 * round(p / 2) - 1
     key = (spec, delta, grid, tile)
     cell = _band_cell.get(key)
@@ -507,15 +528,23 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, table, delta: float | None,
             del _band_cell[next(iter(_band_cell))]      # the oldest-inserted cell
     elif cell.coef is not None:
         counters["band_reuses"] += 1
-    if cell.coef is not None:
-        return cell.m, cell.band(p - tile - 1.0, grid)
-    if cell.point == p:
-        return 0, None
-    return _probe(grid, table, delta, 32)[:2]
+    if cell.coef is None:
+        return (0, None) if cell.point == p else None
+    if cell.point is not None:
+        return cell.m, cell.coef[0].reshape(-1, grid.size)
+    band = cell.rows.pop(p, None)
+    if band is None:
+        arguments = [p] + [q for q in block[1:] if 2 * round(q / 2) - 1 == tile]
+        t = np.array(arguments if len(arguments) > 1 else [p, p]) - (tile + 1.0)
+        rows = cell.bands(t, grid)
+        cell.rows.update(zip(arguments[1:], rows[1:]))
+        band = rows[0]
+    return cell.m, band
 
 
-def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
-    """How the kernel of ``symbol`` is taken on ``grid``: the one decision for a slab.
+def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, p, symbol, *args,
+              block: tuple = ()):
+    """How the kernel of ``symbol(*args, x, xi)`` is taken on ``grid``: the one decision for a slab.
 
     Returns the :func:`_multiplier` array of an x-independent spec, the band
     ``(m, A_b)`` when the amplitude's x-band resolves on a subgrid, or else
@@ -523,14 +552,16 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     the slab's :func:`thinslab.symbols.slab_argument`, or None; with a p,
     the amplitude's table is the spec's table at p,
     ``partial(symbols.argument_table, spec, p)``, and ``symbol`` serves only
-    a multiplier.
+    a multiplier.  A table is bound only on the paths that read it: a
+    multiplier, a probe or the full band.  ``block`` is the slab's
+    :class:`SlabSpec` block.
 
-    The band comes from :func:`_band_coefficients`: on the m^dim-point
-    subgrid of :func:`_band_layout`, with m = 32 per axis doubled while the
-    subgrid :func:`_fits`, every amplitude coefficient outside the inner
-    half of the band is at most 1e-15 of the largest |amplitude|.  The
-    amplitude is then band-limited to machine precision and the slab's
-    samples are
+    The band comes from :func:`_band_coefficients` or from a :func:`_probe`:
+    on the m^dim-point subgrid of :func:`_band_layout`, with m = 32 per axis
+    doubled while the subgrid :func:`_fits`, every amplitude coefficient
+    outside the inner half of the band is at most 1e-15 of the largest
+    |amplitude|.  The amplitude is then band-limited to machine precision
+    and the slab's samples are
 
         sum_b e^(i b . w0 x) * inverse(A_b * c),   |b| < m/4 per axis,
 
@@ -545,14 +576,18 @@ def _operator(grid: Grid, spec: SymbolSpec, symbol, delta: float | None, p):
     for a z-independent one (p = 0).  The band cell of a (spec, delta, grid)
     and a tile of p holds them as a Chebyshev series in p
     (:func:`_build_cell`), so a later slab or matrix of that key whose p
-    lies in a fitted tile costs at most one (degree + 1)-term matvec: no
-    symbol, no amplitude row, no FFT.  Every full slab of a subdivision has
-    one thickness, so one cell per tile serves them all.
+    lies in a fitted tile takes no symbol, no amplitude row and no FFT: a
+    march takes the A_b of a block of its slabs from one (degree + 1)-term
+    product, and any other slab from a product of its own.  Every full slab
+    of a subdivision has one thickness, so one cell per tile serves them all.
     """
     if spec.x_independent:
-        return _multiplier(grid, symbol, delta)
-    table = symbol if p is None else partial(symbols.argument_table, spec, p)
-    m, inner = _band_coefficients(grid, spec, table, delta, p)
+        return _multiplier(grid, partial(symbol, *args), delta)
+    band = _band_coefficients(grid, spec, delta, p, block)
+    if band is not None and band[1] is not None:
+        return band
+    table = partial(symbol, *args) if p is None else partial(symbols.argument_table, spec, p)
+    m, inner = band or _probe(grid, table, delta, 32)[:2]
     return (m, inner) if inner is not None else _full_band(grid, table, delta)
 
 
@@ -580,8 +615,8 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
     """The :func:`_operator` of one slab on ``grid``, at its ``argument`` p."""
-    return _operator(grid, slab.spec, partial(_slab_symbol, slab), slab.thickness,
-                     slab.argument)
+    return _operator(grid, slab.spec, slab.thickness, slab.argument, _slab_symbol, slab,
+                     block=slab.block)
 
 
 def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
@@ -595,8 +630,8 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    operator = _operator(field.grid, spec, partial(symbols.eval_symbol, spec, z), None,
-                         symbols.slab_argument(spec, z))
+    operator = _operator(field.grid, spec, None, symbols.slab_argument(spec, z),
+                         symbols.eval_symbol, spec, z)
     return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 
@@ -612,8 +647,7 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    operator = _operator(field.grid, spec, partial(symbols.averaged_symbol, spec, z0, z1),
-                         z1 - z0, None)
+    operator = _operator(field.grid, spec, z1 - z0, None, symbols.averaged_symbol, spec, z0, z1)
     return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 

@@ -118,7 +118,10 @@ def _as_samples(grid: Grid, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.shape != grid.shape:
         raise GridError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    # the squared sum is finite only when every entry is; a finite field whose
+    # sum overflows takes the elementwise test
+    if (not np.isfinite(np.vdot(arr, arr).real)
+            and not np.all(np.isfinite(arr.view(np.float64)))):
         raise GridError("field contains non-finite entries")
     return arr
 

@@ -1,5 +1,6 @@
 """Slab composition, reference solutions, convergence studies, residuals."""
 
+import itertools
 import os
 
 import numpy as np
@@ -86,18 +87,23 @@ def test_every_slab_of_a_subdivision_shares_one_cell(n_slabs):
 @pytest.mark.parametrize("name", ["hoelder-z", "varspeed-z"])
 def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
     # the march takes the slab arguments of its full slabs from one profile
-    # call; applying one SlabSpec at a time, each deriving its own argument,
-    # gives the same coefficients bit for bit, after every full slab as the
-    # observer sees them and at the end.  z = 0.3 lies between subdivision
-    # points, so that march ends with a partial slab, which takes its own call
+    # call, and the band coefficients of each block of 8 full slabs from one
+    # Chebyshev product; applying one SlabSpec at a time, each deriving its
+    # own argument and taking a product of its own, gives the same
+    # coefficients bit for bit, after every full slab as the observer sees
+    # them and at the end.  z = 0.3 lies between subdivision points, so that
+    # march ends with a partial slab, which takes its own call.  At n = 128
+    # the tile fits of 100 slabs resolve on 64 points and those of 260 on 32,
+    # and both counts cut their last block short; varspeed-z at 32 slabs
+    # takes no cell
     spec, grid = get_symbol(name), Grid(128, 2 * np.pi)
-    sub, u0 = Subdivision(1.0, 32), wave_packet(grid)
-    for z in (1.0, 0.3):
+    u0 = wave_packet(grid)
+    for sub, z in itertools.product([Subdivision(1.0, n) for n in (32, 100, 260)], (1.0, 0.3)):
         propagator.reset_counts()
         seen = []
         got = apply_ansatz(spec, sub, u0, z=z, variant=variant,
                            observer=lambda k, zk, c: seen.append((k, zk, c.coeffs.tobytes())))
-        calls = symbols.counters["slab_arguments"]
+        calls, products = symbols.counters["slab_arguments"], propagator.counters["band_products"]
         propagator.reset_counts()
         k_full, rem = ansatz._split_depth(sub, z)
         c, want = spectral.forward(u0), []
@@ -112,6 +118,25 @@ def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
         assert got.values.tobytes() == spectral.inverse(c).values.tobytes()
         assert calls == 1 + (rem > 0.0)
         assert symbols.counters["slab_arguments"] == k_full + (rem > 0.0)
+        # slab 0 builds the point cell and slab 1 the tile fit, so the block
+        # from slab 8 is the first that takes fewer products than the loop
+        loop = propagator.counters["band_products"]
+        assert products < loop or (products == loop and (k_full < 10 or loop == 0))
+
+
+@pytest.mark.parametrize("z", [1.0, 0.3])
+@pytest.mark.parametrize("n_slabs", [64, 100, 260])
+def test_no_cell_keeps_block_rows_after_a_march(n_slabs, z):
+    # the slabs of a block take every row its product left in their cell,
+    # a block cut short at the end of the march included, for both variants
+    # of the study and again from the cells the first variant fitted
+    u0 = wave_packet(Grid(128, 2 * np.pi))
+    for name in ("hoelder-z", "varspeed-z"):
+        propagator.reset_counts()
+        for variant in (Frozen(), Averaged(), Frozen()):
+            apply_ansatz(get_symbol(name), Subdivision(1.0, n_slabs), u0, z=z, variant=variant)
+            assert not any(cell.rows for cell in propagator._band_cell.values())
+        assert propagator.counters["band_products"] > 0
 
 
 def test_z_at_the_end_takes_every_slab_and_no_partial_one():

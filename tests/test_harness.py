@@ -174,7 +174,8 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
                                         "kernel_rows": 6048, "symbol_tables": 98,
                                         "slab_arguments": 0,
                                         "transforms": 14, "band_cells": 3,
-                                        "cell_nodes": 7, "cell_degree_max": 0}
+                                        "cell_nodes": 7, "cell_degree_max": 0,
+                                        "band_products": 0}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
@@ -183,7 +184,8 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
                                     "band_points_max": 0, "kernel_rows": 0,
                                     "symbol_tables": 0, "slab_arguments": 0,
                                     "transforms": 0, "band_cells": 0,
-                                    "cell_nodes": 0, "cell_degree_max": 0}
+                                    "cell_nodes": 0, "cell_degree_max": 0,
+                                    "band_products": 0}
 
 
 def test_compared_variants_share_their_band_cells(tmp_path):
@@ -207,12 +209,18 @@ def test_compared_variants_share_their_band_cells(tmp_path):
         assert harness.run(cfg) == harness.EXIT_OK
         counts[compare] = json.loads((tmp_path / compare / "manifest.json").read_text())["counters"]
     # Each of the 8 marches takes the slab arguments of its full slabs from one
-    # profile call, and each of the 6 dense matrices takes its own
+    # profile call, and each of the 6 dense matrices takes its own.  A march
+    # takes the band coefficients of each block of 8 full slabs from a tile
+    # fit in one Chebyshev product, but slabs 1 to 7 of a march that fits its
+    # tile at slab 1 take one each: the frozen study's 256-, 128- and 16-slab
+    # marches 7 + 31, 7 + 15 and 7 + 1 products, the averaged study's, whose
+    # cells exist, 32, 16 and 2; none of the dense matrices is on a tile fit
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
                               "symbol_tables": 97, "slab_arguments": 14,
                               "transforms": 26, "band_cells": 9,
-                              "cell_nodes": 62, "cell_degree_max": 16}
+                              "cell_nodes": 62, "cell_degree_max": 16,
+                              "band_products": 118}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
 
@@ -223,12 +231,47 @@ def test_default_hoelder_run_takes_one_profile_call_per_march(tmp_path):
     # cross-check and the 4 subdivisions of Ns.  Each march takes the slab
     # arguments of its full slabs from one profile call, and each of the norm
     # sweep's 6 dense slabs takes its own: 18 calls, where one call per slab
-    # took 3318
+    # took 3318.  Band coefficients take one Chebyshev product per block of 8
+    # slabs on a tile fit: 7 + 127, 7 + 63 and 7 + 1, 7 + 3, 7 + 7 for the
+    # frozen study's marches that fit the tiles (Delta = 1/8 takes none),
+    # 128, 64 and 2, 4, 8 for the averaged study's, and 4 for the dense slabs
+    # of the sweep that are on tile fits, where each of those 3295 slabs took one
     cfg = resolve_config("hoelder-z", {}, {"output_dir": str(tmp_path)})
     assert harness.run(cfg) == harness.EXIT_OK
     counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
     assert counters["slab_arguments"] == 18
     assert counters["band_sums"] + counters["full_band_sums"] == 3312
+    assert counters["band_products"] == 446
+
+
+def test_block_product_rows_are_bitwise_the_lone_slab_rows(tmp_path, monkeypatch):
+    # a march takes the band coefficients of a block of slabs from the rows of
+    # one product T(t_block) @ coef, and any other slab the first row of the
+    # product at [t, t]: numpy hands a one-row product to gemv, whose rows
+    # differ in their last bits.  For every tile fit of a reduced hoelder-z
+    # run (m = 32 for the 256-slab reference, 64 for its 128-slab cross-check
+    # and for the study's 16 slabs), each row of a block product is the lone
+    # row bit for bit, at every position and for every block length up to
+    # the march's, 8
+    lengths = []
+    bands = propagator._Cell.bands
+    monkeypatch.setattr(propagator._Cell, "bands",
+                        lambda cell, t, grid: lengths.append(len(t)) or bands(cell, t, grid))
+    cfg = resolve_config("hoelder-z", {}, {
+        "n_points": "128", "Ns": "8,16", "n_ref": "256", "norm_points": "64",
+        "compare_variants": "false", "output_dir": str(tmp_path)})
+    assert harness.run(cfg) == harness.EXIT_OK
+    assert max(lengths) == 8 and len(lengths) == propagator.counters["band_products"]
+    fits = [(key[2], cell) for key, cell in propagator._band_cell.items()
+            if cell.point is None and cell.coef is not None]
+    assert sorted(cell.m for _, cell in fits) == [32, 64, 64]
+    t = np.cos(np.linspace(0.1, 3.0, 8))
+    for grid, cell in fits:
+        lone = [cell.bands(np.array([s, s]), grid)[0].tobytes() for s in t]
+        for length in range(2, 9):
+            for start in range(0, 9 - length):
+                rows = cell.bands(t[start:start + length], grid)
+                assert [row.tobytes() for row in rows] == lone[start:start + length]
 
 
 def test_profiled_registry_specs_keep_p_in_one_tile():

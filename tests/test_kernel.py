@@ -109,7 +109,7 @@ def direct_kernel_sum(field, symbol, delta):
 
 def operator_sum(c, spec, symbol, p):
     """The operator a(z, x, D_x) on coefficients, taken as propagator._operator decides."""
-    return propagator._frequency_sum(c, propagator._operator(c.grid, spec, symbol, None, p))
+    return propagator._frequency_sum(c, propagator._operator(c.grid, spec, None, p, symbol))
 
 
 def _planar(spec):
@@ -446,6 +446,24 @@ def test_a_march_that_returns_to_a_key_builds_no_cell(monkeypatch):
     assert propagator.counters["cell_nodes"] == before["cell_nodes"]
     assert propagator.counters["band_reuses"] - before["band_reuses"] == 64
     assert max(rel_err(a, b) for a, b in zip(again, first)) < 1e-13
+
+
+def test_a_slab_from_its_cell_binds_no_table(monkeypatch):
+    # a slab that takes its band coefficients from a cell reads no table, so
+    # _operator binds neither the spec's table at p nor the slab's symbol: a
+    # point cell (varspeed, p = 0) and a tile fit (hoelder-z, fitted at the
+    # second slab) alike.  With functools.partial gone, the slabs still run
+    grid = Grid(128, 2 * np.pi)
+    c = forward(random_field(grid, 5))
+    for name in ("varspeed", "hoelder-z"):
+        slabs = [SlabSpec(j / 64, (j + 1) / 64, SPECS[name]) for j in range(4)]
+        propagator.reset_counts()
+        first = [apply_slab(slab, c).coeffs for slab in slabs]
+        with monkeypatch.context() as patch:
+            patch.setattr(propagator, "partial", None)
+            again = [apply_slab(slab, c).coeffs for slab in slabs]
+        assert propagator.counters["band_reuses"] == {"varspeed": 7, "hoelder-z": 6}[name]
+        assert max(rel_err(a, b) for a, b in zip(again, first)) < 1e-13
 
 
 def test_the_store_drops_its_oldest_cells_and_keeps_the_newest(monkeypatch):

@@ -171,6 +171,26 @@ def test_field_validation(grid64):
         Field(grid64, np.full(64, np.nan))
 
 
+@pytest.mark.parametrize("kind", [Field, SpectralField])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_non_finite_entry_is_rejected_and_huge_finite_ones_are_not(kind, dim):
+    # the check takes the squared sum first and the elementwise test only
+    # when that sum is not finite, which a field of 1e200 entries overflows
+    grid = Grid(16, 3.0, dim=dim)
+    bad = (complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf, 1j * np.inf,
+           -1j * np.inf, complex(np.inf, np.inf), complex(-np.inf, np.inf))
+    with np.errstate(all="raise"):
+        for value in bad:
+            values = random_field(grid, 0).values
+            values[(5,) * dim] = value
+            with pytest.raises(GridError, match="non-finite"):
+                kind(grid, values)
+        for value in (1e200, -1e200j, complex(1e200, -1e200), 1e308):
+            values = np.full(grid.shape, value, dtype=np.complex128)
+            held = kind(grid, values)
+            assert np.array_equal(held.values if kind is Field else held.coeffs, values)
+
+
 def test_binary_round_trip(tmp_path, grid64):
     u = random_field(grid64, 11)
     path = tmp_path / "u.tslb"
