@@ -99,8 +99,8 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
     A z exactly on a subdivision point gets no partial slab.  The slab
     arguments of the full slabs come from one
     :func:`thinslab.propagator.slab_arguments` call over all of them; a
-    partial slab takes its own.  Every 8th full slab carries the arguments
-    of itself and the next 7 as its ``block``, so a band cell takes their
+    partial slab takes its own.  Every full slab carries the arguments of
+    itself and the later slabs of its block of 8, so a band cell takes their
     band coefficients from one product.
     """
     if z is None:
@@ -112,9 +112,9 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
                                           np.arange(1, k_full + 1) * step)
     arguments = [None] * k_full if arguments is None else arguments.tolist()
     block = 8       # 8 rows of 3968 band coefficients, 0.5 MB, at m = 64 and n = 128
-    for k, p in enumerate(arguments):
-        slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max, p,
-                        tuple(arguments[k:k + block]) if k % block == 0 else ())
+    for k in range(k_full):
+        slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max,
+                        tuple(arguments[k:k - k % block + block]))
         c = propagator.apply_slab(slab, c)
         if observer is not None:
             observer(k + 1, (k + 1) * step, c)

@@ -39,17 +39,17 @@ amplitude rows of a 32-point-per-axis subgrid, doubled while the band does
 not resolve and the subgrid fits: 32 of 256 rows at n = 256 for a thin
 slab, 128 for Delta = 1/8.  The band coefficients depend on the depth only
 through one scalar p, :func:`thinslab.symbols.slab_argument`, which a
-slab carries as its ``argument``: a march takes those of its full slabs
-from one profile call over all their nodes.  One band
+slab holds first in its ``arguments``: a march takes those of its full
+slabs from one profile call over all their nodes.  One band
 cell per (spec, Delta, grid) and tile [2k - 1, 2k + 1] of p holds them:
 the probe of the tile's first p, then one Chebyshev series in p fitted
 once over the whole tile.  A store keeps the cells of a run's keys, so a
 later slab or dense matrix whose p lies in a fitted tile builds no symbol
 table, no amplitude row and no FFT.  A march takes the band coefficients of
-its full slabs in blocks: the first slab of a block carries the block's
-arguments as its ``block``, and their tile fit takes one Chebyshev product
-for all of them; any other slab takes a product of its own.  The top rung
-keeps no cell.
+its full slabs in blocks: every full slab holds the p of the later slabs
+of its block after its own, so the first slab of a block that meets a tile
+fit takes one Chebyshev product for the rest of the block; any other slab
+takes a product of its own.  The top rung keeps no cell.
 
 The H^s operator norm of a matrix with no nonzero off-diagonal entry is
 its largest |diagonal entry|, since the weights <xi>^s commute with it; any
@@ -61,7 +61,7 @@ always affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import InitVar, dataclass, field as dataclass_field
 from functools import lru_cache, partial
 
 import math
@@ -132,18 +132,12 @@ def slab_arguments(spec: SymbolSpec, variant, z, z_prime):
 class SlabSpec:
     """One slab [z, z_prime] of a symbol evolution.
 
-    ``argument`` is the slab's :func:`slab_arguments` p, the one scalar its
-    table depends on (None when there is none).  Left at None it is derived
-    here; a march passes the p of its full slabs, which it takes from one
-    call.  It does not take part in comparisons, and ``dataclasses.replace``
-    keeps it, so a replace that moves the slab or changes its spec or
-    variant passes ``argument=None``.
-
-    ``block`` holds the arguments of a block of march slabs, this slab's
-    first, whose band coefficients one Chebyshev product takes; only the
-    first slab of a block carries them.  It does not take part in
-    comparisons either, and a replace that moves the slab passes
-    ``block=()``.
+    ``arguments`` holds the slab's :func:`slab_arguments` p, the one scalar
+    its table depends on (None when there is none), then the p of the later
+    slabs of its march block, whose band coefficients one Chebyshev product
+    takes.  Every construction derives it, a ``dataclasses.replace``
+    included: from ``march`` where a march passes them from one call, else
+    from the slab alone.  It does not take part in comparisons.
     """
 
     z: float
@@ -151,10 +145,10 @@ class SlabSpec:
     spec: SymbolSpec
     variant: object = Frozen()
     delta_max: float = DELTA_MAX_DEFAULT
-    argument: float | None = dataclass_field(default=None, compare=False)
-    block: tuple = dataclass_field(default=(), compare=False)
+    march: InitVar[tuple] = ()
+    arguments: tuple = dataclass_field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, march):
         if not (0.0 <= self.z < self.z_prime):
             raise SlabError(f"need 0 <= z < z_prime, got [{self.z}, {self.z_prime}]")
         if self.thickness > self.delta_max * (1.0 + 1e-12):
@@ -162,9 +156,8 @@ class SlabSpec:
                 f"slab too thick: {self.thickness:g} exceeds delta_max {self.delta_max:g}")
         if not isinstance(self.variant, (Frozen, Averaged)):
             raise VariantError(f"unknown variant {self.variant!r}")
-        if self.argument is None:
-            object.__setattr__(self, "argument",
-                               slab_arguments(self.spec, self.variant, self.z, self.z_prime))
+        object.__setattr__(self, "arguments", tuple(march) or (
+            slab_arguments(self.spec, self.variant, self.z, self.z_prime),))
 
     @property
     def thickness(self) -> float:
@@ -492,28 +485,30 @@ def _build_cell(grid: Grid, spec: SymbolSpec, delta: float | None, tile: int,
     return failed
 
 
-def _band_coefficients(grid: Grid, spec: SymbolSpec, delta: float | None, p, block: tuple):
+def _band_coefficients(grid: Grid, spec: SymbolSpec, delta: float | None, arguments: tuple):
     """(m, A_b) of the amplitude's x-band for a slab at argument p, from its band cell.
 
-    Returns (0, None) when the slab goes to the full band at once, and None
-    when it takes its own probe: when it has no argument (p None), or when
-    its cell did not resolve and is not the point cell of its own p (every
-    slab of a z-independent spec takes p = 0).  A slab takes A_b from the
-    band cell of its (spec, delta, grid) and its tile [2k - 1, 2k + 1],
-    k = round(p / 2).  The first p of a tile builds the point cell of that
-    p, the slab's own probe; a second distinct p replaces it by the
-    Chebyshev fit over the whole tile, which serves every later p of the
-    tile and is never refit.
+    ``arguments`` is p and then the p of the later slabs of its march block
+    (:class:`SlabSpec`).  Returns (0, None) when the slab goes to the full
+    band at once, and None when it takes its own probe: when it has no
+    argument (p None), or when its cell did not resolve and is not the
+    point cell of its own p (every slab of a z-independent spec takes
+    p = 0).  A slab takes A_b from the band cell of its (spec, delta, grid)
+    and its tile [2k - 1, 2k + 1], k = round(p / 2).  The first p of a tile
+    builds the point cell of that p, the slab's own probe; a second distinct
+    p replaces it by the Chebyshev fit over the whole tile, which serves
+    every later p of the tile and is never refit.
 
     A tile fit takes A_b from the row a block product left in the cell for
-    p, else from one product over the arguments of ``block`` in its tile,
-    keeping the other rows for their slabs, else from a product of its own.
+    p, else from one product over the ``arguments`` in its tile, keeping the
+    other rows for their slabs, or over [p, p] when p is the only one.
 
     :data:`_band_cell` holds a cell per key, so a march that returns to a key
     finds its cell.  A new cell goes to the end of the store's order, and
     while the cells held exceed 2^20 coefficients (16 MB), the first in that
     order go first, all but the newest.
     """
+    p = arguments[0]
     if p is None:
         return None
     tile = 2 * round(p / 2) - 1
@@ -534,27 +529,27 @@ def _band_coefficients(grid: Grid, spec: SymbolSpec, delta: float | None, p, blo
         return cell.m, cell.coef[0].reshape(-1, grid.size)
     band = cell.rows.pop(p, None)
     if band is None:
-        arguments = [p] + [q for q in block[1:] if 2 * round(q / 2) - 1 == tile]
-        t = np.array(arguments if len(arguments) > 1 else [p, p]) - (tile + 1.0)
+        block = [q for q in arguments if 2 * round(q / 2) - 1 == tile]
+        t = np.array(block if len(block) > 1 else [p, p]) - (tile + 1.0)
         rows = cell.bands(t, grid)
-        cell.rows.update(zip(arguments[1:], rows[1:]))
+        cell.rows.update(zip(block[1:], rows[1:]))
         band = rows[0]
     return cell.m, band
 
 
-def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, p, symbol, *args,
-              block: tuple = ()):
+def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, arguments: tuple, symbol, *args):
     """How the kernel of ``symbol(*args, x, xi)`` is taken on ``grid``: the one decision for a slab.
 
     Returns the :func:`_multiplier` array of an x-independent spec, the band
     ``(m, A_b)`` when the amplitude's x-band resolves on a subgrid, or else
-    the column blocks of the :func:`_full_band`, every band kept.  ``p`` is
-    the slab's :func:`thinslab.symbols.slab_argument`, or None; with a p,
+    the column blocks of the :func:`_full_band`, every band kept.
+    ``arguments`` starts with the slab's
+    :func:`thinslab.symbols.slab_argument` p, or None, and goes on with the
+    p of the later slabs of its march block (:class:`SlabSpec`); with a p,
     the amplitude's table is the spec's table at p,
     ``partial(symbols.argument_table, spec, p)``, and ``symbol`` serves only
     a multiplier.  A table is bound only on the paths that read it: a
-    multiplier, a probe or the full band.  ``block`` is the slab's
-    :class:`SlabSpec` block.
+    multiplier, a probe or the full band.
 
     The band comes from :func:`_band_coefficients` or from a :func:`_probe`:
     on the m^dim-point subgrid of :func:`_band_layout`, with m = 32 per axis
@@ -583,9 +578,10 @@ def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, p, symbol, *arg
     """
     if spec.x_independent:
         return _multiplier(grid, partial(symbol, *args), delta)
-    band = _band_coefficients(grid, spec, delta, p, block)
+    band = _band_coefficients(grid, spec, delta, arguments)
     if band is not None and band[1] is not None:
         return band
+    p = arguments[0]
     table = partial(symbol, *args) if p is None else partial(symbols.argument_table, spec, p)
     m, inner = band or _probe(grid, table, delta, 32)[:2]
     return (m, inner) if inner is not None else _full_band(grid, table, delta)
@@ -614,9 +610,8 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
 
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
-    """The :func:`_operator` of one slab on ``grid``, at its ``argument`` p."""
-    return _operator(grid, slab.spec, slab.thickness, slab.argument, _slab_symbol, slab,
-                     block=slab.block)
+    """The :func:`_operator` of one slab on ``grid``, at its ``arguments``."""
+    return _operator(grid, slab.spec, slab.thickness, slab.arguments, _slab_symbol, slab)
 
 
 def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
@@ -630,7 +625,7 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
     """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    operator = _operator(field.grid, spec, None, symbols.slab_argument(spec, z),
+    operator = _operator(field.grid, spec, None, (symbols.slab_argument(spec, z),),
                          symbols.eval_symbol, spec, z)
     return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
@@ -647,7 +642,8 @@ def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Fi
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
     if not (z1 > z0):
         raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    operator = _operator(field.grid, spec, z1 - z0, None, symbols.averaged_symbol, spec, z0, z1)
+    operator = _operator(field.grid, spec, z1 - z0, (None,), symbols.averaged_symbol,
+                         spec, z0, z1)
     return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 

@@ -91,11 +91,11 @@ def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
     # Chebyshev product; applying one SlabSpec at a time, each deriving its
     # own argument and taking a product of its own, gives the same
     # coefficients bit for bit, after every full slab as the observer sees
-    # them and at the end.  z = 0.3 lies between subdivision points, so that
-    # march ends with a partial slab, which takes its own call.  At n = 128
-    # the tile fits of 100 slabs resolve on 64 points and those of 260 on 32,
-    # and both counts cut their last block short; varspeed-z at 32 slabs
-    # takes no cell
+    # them and at the end.  z = 0.3 lies between the points of 32 slabs, so
+    # that march ends with a partial slab, which takes its own call.  At
+    # n = 128 the tile fits of 100 slabs resolve on 64 points and those of
+    # 260 on 32, and both counts cut their last block short; varspeed-z at
+    # 32 slabs fits no tile
     spec, grid = get_symbol(name), Grid(128, 2 * np.pi)
     u0 = wave_packet(grid)
     for sub, z in itertools.product([Subdivision(1.0, n) for n in (32, 100, 260)], (1.0, 0.3)):
@@ -104,6 +104,8 @@ def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
         got = apply_ansatz(spec, sub, u0, z=z, variant=variant,
                            observer=lambda k, zk, c: seen.append((k, zk, c.coeffs.tobytes())))
         calls, products = symbols.counters["slab_arguments"], propagator.counters["band_products"]
+        fitted = any(cell.point is None and cell.coef is not None
+                     for cell in propagator._band_cell.values())
         propagator.reset_counts()
         k_full, rem = ansatz._split_depth(sub, z)
         c, want = spectral.forward(u0), []
@@ -118,10 +120,13 @@ def test_march_is_bitwise_the_slab_by_slab_loop(name, variant):
         assert got.values.tobytes() == spectral.inverse(c).values.tobytes()
         assert calls == 1 + (rem > 0.0)
         assert symbols.counters["slab_arguments"] == k_full + (rem > 0.0)
-        # slab 0 builds the point cell and slab 1 the tile fit, so the block
-        # from slab 8 is the first that takes fewer products than the loop
-        loop = propagator.counters["band_products"]
-        assert products < loop or (products == loop and (k_full < 10 or loop == 0))
+        # slab 0 builds the point cell and takes no product, and slab 1 the
+        # tile fit, which takes one product for slabs 1 to 7: one per block,
+        # where the loop takes one per slab from slab 1.  The partial slab,
+        # of another thickness, builds a point cell of its own
+        assert fitted == ((name, sub.n_slabs) != ("varspeed-z", 32))
+        assert products == -(-k_full // 8) * fitted
+        assert propagator.counters["band_products"] == (k_full - 1) * fitted
 
 
 @pytest.mark.parametrize("z", [1.0, 0.3])
@@ -202,6 +207,8 @@ def test_reference_solution_modes(grid64):
     assert rel_err(b.values, a.values) < 1e-11
     with pytest.raises(ValueError):
         reference_solution(spec, u0, 1.0, FineStep(0))
+    with pytest.raises(TypeError, match="unknown reference mode 'exact'"):
+        reference_solution(spec, u0, 1.0, "exact")
 
 
 def test_residual_norm_positions(grid64):

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -132,6 +133,33 @@ def test_run_translation_artifacts(tmp_path):
     assert len(sweep) == 1 + 2 * 6      # two s values, six thicknesses
 
 
+@pytest.mark.parametrize("name, reduced", [
+    ("damped", {"Ns": "1,8"}), ("damped-varspeed", {"Ns": "8,16", "n_ref": "128"}),
+    ("translation", {"Ns": "1,8"})])
+def test_a_damping_symbol_lists_its_damping_derivative_bound(tmp_path, name, reduced):
+    # a spec with a damping part c1 gets the damping-derivative-bound case in
+    # properties.xml, passing with a worst ratio within the limit: the pure
+    # damping multiplier and variable angular damping alike.  translation
+    # has no c1 and no such case
+    cfg = resolve_config(name, {}, dict(reduced, n_points="64", norm_points="64",
+                                        output_dir=str(tmp_path)))
+    assert harness.run(cfg) == harness.EXIT_OK
+    suite = ET.parse(tmp_path / "properties.xml").getroot()
+    failures = {case.get("name"): case.find("failure") for case in suite.iter("testcase")}
+    if name == "translation":
+        assert list(failures) == ["parseval-round-trip", "exponential-family-uniform"]
+        return
+    assert list(failures) == ["parseval-round-trip", "damping-derivative-bound",
+                              "exponential-family-uniform"]
+    assert not any(failure is not None for failure in failures.values())
+    spec, grid = symbols.get_symbol(name, cfg.period), Grid(cfg.n_points, cfg.period)
+    [(ok, message)] = [(ok, message) for case, ok, message
+                       in harness._property_cases(cfg, spec, grid)
+                       if case == "damping-derivative-bound"]
+    assert ok and message.startswith("worst ratio ")
+    assert float(message.split()[2]) <= symbols.RATIO_LIMIT
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "out"
     _run_tiny_translation(out)
@@ -211,16 +239,16 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # Each of the 8 marches takes the slab arguments of its full slabs from one
     # profile call, and each of the 6 dense matrices takes its own.  A march
     # takes the band coefficients of each block of 8 full slabs from a tile
-    # fit in one Chebyshev product, but slabs 1 to 7 of a march that fits its
-    # tile at slab 1 take one each: the frozen study's 256-, 128- and 16-slab
-    # marches 7 + 31, 7 + 15 and 7 + 1 products, the averaged study's, whose
-    # cells exist, 32, 16 and 2; none of the dense matrices is on a tile fit
+    # fit in one Chebyshev product, a march that fits its tile at slab 1 one
+    # product for slabs 1 to 7: the frozen and the averaged study's 256-,
+    # 128- and 16-slab marches 32, 16 and 2 products each, where slabs 1 to 7
+    # took one each (118 in all); none of the dense matrices is on a tile fit
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
                               "symbol_tables": 97, "slab_arguments": 14,
                               "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16,
-                              "band_products": 118}
+                              "band_products": 100}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
 
@@ -232,16 +260,17 @@ def test_default_hoelder_run_takes_one_profile_call_per_march(tmp_path):
     # arguments of its full slabs from one profile call, and each of the norm
     # sweep's 6 dense slabs takes its own: 18 calls, where one call per slab
     # took 3318.  Band coefficients take one Chebyshev product per block of 8
-    # slabs on a tile fit: 7 + 127, 7 + 63 and 7 + 1, 7 + 3, 7 + 7 for the
-    # frozen study's marches that fit the tiles (Delta = 1/8 takes none),
-    # 128, 64 and 2, 4, 8 for the averaged study's, and 4 for the dense slabs
-    # of the sweep that are on tile fits, where each of those 3295 slabs took one
+    # slabs on a tile fit, slabs 1 to 7 of a march that fits its tile at slab
+    # 1 included: 128, 64 and 2, 4, 8 for each study's marches that fit the
+    # tiles (Delta = 1/8 takes none), and 4 for the dense slabs of the sweep
+    # that are on tile fits, where each of those 3295 slabs took one and a
+    # march's slabs 1 to 7 one each took 446
     cfg = resolve_config("hoelder-z", {}, {"output_dir": str(tmp_path)})
     assert harness.run(cfg) == harness.EXIT_OK
     counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
     assert counters["slab_arguments"] == 18
     assert counters["band_sums"] + counters["full_band_sums"] == 3312
-    assert counters["band_products"] == 446
+    assert counters["band_products"] == 416
 
 
 def test_block_product_rows_are_bitwise_the_lone_slab_rows(tmp_path, monkeypatch):

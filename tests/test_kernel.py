@@ -109,7 +109,7 @@ def direct_kernel_sum(field, symbol, delta):
 
 def operator_sum(c, spec, symbol, p):
     """The operator a(z, x, D_x) on coefficients, taken as propagator._operator decides."""
-    return propagator._frequency_sum(c, propagator._operator(c.grid, spec, None, p, symbol))
+    return propagator._frequency_sum(c, propagator._operator(c.grid, spec, None, (p,), symbol))
 
 
 def _planar(spec):
@@ -553,6 +553,35 @@ def test_a_cell_that_does_not_resolve_falls_back_to_the_slab_probe():
     assert failed.point is None and failed.coef is None
     assert len(propagator._band_cell[(spec, delta, grid, -1)].coef) > 1
     assert propagator.counters["band_sums"] == 6 and propagator.counters["band_reuses"] == 1
+
+
+def test_a_tile_fit_whose_node_table_outgrows_the_cap_gives_up(monkeypatch):
+    # hoelder-z at n = 128, Delta = 1/32: the tile fit's nodes resolve on 64
+    # points.  Under a cap that holds the degree-8 node table on 32 points
+    # (9 x 15 x 128 coefficients) but not on 64 (9 x 31 x 128), the fit
+    # enters the ladder at m = 32, gives up when a node raises m to 64, and
+    # marks its tile as not resolved.  So every later slab of the key takes
+    # its own probe, and each matches the direct kernel sum to 1e-13
+    spec, grid, delta = SPECS["hoelder-z"], Grid(128, 2 * np.pi), 2.0 ** -5
+    u = random_field(grid, 31)
+    c = forward(u)
+    tables, node_table = [], propagator._node_table
+
+    def recording(grid, degree, m):
+        table = node_table(grid, degree, m)
+        tables.append((degree, m, table is not None))
+        return table
+
+    monkeypatch.setattr(propagator, "_node_table", recording)
+    monkeypatch.setattr(propagator, "_CELL_COEFFICIENTS", 9 * 15 * 128)
+    propagator.reset_counts()
+    paths = [_apply_against_direct_sum(SlabSpec(j * delta, (j + 1) * delta, spec), u, c)
+             for j in range(4)]
+    assert tables == [(8, 32, True), (8, 64, False)]
+    failed = propagator._band_cell[(spec, delta, grid, -1)]
+    assert failed.point is None and failed.coef is None
+    assert paths == ["band"] * 4 and propagator.counters["band_reuses"] == 0
+    assert propagator.counters["band_points_max"] == 64
 
 
 def test_a_profile_that_crosses_tiles_fits_each_tile_once(monkeypatch):

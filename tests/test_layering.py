@@ -1,6 +1,7 @@
 """Each module imports only the modules below it in the layer order."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 
@@ -139,6 +140,19 @@ def test_the_band_cell_is_the_one_store_of_band_coefficients():
                    for scope in _scopes_naming(ast.parse(path.read_text()), "depth_free"))
     assert not any(hasattr(module, name) for module in (propagator, symbols)
                    for name in ("depth_free", "_band_memo"))
+
+
+def test_every_constructor_field_of_an_exported_dataclass_is_compared():
+    # two values that compare equal are one value: a constructor field that
+    # comparisons skip lets dataclasses.replace carry a stale setting into a
+    # copy that compares equal to the value it no longer is.  What a type
+    # derives at construction is an InitVar, which is no field
+    skipped = [f"{name}.{field.name}" for name in thinslab.__all__
+               if inspect.isclass(getattr(thinslab, name))
+               and dataclasses.is_dataclass(getattr(thinslab, name))
+               for field in dataclasses.fields(getattr(thinslab, name))
+               if field.init and not field.compare]
+    assert not skipped, skipped
 
 
 # exported for library users although no other package module calls them
