@@ -338,7 +338,8 @@ def list_scenarios() -> str:
 
 
 def write_junit(path, suite_name: str, cases) -> None:
-    """cases: iterable of (name, ok, message); no timestamps, deterministic."""
+    """cases: iterable of (name, ok, message), the message a ``failure`` or a
+    passing case's ``system-out``; no timestamps, deterministic."""
     cases = list(cases)
     suite = ET.Element("testsuite", {
         "name": suite_name,
@@ -347,7 +348,9 @@ def write_junit(path, suite_name: str, cases) -> None:
     })
     for name, ok, message in cases:
         case = ET.SubElement(suite, "testcase", {"classname": suite_name, "name": name})
-        if not ok:
+        if ok:
+            ET.SubElement(case, "system-out").text = message
+        else:
             ET.SubElement(case, "failure", {"message": message})
     tree = ET.ElementTree(suite)
     ET.indent(tree)

@@ -21,12 +21,14 @@ on x, and otherwise as a band sum.  Entry [i, l] of a slab's Fourier-basis
 matrix is the x-Fourier coefficient i - l (mod n per axis) of its
 amplitude column exp(-Delta * a(x, xi_l)), so the slab sums the inner band
 of a subgrid where that resolves to 1e-15, and else every band on all n
-points: the top rung, the direct O(N^2) kernel sum.  :func:`_frequency_sum`
-applies the result on coefficients with no transform, for slabs, for the
-operator a(z, x, D_x) and for the exact multiplier evolution.
+points: the top rung, the direct O(N^2) kernel sum.  A band is held as
+its diagonals D[j, i] = A_(b_j)[i - b_j], entry [i, i - b_j] (mod n per
+axis).  :func:`_frequency_sum` applies the result on coefficients with no
+transform, for slabs, the operator a(z, x, D_x) and the exact multiplier
+evolution, a band through one strided view of the coefficients.
 :func:`assemble_matrix` writes it down as a dense complex ndarray: a
-diagonal, a scattered band, or the top rung's column blocks.  So the
-matrix an H^s norm is taken from is the slab the march applies.
+diagonal, scattered band diagonals, or the top rung's column blocks.  So
+the matrix an H^s norm is taken from is the slab the march applies.
 
 The amplitude is built in one place, :func:`_amplitude`, on the integer
 lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
@@ -196,10 +198,11 @@ def _pack(coords, grid: Grid):
 # and, for slab application and dense assembly alike, the band coefficients
 # taken from a cell built earlier, the amplitude rows _amplitude built, the
 # band cells that resolved, the probes of cell nodes, the largest Chebyshev
-# degree of a resolved cell, and the Chebyshev products of tile fits taken
+# degree of a resolved cell, the Chebyshev products of tile fits taken, and
+# the LAPACK singular-value computations of operator_norm_hs
 counters = {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0, "band_points_max": 0,
             "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0,
-            "band_products": 0}
+            "band_products": 0, "norm_svds": 0}
 
 
 def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.ndarray:
@@ -253,11 +256,12 @@ def reset_counts() -> None:
 def _band_layout(grid: Grid, m: int):
     """Read-only index arrays of the subgrid of the points whose indices are multiples of n/m.
 
-    Returns (rows, band_rows, source): the subgrid's flat points in row-major
-    order, the rows b mod m per axis of their FFT that hold the inner band
-    |b| < m/4 per axis, and a (bands, size) flat index.  Multiplying by
-    e^(i b . w0 x) shifts Fourier indices by b with wrap-around, so output
-    coefficient i takes product b at index (i - b) mod n (``source``).
+    Returns (rows, band_rows, diagonal): the subgrid's flat points in
+    row-major order, the rows b mod m per axis of their FFT that hold the
+    inner band |b| < m/4 per axis, b_j in row-major order, and a (bands,
+    size) flat index into that FFT.  Multiplying by e^(i b . w0 x) shifts
+    Fourier indices by b with wrap-around, so ``diagonal[j, i]`` holds
+    A_(b_j)[(i - b_j) mod n], and modulo the size its matrix column.
     """
     n, d, size = grid.n_points, grid.dim, grid.size
     j, _ = _lattice(grid)
@@ -265,10 +269,10 @@ def _band_layout(grid: Grid, m: int):
     band = np.arange(1 - m // 4, m // 4)
     b = [band[i.ravel(), None] for i in np.indices((band.size,) * d)]
     band_rows = np.ravel_multi_index(tuple(b[a][:, 0] % m for a in range(d)), (m,) * d)
-    source = np.arange(band.size ** d)[:, None] * size + np.ravel_multi_index(
+    diagonal = band_rows[:, None] * size + np.ravel_multi_index(
         tuple((j[a] - b[a]) % n for a in range(d)), grid.shape)
     # int32 halves what the cache holds; every index is below m^dim * size
-    layout = rows, band_rows, source.astype(np.int32)
+    layout = rows, band_rows, diagonal.astype(np.int32)
     for array in layout:
         array.flags.writeable = False
     return layout
@@ -317,16 +321,16 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     """The amplitude's x-band coefficients on subgrids of m points per axis and up.
 
     Returns (m, inner, amplitude): the subgrid size the band resolved at, its
-    (bands, size) coefficients and max |amplitude|, or (0, None, amplitude)
-    when it does not resolve.  Each try builds the subgrid's amplitude rows,
-    in blocks of at most ``_CHUNK_ROWS``, and takes their FFT over x in
-    place; the band resolves when every coefficient outside its inner half
-    is at most 1e-15 of max |amplitude|.  m doubles while the subgrid
-    :func:`_fits`.
+    (bands, size) diagonals (:func:`_band_layout`) and max |amplitude|, or
+    (0, None, amplitude) when it does not resolve.  Each try builds the
+    subgrid's amplitude rows, in blocks of at most ``_CHUNK_ROWS``, and takes
+    their FFT over x in place; the band resolves when every coefficient
+    outside its inner half is at most 1e-15 of max |amplitude|.  m doubles
+    while the subgrid :func:`_fits`.
     """
     amplitude = 0.0
     while _fits(grid, m):
-        rows, band_rows, _ = _band_layout(grid, m)
+        rows, band_rows, diagonal = _band_layout(grid, m)
         spectrum = np.empty((rows.size, grid.size), dtype=np.complex128)
         for start in range(0, rows.size, _CHUNK_ROWS):
             part = slice(start, start + _CHUNK_ROWS)
@@ -338,7 +342,7 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
         outer = magnitude.max()
         del magnitude                       # freed before the band is taken
         if outer <= _TOL * amplitude:
-            return m, spectrum[band_rows], amplitude
+            return m, np.take(spectrum, diagonal), amplitude
         m *= 2
     return 0, None, amplitude
 
@@ -383,8 +387,9 @@ class _Cell:
 
     ``coef[k]`` is the (bands * size) coefficient of T_k(t), t = p - c the
     image on [-1, 1] of p in the tile [c - 1, c + 1], on the subgrid of
-    ``m`` points per axis.  A point cell holds the one term A_b at its p,
-    ``point``; a tile fit has ``point`` None.  ``coef`` None marks a cell
+    ``m`` points per axis, as diagonals: a column permutation, which the
+    fit and the product do not see.  A point cell holds the one term A_b at
+    its p, ``point``; a tile fit has ``point`` None.  ``coef`` None marks a cell
     that did not resolve, with m = 0.  ``rows`` holds the A_b that a block
     product took for later slabs of a march, keyed by their p, until those
     slabs take them.
@@ -541,7 +546,7 @@ def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, arguments: tupl
     """How the kernel of ``symbol(*args, x, xi)`` is taken on ``grid``: the one decision for a slab.
 
     Returns the :func:`_multiplier` array of an x-independent spec, the band
-    ``(m, A_b)`` when the amplitude's x-band resolves on a subgrid, or else
+    ``(m, D)`` when the amplitude's x-band resolves on a subgrid, or else
     the column blocks of the :func:`_full_band`, every band kept.
     ``arguments`` starts with the slab's
     :func:`thinslab.symbols.slab_argument` p, or None, and goes on with the
@@ -587,23 +592,40 @@ def _operator(grid: Grid, spec: SymbolSpec, delta: float | None, arguments: tupl
     return (m, inner) if inner is not None else _full_band(grid, table, delta)
 
 
+def _shifts(coeffs: np.ndarray, h: int) -> np.ndarray:
+    """W[j, i] = coeffs[(i - b_j) mod n per axis], b_j = j - h, j = 0 .. 2h per axis.
+
+    A strided view, negative along the shift axes, of one copy of
+    ``coeffs`` wrap-padded by h on both sides of every axis.
+    """
+    padded = np.concatenate((coeffs[-h:], coeffs, coeffs[:h]))
+    if coeffs.ndim == 2:
+        padded = np.concatenate((padded[:, -h:], padded, padded[:, :h]), axis=1)
+    # a list, not a generator: tuple() shrinks a guessed tuple for one, and
+    # each such 1-tuple freed stays on CPython's free list, up to 2000 of them
+    strides = padded.strides
+    return np.ndarray((2 * h + 1,) * coeffs.ndim + coeffs.shape, padded.dtype, padded,
+                      2 * h * sum(strides), tuple([-s for s in strides]) + strides)
+
+
 def _frequency_sum(c: SpectralField, operator) -> SpectralField:
     """Apply an :func:`_operator` result to coefficients ``c``, with no transform.
 
-    A multiplier scales them, a band sums A_b[i - b] * c[i - b], and the
-    full band sums the products of its column blocks with their
-    coefficients.
+    A multiplier scales them, a band sums D[j, i] * c[i - b_j] over j in
+    order, one (bands, size) product with :func:`_shifts`, and the full band
+    sums the products of its column blocks with their coefficients.
     """
     grid = c.grid
     if isinstance(operator, np.ndarray):
         return SpectralField(grid, c.coeffs * operator)
-    coeffs = c.coeffs.ravel()
     if isinstance(operator, tuple):
-        m, inner = operator
+        m, diagonals = operator
         counters["band_sums"] += 1
         counters["band_points_max"] = max(counters["band_points_max"], m)
-        shifted = np.take(inner * coeffs, _band_layout(grid, m)[2]).sum(axis=0)
-        return SpectralField(grid, shifted.reshape(grid.shape))
+        shifts = _shifts(c.coeffs, m // 4 - 1)
+        products = (diagonals.reshape(shifts.shape) * shifts).reshape(diagonals.shape)
+        return SpectralField(grid, products.sum(axis=0).reshape(grid.shape))
+    coeffs = c.coeffs.ravel()
     counters["full_band_sums"] += 1
     out = sum(block @ coeffs[part] for part, block in operator)
     return SpectralField(grid, out.reshape(grid.shape))
@@ -671,9 +693,8 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
         return np.diag(operator.ravel())
     T = np.zeros((size, size), dtype=np.complex128)
     if isinstance(operator, tuple):
-        m, inner = operator
-        source = _band_layout(grid, m)[2]
-        T[np.arange(size), source % size] = np.take(inner, source)
+        m, diagonals = operator
+        T[np.arange(size), _band_layout(grid, m)[2] % size] = diagonals
     else:
         for part, block in operator:
             T[:, part] = block
@@ -698,6 +719,7 @@ def operator_norm_hs(T: np.ndarray, grid: Grid, s: float) -> float:
     if s != 0:
         w = spectral._bracket_lattice(grid).ravel() ** s
         T = (w[:, None] * T) / w[None, :]
+    counters["norm_svds"] += 1
     return float(np.linalg.norm(T, 2))
 
 

@@ -139,24 +139,22 @@ def test_run_translation_artifacts(tmp_path):
 def test_a_damping_symbol_lists_its_damping_derivative_bound(tmp_path, name, reduced):
     # a spec with a damping part c1 gets the damping-derivative-bound case in
     # properties.xml, passing with a worst ratio within the limit: the pure
-    # damping multiplier and variable angular damping alike.  translation
-    # has no c1 and no such case
+    # damping multiplier and variable angular damping alike.  A passing case
+    # records its message as its system-out, so the ratio is read from the
+    # file.  translation has no c1 and no such case
     cfg = resolve_config(name, {}, dict(reduced, n_points="64", norm_points="64",
                                         output_dir=str(tmp_path)))
     assert harness.run(cfg) == harness.EXIT_OK
     suite = ET.parse(tmp_path / "properties.xml").getroot()
-    failures = {case.get("name"): case.find("failure") for case in suite.iter("testcase")}
+    cases = {case.get("name"): case for case in suite.iter("testcase")}
+    assert not any(case.find("failure") is not None for case in cases.values())
     if name == "translation":
-        assert list(failures) == ["parseval-round-trip", "exponential-family-uniform"]
+        assert list(cases) == ["parseval-round-trip", "exponential-family-uniform"]
         return
-    assert list(failures) == ["parseval-round-trip", "damping-derivative-bound",
-                              "exponential-family-uniform"]
-    assert not any(failure is not None for failure in failures.values())
-    spec, grid = symbols.get_symbol(name, cfg.period), Grid(cfg.n_points, cfg.period)
-    [(ok, message)] = [(ok, message) for case, ok, message
-                       in harness._property_cases(cfg, spec, grid)
-                       if case == "damping-derivative-bound"]
-    assert ok and message.startswith("worst ratio ")
+    assert list(cases) == ["parseval-round-trip", "damping-derivative-bound",
+                           "exponential-family-uniform"]
+    message = cases["damping-derivative-bound"].find("system-out").text
+    assert message.startswith("worst ratio ")
     assert float(message.split()[2]) <= symbols.RATIO_LIMIT
 
 
@@ -190,8 +188,10 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
     # of the four probes, and in the sweep three probes of 32 rows and three
     # full bands of 64.  A slab maps coefficients, so each of the four
     # compositions takes one transform at each end, and four H^s norms and
-    # one property case take six more.  A rerun resets the counts and the
-    # cells, and a rejected configuration counts nothing.
+    # one property case take six more.  Each of the sweep's 12 H^s norms (six
+    # thicknesses, s = 0 and 1) takes one singular-value computation.  A
+    # rerun resets the counts and the cells, and a rejected configuration
+    # counts nothing.
     cfg = resolve_config("varspeed", {}, {
         "n_points": "64", "Ns": "8,16", "n_ref": "128", "output_dir": str(tmp_path / "vs")})
     for _ in range(2):
@@ -203,7 +203,7 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
                                         "slab_arguments": 0,
                                         "transforms": 14, "band_cells": 3,
                                         "cell_nodes": 7, "cell_degree_max": 0,
-                                        "band_products": 0}
+                                        "band_products": 0, "norm_svds": 12}
     code = cli.main(["run", "--scenario", "varspeed", "--output-dir", str(tmp_path / "bad"),
                      "--set", "Ns=0"])
     assert code == harness.EXIT_CONFIG
@@ -213,7 +213,7 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
                                     "symbol_tables": 0, "slab_arguments": 0,
                                     "transforms": 0, "band_cells": 0,
                                     "cell_nodes": 0, "cell_degree_max": 0,
-                                    "band_products": 0}
+                                    "band_products": 0, "norm_svds": 0}
 
 
 def test_compared_variants_share_their_band_cells(tmp_path):
@@ -242,13 +242,14 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # fit in one Chebyshev product, a march that fits its tile at slab 1 one
     # product for slabs 1 to 7: the frozen and the averaged study's 256-,
     # 128- and 16-slab marches 32, 16 and 2 products each, where slabs 1 to 7
-    # took one each (118 in all); none of the dense matrices is on a tile fit
+    # took one each (118 in all); none of the dense matrices is on a tile fit.
+    # The sweep's 12 H^s norms take one singular-value computation each
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
                               "symbol_tables": 97, "slab_arguments": 14,
                               "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16,
-                              "band_products": 100}
+                              "band_products": 100, "norm_svds": 12}
     for name in ("band_cells", "cell_nodes", "cell_degree_max"):
         assert counts["true"][name] == counts["false"][name], name
 
@@ -264,13 +265,15 @@ def test_default_hoelder_run_takes_one_profile_call_per_march(tmp_path):
     # 1 included: 128, 64 and 2, 4, 8 for each study's marches that fit the
     # tiles (Delta = 1/8 takes none), and 4 for the dense slabs of the sweep
     # that are on tile fits, where each of those 3295 slabs took one and a
-    # march's slabs 1 to 7 one each took 446
+    # march's slabs 1 to 7 one each took 446.  The norm sweep's 12 H^s norms
+    # take one singular-value computation each
     cfg = resolve_config("hoelder-z", {}, {"output_dir": str(tmp_path)})
     assert harness.run(cfg) == harness.EXIT_OK
     counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
     assert counters["slab_arguments"] == 18
     assert counters["band_sums"] + counters["full_band_sums"] == 3312
     assert counters["band_products"] == 416
+    assert counters["norm_svds"] == 12
 
 
 def test_block_product_rows_are_bitwise_the_lone_slab_rows(tmp_path, monkeypatch):

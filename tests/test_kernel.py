@@ -297,6 +297,63 @@ def test_dense_matrix_matches_the_full_kernel_table(name, n):
         assert paths == {"band", "full band"}
 
 
+def band_shift_index(shape, m):
+    """(bands, size) flat index of (i - b_j) mod n per axis, b_j the inner band |b| < m/4 per
+    axis in row-major order, with no code from propagator."""
+    n, d = shape[0], len(shape)
+    band = np.arange(1 - m // 4, m // 4)
+    b = [g.ravel()[:, None] for g in np.meshgrid(*(band,) * d, indexing="ij")]
+    i = np.indices(shape).reshape(d, -1)
+    return np.ravel_multi_index(tuple((i[a] - b[a]) % n for a in range(d)), shape)
+
+
+def gathered_band_sum(diagonals, coeffs, m):
+    """The band sum as a gather: A_b by input column from the diagonals, A_(b_j)[i - b_j] =
+    D[j, i], then np.take(A * c, source).sum(0), source[j, i] = j * size + (i - b_j)."""
+    shifted = band_shift_index(coeffs.shape, m)
+    rows = np.arange(len(diagonals))[:, None]
+    inner = np.empty_like(diagonals)
+    inner[rows, shifted] = diagonals
+    source = rows * coeffs.size + shifted
+    return np.take(inner * coeffs.ravel(), source).sum(0).reshape(coeffs.shape)
+
+
+@pytest.mark.parametrize("n, dim, m", [(64, 1, 32), (128, 1, 32), (128, 1, 64)]
+                         + [(256, 1, m) for m in (32, 64, 128)]
+                         + [(512, 1, m) for m in (32, 64, 128, 256)]
+                         + [(16, 2, 8), (64, 2, 32)])
+def test_band_sum_is_bitwise_the_gather_of_its_diagonals(n, dim, m):
+    # a band slab sums its diagonals D against a strided view of its
+    # coefficients; the products and the order of the sum over the bands are
+    # those of the gather through a (bands, size) index, bit for bit.  Every
+    # subgrid the probe can take in 1-d, and at 16^2 (below the probe's first
+    # subgrid, 32) the smallest band, m = 8
+    grid = Grid(n, 2 * np.pi, dim=dim)
+    rng = np.random.default_rng(n + m)
+    shape = ((m // 2 - 1) ** dim, grid.size)
+    diagonals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    got = propagator._frequency_sum(SpectralField(grid, coeffs), (m, diagonals)).coeffs
+    assert got.tobytes() == gathered_band_sum(diagonals, coeffs, m).tobytes()
+
+
+@pytest.mark.parametrize("n, k, m", [(64, 7, 32), (256, 10, 32), (256, 5, 64), (256, 3, 128)])
+def test_dense_band_matrix_is_its_diagonals_scattered(n, k, m):
+    # assemble_matrix writes the diagonals of a varspeed band slab at entry
+    # [i, i - b_j] and nowhere else, and its product with coefficients is the
+    # gathered band sum
+    grid = Grid(n, 2 * np.pi)
+    slab = SlabSpec(0.0, 2.0 ** -k, SPECS["varspeed"])
+    got_m, diagonals = propagator._slab_operator(slab, grid)
+    assert got_m == m
+    want = np.zeros((n, n), dtype=np.complex128)
+    want[np.arange(n), band_shift_index(grid.shape, m)] = diagonals
+    matrix = assemble_matrix(slab, grid)
+    assert matrix.tobytes() == want.tobytes()
+    coeffs = forward(random_field(grid, k)).coeffs
+    assert rel_err(matrix @ coeffs, gathered_band_sum(diagonals, coeffs, m)) < 1e-14
+
+
 def test_two_dimensional_band_slab():
     # a 2-d x-dependent slab at 64^2 resolves on the 32^2 subgrid; its point
     # cell holds 225 x 4096 coefficients, 14.7 MB, and replaces a cell of
@@ -327,7 +384,16 @@ def test_two_dimensional_band_slab():
     key = (spec, slab.thickness, grid, -1)
     assert list(propagator._band_cell) == [key]
     assert propagator._band_cell[key].coef.shape == filler.coef.shape
-    assert slab_samples(slab, u).values.tobytes() == got.tobytes()
+    # from its cell the slab holds one (bands, size) product, 14.7 MB, where
+    # a gather of the products held two
+    tracemalloc.start()
+    try:
+        again = slab_samples(slab, u).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert again.tobytes() == got.tobytes()
 
 
 def test_two_dimensional_top_rung():

@@ -108,6 +108,23 @@ def test_only_the_probe_and_the_top_rung_build_amplitude_rows():
     assert "einsum" not in (PACKAGE / "propagator.py").read_text()
 
 
+def test_only_the_probe_and_dense_assembly_read_the_diagonal_index():
+    # a band is held as its diagonals D[j, i] = A_(b_j)[(i - b_j) mod n]:
+    # _probe gathers them once from its subgrid FFT through the index of
+    # _band_layout, and assemble_matrix scatters them through it.  The band
+    # sum reads no index table: it multiplies D with the strided view of the
+    # coefficients that _shifts takes
+    namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope in _scopes_naming(ast.parse(path.read_text()), "_band_layout")}
+    assert namers == {"propagator._probe", "propagator.assemble_matrix"}, namers
+    for function in (propagator._frequency_sum, propagator._shifts):
+        tree = ast.parse(inspect.getsource(function))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"_band_layout", "_skew", "take", "ravel_multi_index",
+                            "indices"}, (function.__name__, named)
+
+
 def test_one_builder_decides_how_a_slab_is_taken():
     # multiplier, band or full band is decided in propagator._operator alone,
     # for the march, dense assembly, the operator a(z, x, D_x) and the exact
