@@ -33,7 +33,8 @@ the matrix an H^s norm is taken from is the slab the march applies.
 The amplitude is built in one place, :func:`_amplitude`, on the integer
 lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
 one complex exp per entry and no phase: a subgrid probe takes blocks of
-its rows, the top rung blocks of its input columns.
+64 rows, the top rung blocks of 64 input columns, so that at n = 256 each
+table and its symbol temporaries stay in a core's L2 cache.
 
 A slab's amplitude is nearly constant in x on a thin slab, and analytic in
 x for the registry's transport symbols, so its x-band is found from the
@@ -77,7 +78,9 @@ from .symbols import SymbolSpec
 DELTA_MAX_DEFAULT = 0.125
 MATRIX_SIZE_LIMIT = 4096
 
-_CHUNK_ROWS = 256
+# the rows of a probe's _amplitude call and the input columns of a top-rung
+# block: at n = 256 one block is a 256 KB complex table, which stays in L2
+_BLOCK = 64
 
 
 class SlabError(ValueError):
@@ -282,18 +285,18 @@ def _band_layout(grid: Grid, m: int):
 def _skew(grid: Grid) -> np.ndarray:
     """Read-only (grid shape + (width,)) index of the skew gather of the top rung's first block.
 
-    A block holds ``width`` = min(size, ``_CHUNK_ROWS``) input columns from
-    a multiple of ``width``, whose offsets per axis from its first column
-    are those of the grid's first ``width`` points t.  Entry [i, t] is the
-    flat position of [(i - t) mod n per axis, t] in a (size, width) table.
+    A block holds ``width`` = min(size, ``_BLOCK``) input columns from a
+    multiple of ``width``, whose offsets per axis from its first column are
+    those of the grid's first ``width`` points t.  Entry [i, t] is the flat
+    position of [(i - t) mod n per axis, t] in a (size, width) table.
     """
     n, size = grid.n_points, grid.size
-    width = min(size, _CHUNK_ROWS)
+    width = min(size, _BLOCK)
     j, _ = _lattice(grid)
     index = np.ravel_multi_index(tuple((j[a][:, None] - j[a][None, :width]) % n
                                        for a in range(grid.dim)), grid.shape)
     index = (index * width + np.arange(width)).reshape(grid.shape + (width,))
-    # int32 halves what the cache holds; every index is below size * 2^8
+    # int32 halves what the cache holds; every index is below size * 2^6
     index = index.astype(np.int32)
     index.flags.writeable = False
     return index
@@ -309,11 +312,15 @@ def _fits(grid: Grid, m: int) -> bool:
 
 
 def _x_spectrum(table: np.ndarray, shape: tuple) -> np.ndarray:
-    """The FFT over x of ``table``, its rows the points of ``shape``, in place and over their count."""
+    """The FFT over x of ``table``, its rows the points of ``shape``, in place and over their count.
+
+    Each axis's transform scales by 1 / its length inside the transform
+    (``norm="forward"``), with no further pass over the table: exact, since
+    every length is a power of two, so bitwise a division by the count.
+    """
     cube = table.reshape(shape + (-1,))
     for axis in range(len(shape)):
-        np.fft.fft(cube, axis=axis, out=cube)
-    table /= table.shape[0]             # exact: the count is a power of two
+        np.fft.fft(cube, axis=axis, out=cube, norm="forward")
     return table
 
 
@@ -323,7 +330,7 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     Returns (m, inner, amplitude): the subgrid size the band resolved at, its
     (bands, size) diagonals (:func:`_band_layout`) and max |amplitude|, or
     (0, None, amplitude) when it does not resolve.  Each try builds the
-    subgrid's amplitude rows, in blocks of at most ``_CHUNK_ROWS``, and takes
+    subgrid's amplitude rows, in blocks of at most ``_BLOCK``, and takes
     their FFT over x in place; the band resolves when every coefficient
     outside its inner half is at most 1e-15 of max |amplitude|.  m doubles
     while the subgrid :func:`_fits`.
@@ -332,8 +339,8 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     while _fits(grid, m):
         rows, band_rows, diagonal = _band_layout(grid, m)
         spectrum = np.empty((rows.size, grid.size), dtype=np.complex128)
-        for start in range(0, rows.size, _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
+        for start in range(0, rows.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
             spectrum[part] = _amplitude(grid, symbol, delta, rows[part], slice(None))
         amplitude = np.abs(spectrum).max()
         _x_spectrum(spectrum, (m,) * grid.dim)
@@ -354,7 +361,8 @@ def _full_band(grid: Grid, symbol, delta: float | None):
     coefficient i - l (mod n per axis) of amplitude column l, so each block
     of :func:`_skew`'s width takes the FFT over x of its columns' amplitude
     on all points in place and gathers it through the skew index, rolled by
-    the block's first index per axis.
+    the block's first index per axis.  At n = 256 a block of 64 columns is
+    a 256 KB table with 128 KB symbol temporaries, all of which stay in L2.
     """
     skew, axes = _skew(grid), tuple(range(grid.dim))
     width = skew.shape[-1]

@@ -227,7 +227,8 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # fit of degree 16 (18 nodes each; 1/16 resolves on 64 points).  The
     # study's 1/8 resolves neither at its first p, 0.954, nor at the tile's
     # first node, p = 1 (2 nodes): its first slab takes the one full band,
-    # with no transform, and its later slabs their own probe.  The sweep's six
+    # with no transform, built in 2 blocks of 64 columns and one symbol table
+    # per block, and its later slabs their own probe.  The sweep's six
     # dense matrices on 64 points take 6 point cells, 3 of which resolve
     counts = {}
     for compare in ("true", "false"):
@@ -246,7 +247,7 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # The sweep's 12 H^s norms take one singular-value computation each
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
                               "band_points_max": 64, "kernel_rows": 4832,
-                              "symbol_tables": 97, "slab_arguments": 14,
+                              "symbol_tables": 98, "slab_arguments": 14,
                               "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16,
                               "band_products": 100, "norm_svds": 12}

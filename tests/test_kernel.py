@@ -1,5 +1,6 @@
 """The fused slab kernel against a naive dense sum, in 1-d and 2-d."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -62,7 +63,9 @@ def test_kernel_matches_naive_sum(name, variant, n, z, delta, seed):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_kernel_matches_naive_sum_over_two_row_blocks(name):
-    u = random_field(Grid(2 * propagator._CHUNK_ROWS, 2 * np.pi), 11)
+    # 512 points: a 128-point probe takes two blocks of rows, and the top
+    # rung 8 blocks of input columns
+    u = random_field(Grid(512, 2 * np.pi), 11)
     for variant in (Frozen(), Averaged()):
         slab = SlabSpec(0.3, 0.3 + 1.0 / 64.0, SPECS[name], variant)
         assert rel_err(slab_samples(slab, u).values, naive_slab(slab, u)) < 1e-12
@@ -132,7 +135,7 @@ def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
     # of input columns: a scattered, unsorted set of rows or columns equals
     # the matching part of the full table bit for bit, and the table is the
     # amplitude exp(-Delta a) of the slab symbol, with no phase
-    grid = Grid(2 * propagator._CHUNK_ROWS, 2 * np.pi) if dim == 1 else Grid(32, 2 * np.pi, dim=2)
+    grid = Grid(512, 2 * np.pi) if dim == 1 else Grid(32, 2 * np.pi, dim=2)
     spec = SPECS[name] if dim == 1 else _planar(SPECS[name])
     rng = np.random.default_rng(23)
     everything = slice(None)
@@ -146,7 +149,7 @@ def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
         xis = [m.ravel()[None, :] for m in grid.frequency_meshes()]
         a = oracle(xs[0], xis[0]) if dim == 1 else oracle(tuple(xs), tuple(xis))
         assert rel_err(full, np.exp(-slab.thickness * a)) < 1e-15
-        for count in (37, propagator._CHUNK_ROWS + 45, grid.size):
+        for count in (37, propagator._BLOCK + 45, grid.size):
             picked = rng.permutation(grid.size)[:count]
             rows = propagator._amplitude(grid, symbol, slab.thickness, picked, everything)
             assert rows.tobytes() == full[picked].tobytes(), (variant, count)
@@ -398,8 +401,8 @@ def test_two_dimensional_band_slab():
 
 def test_two_dimensional_top_rung():
     # the planar lens at 64^2 and Delta = 1/64 does not resolve on the 32^2
-    # subgrid, so its slab takes the full band, built and applied over 16
-    # blocks of 256 input columns: it matches the direct sum to 1e-13, keeps
+    # subgrid, so its slab takes the full band, built and applied over 64
+    # blocks of 64 input columns: it matches the direct sum to 1e-13, keeps
     # no cell, and peaks below the 150 MB of the band slab above, though its
     # full band would be 268 MB
     grid = Grid(64, 2 * np.pi, dim=2)
@@ -418,6 +421,50 @@ def test_two_dimensional_top_rung():
     assert propagator.counters["kernel_rows"] - before["kernel_rows"] == 32 ** 2 + grid.size
     assert propagator._band_cell[(slab.spec, slab.thickness, grid, -1)].coef is None
     assert rel_err(got, direct_kernel_sum(u, slab_symbol(slab), slab.thickness)) < 1e-13
+
+
+def test_warm_lens_top_rung_slab_builds_small_blocks():
+    # a lens slab at n = 256 whose failed point cell is built takes the top
+    # rung at once, in 4 blocks of 64 input columns: each block's 256 KB
+    # table and its symbol temporaries stay in L2.  It peaks at 1.39 MB by
+    # tracemalloc, where one block of 256 columns peaked at 2.64 MB
+    grid = Grid(256, 2 * np.pi)
+    lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
+    slab = SlabSpec(0.0, 1.0 / 64.0, lens)
+    c = forward(random_field(grid, 37))
+    propagator._band_cell.clear()
+    first = apply_slab(slab, c)         # probes, fails and builds the point cell
+    assert propagator._band_cell[(lens, slab.thickness, grid, -1)].coef is None
+    before = dict(propagator.counters)
+    tracemalloc.start()
+    try:
+        again = apply_slab(slab, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _path_taken(before) == "full band"
+    assert propagator.counters["kernel_rows"] - before["kernel_rows"] == grid.size
+    assert peak < 1.6e6
+    assert again.coeffs.tobytes() == first.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("points, columns", [((32,), 256), ((64,), 256), ((128,), 256),
+                                             ((256,), 64), ((32, 32), 4096)])
+def test_x_spectrum_is_the_transform_over_the_count(points, columns):
+    # the tables _x_spectrum takes: 1-d probe tables of m subgrid rows, a
+    # top-rung block of 64 input columns, and a 2-d 32^2 probe table.  Its
+    # scaling inside the transform is bitwise the transform over x, axis by
+    # axis in order, then divided by the number of rows
+    shape = (math.prod(points), columns)
+    rng = np.random.default_rng(41)
+    table = np.exp(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    want = table.reshape(points + (columns,))
+    for axis in range(len(points)):
+        want = np.fft.fft(want, axis=axis)
+    want = want.reshape(shape) / shape[0]
+    got = propagator._x_spectrum(table.copy(), points)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _built_rows(monkeypatch):
@@ -440,9 +487,10 @@ def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
     u = random_field(grid, 19)
     slab_samples(SlabSpec(0.3, 0.3 + 2.0 ** -10, get_symbol("varspeed")), u)
     assert sum(rows.size for rows in built) <= 32
-    # the first lens slab probes its 32, 64 and 128 subgrid rows and then
-    # builds all 256 on the top rung, the full band in one block of columns;
-    # every later one, sent there by its failed cell, builds all 256 once.
+    # the first lens slab probes its 32, 64 and 128 subgrid rows, in blocks
+    # of at most 64 rows, and then builds all 256 on the top rung, the full
+    # band in 4 blocks of 64 columns; every later one, sent there by its
+    # failed cell, builds the 4 blocks of all 256 rows once.
     # The top rung is not kept in the store of band cells: the lens is
     # z-independent, so a kept full band would serve all 64 slabs of a lens
     # run, and its passes would then be shorter than the benchmark's probe
@@ -451,7 +499,7 @@ def test_band_slab_builds_only_its_subgrid_rows(monkeypatch):
     for k in range(3):
         built.clear()
         slab_samples(SlabSpec(k / 64.0, (k + 1) / 64.0, lens), u)
-        assert [rows.size for rows in built] == ([32, 64, 128, 256] if k == 0 else [256])
+        assert [rows.size for rows in built] == ([32, 64, 64, 64] if k == 0 else []) + [256] * 4
         assert np.array_equal(built[0], propagator._band_layout(grid, 32)[0]) == (k == 0)
         assert np.array_equal(built[-1], np.arange(grid.size))
         assert propagator._band_cell[(lens, 1.0 / 64.0, grid, -1)].coef is None
@@ -865,7 +913,7 @@ def test_profiled_averaged_slab_evaluates_each_component_once(dim):
     plain = SymbolSpec(**{name: of_z(f) for name, f in parts.items()},
                        z_bandwidth=symbols.weierstrass_bandwidth())
     grid = Grid(64, 2 * np.pi) if dim == 1 else Grid(8, 2 * np.pi, dim=2)
-    assert grid.size <= propagator._CHUNK_ROWS          # one block of output points
+    assert grid.size <= propagator._BLOCK          # one block of output points
     u = random_field(grid, 16)
     got = slab_samples(SlabSpec(0.3, 0.3 + 1.0 / 16.0, spec, Averaged()), u).values
     # the slab takes one profile call for the mean of p, and the components
