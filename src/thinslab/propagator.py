@@ -21,13 +21,16 @@ on x, and otherwise as a band sum.  Entry [i, l] of a slab's Fourier-basis
 matrix is the x-Fourier coefficient i - l (mod n per axis) of its
 amplitude column exp(-Delta * a(x, xi_l)), so the slab sums the inner band
 of a subgrid where that resolves to 1e-15, and else every band on all n
-points: the top rung, the direct O(N^2) kernel sum.  A band is held as
+points: the top rung, the direct O(N^2) kernel sum.  It is summed in x, a
+shift of column l's spectrum by l being its product with lattice roots of
+unity, and transformed once per slab.  A band is held as
 its diagonals D[j, i] = A_(b_j)[i - b_j], entry [i, i - b_j] (mod n per
-axis).  :func:`_frequency_sum` applies the result on coefficients with no
-transform, for slabs, the operator a(z, x, D_x) and the exact multiplier
-evolution, a band through one strided view of the coefficients.
-:func:`assemble_matrix` writes it down as a dense complex ndarray: a
-diagonal, scattered band diagonals, or the top rung's column blocks.  So
+axis).  :func:`_frequency_sum` applies the result on coefficients, for
+slabs, the operator a(z, x, D_x) and the exact multiplier evolution: a band
+through one strided view of the coefficients with no transform, the top
+rung with one.  :func:`assemble_matrix` writes it down as a dense complex
+ndarray: a diagonal, scattered band diagonals, or the transforms of the top
+rung's column blocks.  So
 the matrix an H^s norm is taken from is the slab the march applies.
 
 The amplitude is built in one place, :func:`_amplitude`, on the integer
@@ -282,24 +285,24 @@ def _band_layout(grid: Grid, m: int):
 
 
 @lru_cache(maxsize=4)
-def _skew(grid: Grid) -> np.ndarray:
-    """Read-only (grid shape + (width,)) index of the skew gather of the top rung's first block.
+def _phases(grid: Grid):
+    """Read-only (roots, table): the n-th roots of unity and the top rung's first-block phase.
 
-    A block holds ``width`` = min(size, ``_BLOCK``) input columns from a
-    multiple of ``width``, whose offsets per axis from its first column are
-    those of the grid's first ``width`` points t.  Entry [i, t] is the flat
-    position of [(i - t) mod n per axis, t] in a (size, width) table.
+    ``roots[r]`` is omega^r = e^(2 pi i r / n), r = 0 .. n - 1, and
+    ``table[j, t]`` is omega^((j . t) mod n) for every point j and the
+    grid's first ``width`` = min(size, ``_BLOCK``) points t: each phase a
+    root at its integer exponent.  A block of ``width`` input columns from a
+    multiple s of ``width`` has the offsets t per axis from its first
+    column, so its phase omega^(j . (s + t)) is the table times the row
+    phase omega^(j . s).
     """
-    n, size = grid.n_points, grid.size
-    width = min(size, _BLOCK)
+    n, width = grid.n_points, min(grid.size, _BLOCK)
     j, _ = _lattice(grid)
-    index = np.ravel_multi_index(tuple((j[a][:, None] - j[a][None, :width]) % n
-                                       for a in range(grid.dim)), grid.shape)
-    index = (index * width + np.arange(width)).reshape(grid.shape + (width,))
-    # int32 halves what the cache holds; every index is below size * 2^6
-    index = index.astype(np.int32)
-    index.flags.writeable = False
-    return index
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    table = roots[(j.T @ j[:, :width]) % n]
+    for array in (roots, table):
+        array.flags.writeable = False
+    return roots, table
 
 
 _TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
@@ -314,7 +317,9 @@ def _fits(grid: Grid, m: int) -> bool:
 def _x_spectrum(table: np.ndarray, shape: tuple) -> np.ndarray:
     """The FFT over x of ``table``, its rows the points of ``shape``, in place and over their count.
 
-    Each axis's transform scales by 1 / its length inside the transform
+    A probe takes it of its subgrid rows, the top rung of its summed kernel
+    products (a slab) or of each kernel block (a dense matrix).  Each axis's
+    transform scales by 1 / its length inside the transform
     (``norm="forward"``), with no further pass over the table: exact, since
     every length is a power of two, so bitwise a division by the count.
     """
@@ -355,22 +360,28 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
 
 
 def _full_band(grid: Grid, symbol, delta: float | None):
-    """Yield (part, T), T the Fourier-basis matrix on the input columns ``part``: the top rung.
+    """Yield (part, K), K the x-space kernel of the input columns ``part``: the top rung.
 
-    Every band is kept, with no tail test.  Entry [i, l] is the x-Fourier
-    coefficient i - l (mod n per axis) of amplitude column l, so each block
-    of :func:`_skew`'s width takes the FFT over x of its columns' amplitude
-    on all points in place and gathers it through the skew index, rolled by
-    the block's first index per axis.  At n = 256 a block of 64 columns is
-    a 256 KB table with 128 KB symbol temporaries, all of which stay in L2.
+    Every band is kept, with no tail test.  Entry [i, l] of the slab's
+    Fourier-basis matrix is the x-Fourier coefficient i - l (mod n per
+    axis) of amplitude column l, and by the shift theorem that is
+    coefficient i of the column times omega^(j . l), omega = e^(2 pi i / n),
+    j the point and l the column's position in coefficient order.  So a
+    block is K = amplitude * omega^(j . l) on x-rows, multiplied in place by
+    the phases of :func:`_phases`, and its matrix block is
+    :func:`_x_spectrum` of K: a slab sums K @ c over the blocks and takes one
+    transform of the sum.  At n = 256 a block of 64 columns is a 256 KB
+    table with 128 KB symbol temporaries, all of which stay in L2.
     """
-    skew, axes = _skew(grid), tuple(range(grid.dim))
-    width = skew.shape[-1]
+    (roots, table), (j, _) = _phases(grid), _lattice(grid)
+    width = table.shape[1]
     for start in range(0, grid.size, width):
         part = slice(start, start + width)
-        spectrum = _x_spectrum(_amplitude(grid, symbol, delta, slice(None), part), grid.shape)
-        index = np.roll(skew, np.unravel_index(start, grid.shape), axis=axes) if start else skew
-        yield part, np.take(spectrum, index).reshape(grid.size, width)
+        kernel = _amplitude(grid, symbol, delta, slice(None), part)
+        kernel *= table
+        if start:
+            kernel *= roots[np.dot(np.unravel_index(start, grid.shape), j) % grid.n_points, None]
+        yield part, kernel
 
 
 @lru_cache(maxsize=8)
@@ -617,11 +628,12 @@ def _shifts(coeffs: np.ndarray, h: int) -> np.ndarray:
 
 
 def _frequency_sum(c: SpectralField, operator) -> SpectralField:
-    """Apply an :func:`_operator` result to coefficients ``c``, with no transform.
+    """Apply an :func:`_operator` result to coefficients ``c``, with at most one transform.
 
     A multiplier scales them, a band sums D[j, i] * c[i - b_j] over j in
-    order, one (bands, size) product with :func:`_shifts`, and the full band
-    sums the products of its column blocks with their coefficients.
+    order, one (bands, size) product with :func:`_shifts`, and the top rung
+    sums the products of its x-space column blocks with their coefficients
+    and takes one :func:`_x_spectrum` of the sum, its only transform.
     """
     grid = c.grid
     if isinstance(operator, np.ndarray):
@@ -635,8 +647,8 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
         return SpectralField(grid, products.sum(axis=0).reshape(grid.shape))
     coeffs = c.coeffs.ravel()
     counters["full_band_sums"] += 1
-    out = sum(block @ coeffs[part] for part, block in operator)
-    return SpectralField(grid, out.reshape(grid.shape))
+    out = sum(kernel @ coeffs[part] for part, kernel in operator)
+    return SpectralField(grid, _x_spectrum(out, grid.shape).reshape(grid.shape))
 
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
@@ -690,7 +702,8 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
     mode.  It writes down the :func:`_slab_operator` that :func:`apply_slab`
     applies: a multiplier as its exact diagonal matrix, a band scattered
     into the zero matrix, entry [i, i - b] = A_b[i - b] (indices mod n per
-    axis), and the full band as its column blocks side by side.
+    axis), and the top rung as the :func:`_x_spectrum` of each of its
+    column blocks, side by side.
     """
     if grid.size > MATRIX_SIZE_LIMIT:
         raise MatrixSizeError(
@@ -704,8 +717,8 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
         m, diagonals = operator
         T[np.arange(size), _band_layout(grid, m)[2] % size] = diagonals
     else:
-        for part, block in operator:
-            T[:, part] = block
+        for part, kernel in operator:
+            T[:, part] = _x_spectrum(kernel, grid.shape)
     return T
 
 

@@ -426,8 +426,10 @@ def test_two_dimensional_top_rung():
 def test_warm_lens_top_rung_slab_builds_small_blocks():
     # a lens slab at n = 256 whose failed point cell is built takes the top
     # rung at once, in 4 blocks of 64 input columns: each block's 256 KB
-    # table and its symbol temporaries stay in L2.  It peaks at 1.39 MB by
-    # tracemalloc, where one block of 256 columns peaked at 2.64 MB
+    # kernel and its symbol temporaries stay in L2, and the slab sums the
+    # blocks' products in x and transforms once.  It peaks at 1.07 MB by
+    # tracemalloc, where a per-block FFT and skew gather peaked at 1.39 MB
+    # and one block of 256 columns at 2.64 MB
     grid = Grid(256, 2 * np.pi)
     lens = oneway.oneway_symbol_spec(oneway.lens_medium(), AP)
     slab = SlabSpec(0.0, 1.0 / 64.0, lens)
@@ -444,8 +446,85 @@ def test_warm_lens_top_rung_slab_builds_small_blocks():
         tracemalloc.stop()
     assert _path_taken(before) == "full band"
     assert propagator.counters["kernel_rows"] - before["kernel_rows"] == grid.size
-    assert peak < 1.6e6
+    assert peak < 1.2e6
     assert again.coeffs.tobytes() == first.coeffs.tobytes()
+
+
+def _counted_x_spectra(monkeypatch):
+    """A list that grows by one entry per propagator._x_spectrum call from now on."""
+    calls, transform = [], propagator._x_spectrum
+
+    def counted(table, shape):
+        calls.append(table.shape)
+        return transform(table, shape)
+
+    monkeypatch.setattr(propagator, "_x_spectrum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+def test_warm_top_rung_slab_takes_one_transform(dim, n, monkeypatch):
+    # a top-rung slab sums the x-space kernel of each column block against
+    # its coefficients and takes one FFT over x of the sum, with no
+    # transform per block: 1 call where 4 blocks (1-d n = 256) or 64 blocks
+    # (2-d 64^2) each took their own
+    grid = Grid(n, 2 * np.pi, dim=dim)
+    spec = SPECS["lens"] if dim == 1 else _planar(SPECS["lens"])
+    slab = SlabSpec(0.0, 1.0 / 64.0, spec)
+    c = forward(random_field(grid, 43))
+    propagator._band_cell.clear()
+    apply_slab(slab, c)                 # probes, fails and builds the point cell
+    calls = _counted_x_spectra(monkeypatch)
+    before = dict(propagator.counters)
+    apply_slab(slab, c)
+    assert _path_taken(before) == "full band"
+    assert calls == [(grid.size,)]
+
+
+def test_top_rung_matrix_transforms_each_block(monkeypatch):
+    # dense assembly writes the top rung down block by block: one transform
+    # of each 64-column kernel block, 4 at n = 256
+    grid = Grid(256, 2 * np.pi)
+    slab = SlabSpec(0.0, 1.0 / 64.0, SPECS["lens"])
+    propagator._band_cell.clear()
+    assemble_matrix(slab, grid)         # probes, fails and builds the point cell
+    calls = _counted_x_spectra(monkeypatch)
+    matrix = assemble_matrix(slab, grid)
+    assert calls == [(grid.size, 64)] * 4
+    c = forward(random_field(grid, 47))
+    assert rel_err(matrix @ c.coeffs, apply_slab(slab, c).coeffs) < 1e-14
+
+
+def _lattice_roots(shape, columns):
+    """omega^((j . l) mod n) for every point j and flat column l of ``columns``, with
+    no code from propagator: each phase the root of unity at its integer exponent."""
+    n = shape[0]
+    j = np.indices(shape).reshape(len(shape), -1)
+    return np.exp(2j * np.pi * ((j.T @ j[:, columns]) % n) / n)
+
+
+@pytest.mark.parametrize("shape", [(8,), (16,), (32,), (64,), (128,), (256,), (512,),
+                                   (16, 16), (64, 64)])
+def test_phases_are_exact_lattice_roots(shape):
+    # _phases holds the n-th roots of unity and the first block's phase at
+    # integer exponents, bitwise np.exp of 2 pi i r / n; a later block's
+    # phase, the table times its row phase, is the root to the rounding of
+    # its argument 2 pi r / n, at most a few ulps of 2 pi
+    grid = Grid(shape[0], 2 * np.pi, dim=len(shape))
+    n, width = grid.n_points, min(grid.size, 64)
+    roots, table = propagator._phases(grid)
+    assert roots.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+    assert table.shape == (grid.size, width)
+    assert table.tobytes() == _lattice_roots(shape, slice(0, width)).tobytes()
+    assert not roots.flags.writeable and not table.flags.writeable
+    # a symbol of ones, taken as itself (delta None), makes every amplitude 1,
+    # so the blocks are the phases
+    blocks = propagator._full_band(grid, lambda x, xi: np.ones(table.shape, complex), None)
+    for part, kernel in blocks:
+        want = _lattice_roots(shape, part)
+        if part.start == 0:
+            assert kernel.tobytes() == want.tobytes()
+        assert np.abs(kernel - want).max() < 4e-15, part
 
 
 @pytest.mark.parametrize("points, columns", [((32,), 256), ((64,), 256), ((128,), 256),

@@ -99,13 +99,24 @@ def _scopes_naming(node, name, scope="<module>"):
 def test_only_the_probe_and_the_top_rung_build_amplitude_rows():
     # every x-dependent slab is built from one phase-free amplitude table,
     # propagator._amplitude: the subgrid probe takes its rows and the top rung
-    # its column blocks.  No phase lattice is left, and no second kernel
-    # table beside it
+    # its column blocks.  The amplitude carries no phase: only the top rung
+    # multiplies its blocks by the lattice roots of _phases, and there is no
+    # second kernel table beside it
     namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
               for scope in _scopes_naming(ast.parse(path.read_text()), "_amplitude")}
     assert namers == {"propagator._probe", "propagator._full_band"}, namers
     assert not any(hasattr(propagator, name) for name in ("_kernel_blocks", "_kernel_table"))
     assert "einsum" not in (PACKAGE / "propagator.py").read_text()
+
+
+def test_only_the_top_rung_names_the_phases():
+    # the top rung phases each amplitude block by lattice roots of unity and
+    # takes one transform per slab, so no skew index is left to gather it by
+    for name, want in (("_phases", {"propagator._full_band"}), ("_skew", set())):
+        namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                  for scope in _scopes_naming(ast.parse(path.read_text()), name)}
+        assert namers == want, (name, namers)
+    assert not hasattr(propagator, "_skew")
 
 
 def test_only_the_probe_and_dense_assembly_read_the_diagonal_index():
