@@ -110,21 +110,33 @@ class ApertureConfig:
             raise ApertureError("tau must be nonzero and finite")
 
 
-def _blend(u):
-    """C^2 soft positive part: 0 for u<=0, u for u>=1, quintic-blended between."""
-    u = np.asarray(u, dtype=float)
-    return u * symbols._smoothstep(u)
+def _in_place(ufunc, values):
+    """ufunc(values), written over ``values`` when it is an array."""
+    return ufunc(values, out=values if isinstance(values, np.ndarray) else None)
 
 
 def bplus_joint(medium: AcousticMedium, aperture: ApertureConfig):
-    """The vertical symbol as a function of (z, x, tau, xi), jointly degree one."""
+    """The vertical symbol as a function of (z, x, tau, xi), jointly degree one.
+
+    sqrt(floor * (1 + u * smoothstep(u))), u = (disc - floor) / floor: the
+    discriminant disc = (tau / c)^2 - xi^2 lifted by a C^2 soft positive
+    part (0 for u <= 0, u for u >= 1) onto the floor (mu tau)^2.  Each
+    operation is taken in that order, in place in the discriminant's table
+    and the ramp's.
+    """
     mu = np.cos(aperture.theta2) / 4.0
 
     def b(z, x, tau, xi):
         c = np.asarray(medium.c(x, z), dtype=float)
-        disc = (tau / c) ** 2 - np.asarray(xi, dtype=float) ** 2
         floor = (mu * tau) ** 2
-        return np.sqrt(floor * (1.0 + _blend((disc - floor) / floor)))
+        u = (tau / c) ** 2 - np.asarray(xi, dtype=float) ** 2
+        u -= floor
+        u /= floor
+        root = symbols._smoothstep(u)
+        root *= u
+        root += 1.0
+        root *= floor
+        return _in_place(np.sqrt, root)
 
     return b
 
@@ -157,9 +169,15 @@ def build_damping(medium: AcousticMedium, aperture: ApertureConfig, scale: float
     tau = aperture.tau
 
     def c1(z, x, xi):
-        c = np.asarray(medium.c(x, z), dtype=float)
-        t = (np.abs(c * np.asarray(xi, dtype=float) / tau) - s1) / (s2 - s1)
-        return scale * abs(tau) * symbols._smoothstep(t)
+        # (|c xi / tau| - s1) / (s2 - s1), in place in one table
+        t = np.asarray(medium.c(x, z), dtype=float) * np.asarray(xi, dtype=float)
+        t /= tau
+        t = _in_place(np.abs, t)
+        t -= s1
+        t /= s2 - s1
+        ramp = symbols._smoothstep(t)
+        ramp *= scale * abs(tau)
+        return ramp
 
     return c1
 

@@ -21,23 +21,30 @@ on x, and otherwise as a band sum.  Entry [i, l] of a slab's Fourier-basis
 matrix is the x-Fourier coefficient i - l (mod n per axis) of its
 amplitude column exp(-Delta * a(x, xi_l)), so the slab sums the inner band
 of a subgrid where that resolves to 1e-15, and else every band on all n
-points: the top rung, the direct O(N^2) kernel sum.  It is summed in x, a
-shift of column l's spectrum by l being its product with lattice roots of
-unity, and transformed once per slab.  A band is held as
+points: the top rung, the direct O(N^2) kernel sum.  A top-rung column
+whose symbol is bitwise the same at every point is an exact Fourier
+multiplier, the diagonal entry exp(-Delta * a_l) and zeros elsewhere; the
+one-way lens is one outside its aperture, in 185 of 256 columns.  The
+x-varying columns are summed in x, a shift of column l's spectrum by l
+being its product with lattice roots of unity, and transformed once per
+slab.  A band is held as
 its diagonals D[j, i] = A_(b_j)[i - b_j], entry [i, i - b_j] (mod n per
 axis).  :func:`_frequency_sum` applies the result on coefficients, for
 slabs, the operator a(z, x, D_x) and the exact multiplier evolution: a band
 through one strided view of the coefficients with no transform, the top
-rung with one.  :func:`assemble_matrix` writes it down as a dense complex
-ndarray: a diagonal, scattered band diagonals, or the transforms of the top
-rung's column blocks.  So
+rung with one, to which it adds its diagonal entries times their
+coefficients.  :func:`assemble_matrix` writes it down as a dense complex
+ndarray: a diagonal, scattered band diagonals, or the top rung's diagonal
+entries and the transforms of its x-varying columns.  So
 the matrix an H^s norm is taken from is the slab the march applies.
 
 The amplitude is built in one place, :func:`_amplitude`, on the integer
 lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
 one complex exp per entry and no phase: a subgrid probe takes blocks of
 64 rows, the top rung blocks of 64 input columns, so that at n = 256 each
-table and its symbol temporaries stay in a core's L2 cache.
+table and its symbol temporaries stay in a core's L2 cache.  The top rung
+exponentiates the entries of its x-varying columns and one entry of each
+other column.
 
 A slab's amplitude is nearly constant in x on a thin slab, and analytic in
 x for the registry's transport symbols, so its x-band is found from the
@@ -201,14 +208,15 @@ def _pack(coords, grid: Grid):
 
 # counts since the last reset, which the run manifest records: band sums and
 # full-band sums applied, the largest subgrid size per axis a band sum took,
-# and, for slab application and dense assembly alike, the band coefficients
-# taken from a cell built earlier, the amplitude rows _amplitude built, the
-# band cells that resolved, the probes of cell nodes, the largest Chebyshev
-# degree of a resolved cell, the Chebyshev products of tile fits taken, and
-# the LAPACK singular-value computations of operator_norm_hs
+# and, for slab application and dense assembly alike, the top-rung columns
+# taken as exact diagonal entries, the symbol-table rows _amplitude sampled,
+# the band coefficients taken from a cell built earlier, the band cells that
+# resolved, the probes of cell nodes, the largest Chebyshev degree of a
+# resolved cell, the Chebyshev products of tile fits taken, and the LAPACK
+# singular-value computations of operator_norm_hs
 counters = {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0, "band_points_max": 0,
-            "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0, "cell_degree_max": 0,
-            "band_products": 0, "norm_svds": 0}
+            "multiplier_columns": 0, "kernel_rows": 0, "band_cells": 0, "cell_nodes": 0,
+            "cell_degree_max": 0, "band_products": 0, "norm_svds": 0}
 
 
 def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.ndarray:
@@ -216,19 +224,22 @@ def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.nda
 
     ``rows`` and ``columns`` index (array or slice) the flat points and
     frequencies of :func:`_lattice`; ``symbol(x_packed, xi_packed)`` returns
-    a fresh complex table of a there, which becomes the amplitude in place.
-    An entry does not depend on the other rows or columns of its table.  The
-    table adds its entries over the grid size, its count of full rows, to
-    ``counters["kernel_rows"]``.
+    a fresh complex array of the values of a to take there: the table of a,
+    or the entries of it that a top-rung block exponentiates
+    (:func:`_screened`).  That array becomes the amplitude in place.  An
+    entry does not depend on the other rows or columns of its table.  The
+    symbol table adds its entries over the grid size, its count of full
+    rows, to ``counters["kernel_rows"]``.
     """
     j, k = _lattice(grid)
-    x = _pack(tuple(c[:, None] for c in j[:, rows] * grid.spacing), grid)
-    xi = _pack(tuple(c[None, :] for c in k[:, columns] * (2.0 * np.pi / grid.period)), grid)
+    points, frequencies = j[:, rows], k[:, columns]
+    x = _pack(tuple(c[:, None] for c in points * grid.spacing), grid)
+    xi = _pack(tuple(c[None, :] for c in frequencies * (2.0 * np.pi / grid.period)), grid)
     table = symbol(x, xi)
     if delta is not None:
         table *= -delta
         np.exp(table, out=table)
-    counters["kernel_rows"] += table.size // grid.size
+    counters["kernel_rows"] += points.shape[1] * frequencies.shape[1] // grid.size
     return table
 
 
@@ -359,29 +370,66 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     return 0, None, amplitude
 
 
-def _full_band(grid: Grid, symbol, delta: float | None):
-    """Yield (part, K), K the x-space kernel of the input columns ``part``: the top rung.
+def _screened(symbol, masks: list, x, xi) -> np.ndarray:
+    """The entries of ``symbol``'s table that a top-rung block takes, in one flat array.
 
-    Every band is kept, with no tail test.  Entry [i, l] of the slab's
-    Fourier-basis matrix is the x-Fourier coefficient i - l (mod n per
-    axis) of amplitude column l, and by the shift theorem that is
-    coefficient i of the column times omega^(j . l), omega = e^(2 pi i / n),
-    j the point and l the column's position in coefficient order.  So a
-    block is K = amplitude * omega^(j . l) on x-rows, multiplied in place by
-    the phases of :func:`_phases`, and its matrix block is
+    A column is x-varying unless every row of it is bitwise its first row:
+    an exact test on the int64 view of the real and imaginary parts, with
+    no tolerance.  Appends the mask of x-varying columns to ``masks`` and
+    returns those columns, raveled, then the first row of the others: a
+    column whose symbol is the same at every point is one value.  A table
+    that varies in x in every column is returned raveled, with no copy.
+    """
+    table = symbol(x, xi)
+    bits = table.view(np.int64)
+    varying = (bits != bits[0]).any(axis=0).reshape(-1, 2).any(axis=1)
+    masks.append(varying)
+    if varying.all():
+        return table.ravel()
+    return np.concatenate((table.compress(varying, axis=1).ravel(), table[0, ~varying]))
+
+
+def _full_band(grid: Grid, symbol, delta: float | None):
+    """Yield (constant, entries, columns, K) for each block of input columns: the top rung.
+
+    Every band is kept, with no tail test.  A column whose symbol values are
+    bitwise equal at every point is an exact Fourier multiplier: its one
+    entry A_l = exp(-delta * a_l), a_l itself with ``delta`` None, is the
+    diagonal entry [l, l] of the slab's Fourier-basis matrix, and the rest
+    of the column is zero.  ``constant`` holds the flat indices of those
+    columns in the block and ``entries`` their A_l, one ``exp`` each.
+
+    The other columns vary in x.  Entry [i, l] of the matrix is the
+    x-Fourier coefficient i - l (mod n per axis) of amplitude column l, and
+    by the shift theorem that is coefficient i of the column times
+    omega^(j . l), omega = e^(2 pi i / n), j the point and l the column's
+    position in coefficient order.  So ``K`` is the amplitude of the
+    ``columns`` times omega^(j . l) on x-rows, multiplied in place by the
+    phases of :func:`_phases`, and its matrix columns are
     :func:`_x_spectrum` of K: a slab sums K @ c over the blocks and takes one
-    transform of the sum.  At n = 256 a block of 64 columns is a 256 KB
-    table with 128 KB symbol temporaries, all of which stay in L2.
+    transform of the sum.  A block with no x-varying column has K None.  At
+    n = 256 a block of 64 columns is a 256 KB symbol table, which stays in
+    L2 with its temporaries; the one-way lens varies in x in 71 of its 256
+    columns.
     """
     (roots, table), (j, _) = _phases(grid), _lattice(grid)
     width = table.shape[1]
     for start in range(0, grid.size, width):
-        part = slice(start, start + width)
-        kernel = _amplitude(grid, symbol, delta, slice(None), part)
-        kernel *= table
-        if start:
-            kernel *= roots[np.dot(np.unravel_index(start, grid.shape), j) % grid.n_points, None]
-        yield part, kernel
+        masks = []
+        taken = _amplitude(grid, partial(_screened, symbol, masks), delta, slice(None),
+                           slice(start, start + width))
+        varying = masks.pop()
+        constant, columns = start + np.flatnonzero(~varying), start + np.flatnonzero(varying)
+        split = grid.size * columns.size
+        counters["multiplier_columns"] += constant.size
+        kernel = None
+        if columns.size:
+            kernel = taken[:split].reshape(grid.size, -1)
+            kernel *= table if constant.size == 0 else table.compress(varying, axis=1)
+            if start:
+                kernel *= roots[np.dot(np.unravel_index(start, grid.shape), j) % grid.n_points,
+                                None]
+        yield constant, taken[split:], columns, kernel
 
 
 @lru_cache(maxsize=8)
@@ -647,8 +695,14 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
         return SpectralField(grid, products.sum(axis=0).reshape(grid.shape))
     coeffs = c.coeffs.ravel()
     counters["full_band_sums"] += 1
-    out = sum(kernel @ coeffs[part] for part, kernel in operator)
-    return SpectralField(grid, _x_spectrum(out, grid.shape).reshape(grid.shape))
+    out, diagonal = np.zeros((2, grid.size), dtype=np.complex128)
+    for constant, entries, columns, kernel in operator:
+        diagonal[constant] = entries
+        if kernel is not None:
+            out += kernel @ coeffs[columns]
+    out = _x_spectrum(out, grid.shape)
+    out += diagonal * coeffs
+    return SpectralField(grid, out.reshape(grid.shape))
 
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
@@ -717,8 +771,10 @@ def assemble_matrix(slab: SlabSpec, grid: Grid) -> np.ndarray:
         m, diagonals = operator
         T[np.arange(size), _band_layout(grid, m)[2] % size] = diagonals
     else:
-        for part, kernel in operator:
-            T[:, part] = _x_spectrum(kernel, grid.shape)
+        for constant, entries, columns, kernel in operator:
+            T[constant, constant] = entries
+            if kernel is not None:
+                T[:, columns] = _x_spectrum(kernel, grid.shape)
     return T
 
 

@@ -271,16 +271,30 @@ def recommended_quadrature_order(spec: SymbolSpec, thickness: float) -> int:
 
 
 def _smoothstep(t):
-    """C^2 quintic ramp: 0 at t<=0, 1 at t>=1, zero 1st/2nd derivatives there."""
+    """C^2 quintic ramp: 0 at t<=0, 1 at t>=1, zero 1st/2nd derivatives there.
+
+    t^3 (t (6 t - 15) + 10) on t clipped to [0, 1], each product and sum
+    taken in that order, in place in two tables beside the clipped copy.
+    """
     t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    ramp = 6.0 * t
+    ramp -= 15.0
+    ramp *= t
+    ramp += 10.0
+    cube = t * t
+    cube *= t
+    cube *= ramp
+    return cube
 
 
 def smoothed_abs(xi):
     """|xi| flattened to 0 below 1/4 and exactly |xi| above 1 (C^2 ramp)."""
     r = np.abs(xi)
-    t = (r - 0.25) / 0.75
-    return _smoothstep(t) * r
+    t = r - 0.25
+    t /= 0.75
+    ramp = _smoothstep(t)
+    ramp *= r
+    return ramp
 
 
 WEIERSTRASS_TERMS = 10

@@ -186,7 +186,9 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
     # sweep (its three probes and three full-band tables).  Amplitude rows:
     # every row of each full-band slab (88 x 64), the 32-row subgrid of each
     # of the four probes, and in the sweep three probes of 32 rows and three
-    # full bands of 64.  A slab maps coefficients, so each of the four
+    # full bands of 64.  Each of the 91 full bands takes its xi = 0 column,
+    # where varspeed's symbol is 0 at every point, as an exact diagonal
+    # entry.  A slab maps coefficients, so each of the four
     # compositions takes one transform at each end, and four H^s norms and
     # one property case take six more.  Each of the sweep's 12 H^s norms (six
     # thicknesses, s = 0 and 1) takes one singular-value computation.  A
@@ -199,7 +201,7 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
         manifest = json.loads((tmp_path / "vs" / "manifest.json").read_text())
         assert manifest["counters"] == {"band_sums": 128, "band_reuses": 128,
                                         "full_band_sums": 88, "band_points_max": 32,
-                                        "kernel_rows": 6048, "symbol_tables": 98,
+                                        "multiplier_columns": 91, "kernel_rows": 6048, "symbol_tables": 98,
                                         "slab_arguments": 0,
                                         "transforms": 14, "band_cells": 3,
                                         "cell_nodes": 7, "cell_degree_max": 0,
@@ -209,7 +211,8 @@ def test_manifest_counts_band_and_full_band_sums(tmp_path):
     assert code == harness.EXIT_CONFIG
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["counters"] == {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0,
-                                    "band_points_max": 0, "kernel_rows": 0,
+                                    "band_points_max": 0, "multiplier_columns": 0,
+                                    "kernel_rows": 0,
                                     "symbol_tables": 0, "slab_arguments": 0,
                                     "transforms": 0, "band_cells": 0,
                                     "cell_nodes": 0, "cell_degree_max": 0,
@@ -244,9 +247,12 @@ def test_compared_variants_share_their_band_cells(tmp_path):
     # product for slabs 1 to 7: the frozen and the averaged study's 256-,
     # 128- and 16-slab marches 32, 16 and 2 products each, where slabs 1 to 7
     # took one each (118 in all); none of the dense matrices is on a tile fit.
-    # The sweep's 12 H^s norms take one singular-value computation each
+    # The sweep's 12 H^s norms take one singular-value computation each.  The
+    # one full-band slab and the sweep's three full-band matrices each take
+    # their xi = 0 column as an exact diagonal entry
     assert counts["true"] == {"band_sums": 815, "band_reuses": 794, "full_band_sums": 1,
-                              "band_points_max": 64, "kernel_rows": 4832,
+                              "band_points_max": 64, "multiplier_columns": 4,
+                              "kernel_rows": 4832,
                               "symbol_tables": 98, "slab_arguments": 14,
                               "transforms": 26, "band_cells": 9,
                               "cell_nodes": 62, "cell_degree_max": 16,

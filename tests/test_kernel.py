@@ -402,7 +402,8 @@ def test_two_dimensional_band_slab():
 def test_two_dimensional_top_rung():
     # the planar lens at 64^2 and Delta = 1/64 does not resolve on the 32^2
     # subgrid, so its slab takes the full band, built and applied over 64
-    # blocks of 64 input columns: it matches the direct sum to 1e-13, keeps
+    # blocks of 64 input columns, where the 326 columns whose symbol does not
+    # vary in x are exact diagonal entries: it matches the direct sum to 1e-13, keeps
     # no cell, and peaks below the 150 MB of the band slab above, though its
     # full band would be 268 MB
     grid = Grid(64, 2 * np.pi, dim=2)
@@ -419,8 +420,34 @@ def test_two_dimensional_top_rung():
     assert peak < 150e6
     assert _path_taken(before) == "full band"
     assert propagator.counters["kernel_rows"] - before["kernel_rows"] == 32 ** 2 + grid.size
+    assert propagator.counters["multiplier_columns"] - before["multiplier_columns"] == 326
     assert propagator._band_cell[(slab.spec, slab.thickness, grid, -1)].coef is None
     assert rel_err(got, direct_kernel_sum(u, slab_symbol(slab), slab.thickness)) < 1e-13
+
+
+@pytest.mark.parametrize("dim, n, delta, constant", [(1, 256, 1.0 / 64.0, 185),
+                                                     (1, 256, None, 185), (2, 64, None, 326)])
+def test_top_rung_multiplier_columns_match_direct_kernel_sum(dim, n, delta, constant):
+    # the lens at n = 256 and the planar lens at 64^2 take the top rung with
+    # x-independent columns, 185 of 256 and 326 of 4096, as exact diagonal
+    # entries: a slab (Delta = 1/64) and the operator a(z, x, D_x) itself
+    # (delta None) match the direct kernel sum to 1e-13.  The planar lens
+    # slab is test_two_dimensional_top_rung's
+    grid = Grid(n, 2 * np.pi, dim=dim)
+    spec = SPECS["lens"] if dim == 1 else _planar(SPECS["lens"])
+    u = random_field(grid, 59)
+    propagator._band_cell.clear()
+    before = dict(propagator.counters)
+    if delta is None:
+        got = propagator.apply_symbol_operator(spec, 0.0, u).values
+        symbol = partial(symbols.eval_symbol, spec, 0.0)
+    else:
+        slab = SlabSpec(0.0, delta, spec)
+        got = slab_samples(slab, u).values
+        symbol = slab_symbol(slab)
+    assert _path_taken(before) == "full band"
+    assert propagator.counters["multiplier_columns"] - before["multiplier_columns"] == constant
+    assert rel_err(got, direct_kernel_sum(u, symbol, delta)) < 1e-13
 
 
 def test_warm_lens_top_rung_slab_builds_small_blocks():
@@ -483,16 +510,51 @@ def test_warm_top_rung_slab_takes_one_transform(dim, n, monkeypatch):
 
 def test_top_rung_matrix_transforms_each_block(monkeypatch):
     # dense assembly writes the top rung down block by block: one transform
-    # of each 64-column kernel block, 4 at n = 256
+    # of each 64-column block that holds x-varying columns, at its count of
+    # them.  At n = 256 the lens varies in x in columns 93 to 163 only, 35 of
+    # the second block and 36 of the third; the other two blocks are exact
+    # diagonal entries and take no transform
     grid = Grid(256, 2 * np.pi)
     slab = SlabSpec(0.0, 1.0 / 64.0, SPECS["lens"])
     propagator._band_cell.clear()
     assemble_matrix(slab, grid)         # probes, fails and builds the point cell
     calls = _counted_x_spectra(monkeypatch)
     matrix = assemble_matrix(slab, grid)
-    assert calls == [(grid.size, 64)] * 4
+    assert calls == [(grid.size, 35), (grid.size, 36)]
     c = forward(random_field(grid, 47))
     assert rel_err(matrix @ c.coeffs, apply_slab(slab, c).coeffs) < 1e-14
+
+
+def test_x_independent_top_rung_columns_are_exact_diagonal_entries():
+    # outside the aperture the one-way symbol is floored and its damping
+    # saturated, so in 185 of the 256 columns of a lens slab (n = 256,
+    # Delta = 1/64) the symbol takes the same value at every point, bit for
+    # bit.  There the slab is an exact Fourier multiplier: its matrix column
+    # is zero off the diagonal, its diagonal entry is bitwise np.exp(-Delta a)
+    # of the symbol, and the slab maps coefficients on those columns to
+    # exactly those products, with no roundoff of a transform
+    grid = Grid(256, 2 * np.pi)
+    slab = SlabSpec(0.0, 1.0 / 64.0, SPECS["lens"])
+    x, xi = grid.meshes()[0][:, None], grid.frequency_meshes()[0][None, :]
+    a = symbols.eval_symbol(slab.spec, slab.z, x, xi)
+    bits = a.view(np.int64).reshape(grid.size, grid.size, 2)
+    constant = np.flatnonzero((bits == bits[0]).all(axis=(0, 2)))
+    assert constant.size == 185
+    want = np.exp(-slab.thickness * a[0, constant])
+    propagator._band_cell.clear()
+    assemble_matrix(slab, grid)         # probes, fails and builds the point cell
+    before = propagator.counters["multiplier_columns"]
+    matrix = assemble_matrix(slab, grid)
+    assert propagator.counters["multiplier_columns"] - before == 185
+    columns = matrix[:, constant]
+    assert columns[constant, np.arange(constant.size)].tobytes() == want.tobytes()
+    columns[constant, np.arange(constant.size)] = 0.0
+    assert not columns.any()
+    coeffs = np.zeros(grid.size, dtype=np.complex128)
+    coeffs[constant] = forward(random_field(grid, 53)).coeffs[constant]
+    got = apply_slab(slab, SpectralField(grid, coeffs)).coeffs
+    assert got[constant].tobytes() == (want * coeffs[constant]).tobytes()
+    assert not np.delete(got, constant).any()
 
 
 def _lattice_roots(shape, columns):
@@ -517,14 +579,25 @@ def test_phases_are_exact_lattice_roots(shape):
     assert table.shape == (grid.size, width)
     assert table.tobytes() == _lattice_roots(shape, slice(0, width)).tobytes()
     assert not roots.flags.writeable and not table.flags.writeable
-    # a symbol of ones, taken as itself (delta None), makes every amplitude 1,
-    # so the blocks are the phases
-    blocks = propagator._full_band(grid, lambda x, xi: np.ones(table.shape, complex), None)
-    for part, kernel in blocks:
-        want = _lattice_roots(shape, part)
-        if part.start == 0:
+
+    # a unimodular symbol that varies in x in every column, taken as itself
+    # (delta None), so each block is the symbol times its phases: bitwise in
+    # the first block, whose phases are the table's (a product of row-major
+    # operands, as the block's is; numpy may round a product of operands in
+    # other layouts differently)
+    def unimodular(x, xi):
+        points, frequencies = (x, xi) if grid.dim > 1 else ((x,), (xi,))
+        return np.exp(1j * (sum(points) + 0.5 * sum(frequencies)))
+
+    xs = tuple(m.ravel()[:, None] for m in grid.meshes())
+    xis = tuple(m.ravel()[None, :] for m in grid.frequency_meshes())
+    symbol = unimodular(*((xs, xis) if grid.dim > 1 else (xs[0], xis[0])))
+    for constant, entries, columns, kernel in propagator._full_band(grid, unimodular, None):
+        assert constant.size == entries.size == 0 and columns.size == width
+        want = symbol.take(columns, axis=1) * _lattice_roots(shape, columns)
+        if columns[0] == 0:
             assert kernel.tobytes() == want.tobytes()
-        assert np.abs(kernel - want).max() < 4e-15, part
+        assert np.abs(kernel - want).max() < 4e-15, columns[0]
 
 
 @pytest.mark.parametrize("points, columns", [((32,), 256), ((64,), 256), ((128,), 256),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thinslab import oneway, propagator
+from thinslab import oneway, propagator, symbols
 from thinslab.oneway import (
     AcousticMedium, ApertureConfig, ApertureError, BandLimitError, MediumError,
     bplus_joint, build_bplus, build_damping, check_band_limit,
@@ -90,6 +90,56 @@ def test_bplus_joint_degree_one():
         a = bj(0.0, x, lam * tau, np.array([[lam * xi]]))
         b = lam * bj(0.0, x, tau, np.array([[xi]]))
         assert abs(a[0, 0] - b[0, 0]) < 1e-10 * max(1.0, abs(b[0, 0]))
+
+
+def _ramp_as_one_expression(t):
+    """The quintic ramp as one expression, a temporary per operation."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def test_in_place_symbols_are_bitwise_their_expressions():
+    # b+, the damping c1, the quintic ramp and smoothed_abs evaluate in place
+    # in one or two tables, with the operations of the one-expression forms
+    # below in the same order, so every table is theirs bit for bit: on the
+    # lens lattice of a one-way run (n = 256, tau = 32), at a scalar, and at
+    # both ends of the ramp and between them
+    medium, grid = lens_medium(), Grid(256, 2 * np.pi)
+    x, xi = grid.meshes()[0][:, None], grid.frequency_meshes()[0][None, :]
+    mu, tau = np.cos(AP.theta2) / 4.0, AP.tau
+    s1, s2 = np.sin(AP.theta1), np.sin(AP.theta2)
+
+    def b_expression(x, xi):
+        c = np.asarray(medium.c(x, 0.0), dtype=float)
+        disc = (tau / c) ** 2 - np.asarray(xi, dtype=float) ** 2
+        floor = (mu * tau) ** 2
+        u = (disc - floor) / floor
+        return np.sqrt(floor * (1.0 + u * _ramp_as_one_expression(u)))
+
+    def c1_expression(x, xi):
+        c = np.asarray(medium.c(x, 0.0), dtype=float)
+        t = (np.abs(c * np.asarray(xi, dtype=float) / tau) - s1) / (s2 - s1)
+        return 2.0 * abs(tau) * _ramp_as_one_expression(t)
+
+    b, c1 = build_bplus(medium, AP), build_damping(medium, AP, scale=2.0)
+    for got, want in ((b(0.0, x, xi), b_expression(x, xi)),
+                      (c1(0.0, x, xi), c1_expression(x, xi)),
+                      (b(0.0, 0.7, 20.0), b_expression(0.7, 20.0)),
+                      (c1(0.0, 0.7, 20.0), c1_expression(0.7, 20.0))):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the lattice meets every piece of both ramps: floored (u <= 0), blended
+    # and exact (u >= 1), and undamped (t <= 0), ramped and saturated (t >= 1)
+    c = medium.c(x, 0.0)
+    u = ((tau / c) ** 2 - xi ** 2 - (mu * tau) ** 2) / (mu * tau) ** 2
+    t = (np.abs(c * xi / tau) - s1) / (s2 - s1)
+    for values in (u, t):
+        assert (values <= 0).any() and ((0 < values) & (values < 1)).any() and (values >= 1).any()
+    ramp = np.concatenate((np.linspace(-0.5, 1.5, 2001), [0.0, 1.0, -0.0]))
+    assert symbols._smoothstep(ramp).tobytes() == _ramp_as_one_expression(ramp).tobytes()
+    r = np.abs(ramp * 2.0)
+    assert symbols.smoothed_abs(ramp * 2.0).tobytes() == (
+        _ramp_as_one_expression((r - 0.25) / 0.75) * r).tobytes()
 
 
 def test_damping_profile():
