@@ -26,8 +26,9 @@ whose symbol is bitwise the same at every point is an exact Fourier
 multiplier, the diagonal entry exp(-Delta * a_l) and zeros elsewhere; the
 one-way lens is one outside its aperture, in 185 of 256 columns.  The
 x-varying columns are summed in x, a shift of column l's spectrum by l
-being its product with lattice roots of unity, and transformed once per
-slab.  A band is held as
+being its product with the lattice roots of unity omega^((j . l) mod n),
+each taken at its exact integer exponent, and transformed once per slab.
+A band is held as
 its diagonals D[j, i] = A_(b_j)[i - b_j], entry [i, i - b_j] (mod n per
 axis).  :func:`_frequency_sum` applies the result on coefficients, for
 slabs, the operator a(z, x, D_x) and the exact multiplier evolution: a band
@@ -43,8 +44,9 @@ lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
 one complex exp per entry and no phase: a subgrid probe takes blocks of
 64 rows, the top rung blocks of 64 input columns, so that at n = 256 each
 table and its symbol temporaries stay in a core's L2 cache.  The top rung
+takes a block's table of a, screens it for x-independent columns and
 exponentiates the entries of its x-varying columns and one entry of each
-other column.
+other column, through the one in-place helper :func:`_exponentiate`.
 
 A slab's amplitude is nearly constant in x on a thin slab, and analytic in
 x for the registry's transport symbols, so its x-band is found from the
@@ -219,26 +221,29 @@ counters = {"band_sums": 0, "band_reuses": 0, "full_band_sums": 0, "band_points_
             "cell_degree_max": 0, "band_products": 0, "norm_svds": 0}
 
 
+def _exponentiate(table: np.ndarray, delta: float | None) -> np.ndarray:
+    """``table`` becomes exp(-delta * table) in place; ``delta`` None leaves it as it is."""
+    if delta is not None:
+        table *= -delta
+        np.exp(table, out=table)
+    return table
+
+
 def _amplitude(grid: Grid, symbol, delta: float | None, rows, columns) -> np.ndarray:
     """The amplitude exp(-delta * a), a itself for ``delta`` None, on ``rows`` x ``columns``.
 
     ``rows`` and ``columns`` index (array or slice) the flat points and
     frequencies of :func:`_lattice`; ``symbol(x_packed, xi_packed)`` returns
-    a fresh complex array of the values of a to take there: the table of a,
-    or the entries of it that a top-rung block exponentiates
-    (:func:`_screened`).  That array becomes the amplitude in place.  An
-    entry does not depend on the other rows or columns of its table.  The
-    symbol table adds its entries over the grid size, its count of full
-    rows, to ``counters["kernel_rows"]``.
+    a fresh complex table of a there, which becomes the amplitude in place.
+    An entry does not depend on the other rows or columns of its table.  The
+    table adds its entries over the grid size, its count of full rows, to
+    ``counters["kernel_rows"]``.
     """
     j, k = _lattice(grid)
     points, frequencies = j[:, rows], k[:, columns]
     x = _pack(tuple(c[:, None] for c in points * grid.spacing), grid)
     xi = _pack(tuple(c[None, :] for c in frequencies * (2.0 * np.pi / grid.period)), grid)
-    table = symbol(x, xi)
-    if delta is not None:
-        table *= -delta
-        np.exp(table, out=table)
+    table = _exponentiate(symbol(x, xi), delta)
     counters["kernel_rows"] += points.shape[1] * frequencies.shape[1] // grid.size
     return table
 
@@ -295,27 +300,6 @@ def _band_layout(grid: Grid, m: int):
     return layout
 
 
-@lru_cache(maxsize=4)
-def _phases(grid: Grid):
-    """Read-only (roots, table): the n-th roots of unity and the top rung's first-block phase.
-
-    ``roots[r]`` is omega^r = e^(2 pi i r / n), r = 0 .. n - 1, and
-    ``table[j, t]`` is omega^((j . t) mod n) for every point j and the
-    grid's first ``width`` = min(size, ``_BLOCK``) points t: each phase a
-    root at its integer exponent.  A block of ``width`` input columns from a
-    multiple s of ``width`` has the offsets t per axis from its first
-    column, so its phase omega^(j . (s + t)) is the table times the row
-    phase omega^(j . s).
-    """
-    n, width = grid.n_points, min(grid.size, _BLOCK)
-    j, _ = _lattice(grid)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    table = roots[(j.T @ j[:, :width]) % n]
-    for array in (roots, table):
-        array.flags.writeable = False
-    return roots, table
-
-
 _TOL = 1e-15                # band tails and Chebyshev tails, relative to max |amplitude|
 _CELL_COEFFICIENTS = 2 ** 20    # 16 MB: the cap of one series and of the cells held
 
@@ -370,66 +354,63 @@ def _probe(grid: Grid, symbol, delta: float | None, m: int):
     return 0, None, amplitude
 
 
-def _screened(symbol, masks: list, x, xi) -> np.ndarray:
-    """The entries of ``symbol``'s table that a top-rung block takes, in one flat array.
-
-    A column is x-varying unless every row of it is bitwise its first row:
-    an exact test on the int64 view of the real and imaginary parts, with
-    no tolerance.  Appends the mask of x-varying columns to ``masks`` and
-    returns those columns, raveled, then the first row of the others: a
-    column whose symbol is the same at every point is one value.  A table
-    that varies in x in every column is returned raveled, with no copy.
-    """
-    table = symbol(x, xi)
-    bits = table.view(np.int64)
-    varying = (bits != bits[0]).any(axis=0).reshape(-1, 2).any(axis=1)
-    masks.append(varying)
-    if varying.all():
-        return table.ravel()
-    return np.concatenate((table.compress(varying, axis=1).ravel(), table[0, ~varying]))
-
-
 def _full_band(grid: Grid, symbol, delta: float | None):
     """Yield (constant, entries, columns, K) for each block of input columns: the top rung.
 
-    Every band is kept, with no tail test.  A column whose symbol values are
-    bitwise equal at every point is an exact Fourier multiplier: its one
-    entry A_l = exp(-delta * a_l), a_l itself with ``delta`` None, is the
-    diagonal entry [l, l] of the slab's Fourier-basis matrix, and the rest
-    of the column is zero.  ``constant`` holds the flat indices of those
-    columns in the block and ``entries`` their A_l, one ``exp`` each.
+    Every band is kept, with no tail test.  A block takes its table of a
+    from :func:`_amplitude`.  A column is x-independent when every row of it
+    is bitwise its first row: an exact test on the int64 view of the real
+    and imaginary parts, with no tolerance.  Such a column is an exact
+    Fourier multiplier: its one entry A_l = exp(-delta * a_l), a_l itself
+    with ``delta`` None, is the diagonal entry [l, l] of the slab's
+    Fourier-basis matrix, and the rest of the column is zero.  ``constant``
+    holds the flat indices of those columns in the block and ``entries``
+    their A_l, one ``exp`` each.
 
     The other columns vary in x.  Entry [i, l] of the matrix is the
     x-Fourier coefficient i - l (mod n per axis) of amplitude column l, and
     by the shift theorem that is coefficient i of the column times
     omega^(j . l), omega = e^(2 pi i / n), j the point and l the column's
     position in coefficient order.  So ``K`` is the amplitude of the
-    ``columns`` times omega^(j . l) on x-rows, multiplied in place by the
-    phases of :func:`_phases`, and its matrix columns are
-    :func:`_x_spectrum` of K: a slab sums K @ c over the blocks and takes one
-    transform of the sum.  A block with no x-varying column has K None.  At
-    n = 256 a block of 64 columns is a 256 KB symbol table, which stays in
-    L2 with its temporaries; the one-way lens varies in x in 71 of its 256
-    columns.
+    ``columns`` times omega^((j . l) mod n), the n-th root of unity at its
+    exact integer exponent, and its matrix columns are :func:`_x_spectrum`
+    of K: a slab sums K @ c over the blocks and takes one transform of the
+    sum.  A block with no x-varying column has K None.  At n = 256 a block
+    of 64 columns is a 256 KB symbol table, which stays in L2 with its
+    temporaries; the one-way lens varies in x in 71 of its 256 columns.
     """
-    (roots, table), (j, _) = _phases(grid), _lattice(grid)
-    width = table.shape[1]
-    for start in range(0, grid.size, width):
-        masks = []
-        taken = _amplitude(grid, partial(_screened, symbol, masks), delta, slice(None),
-                           slice(start, start + width))
-        varying = masks.pop()
+    roots = np.exp(2j * np.pi * np.arange(grid.n_points) / grid.n_points)
+    for start in range(0, grid.size, _BLOCK):
+        table = _amplitude(grid, symbol, None, slice(None), slice(start, start + _BLOCK))
+        bits = table.view(np.int64)
+        varying = (bits != bits[0]).any(axis=0).reshape(-1, 2).any(axis=1)
         constant, columns = start + np.flatnonzero(~varying), start + np.flatnonzero(varying)
-        split = grid.size * columns.size
         counters["multiplier_columns"] += constant.size
-        kernel = None
-        if columns.size:
-            kernel = taken[:split].reshape(grid.size, -1)
-            kernel *= table if constant.size == 0 else table.compress(varying, axis=1)
-            if start:
-                kernel *= roots[np.dot(np.unravel_index(start, grid.shape), j) % grid.n_points,
-                                None]
-        yield constant, taken[split:], columns, kernel
+        entries = _exponentiate(table[0, ~varying], delta)
+        # row-major, as its phase is: numpy may round a product of operands in
+        # other layouts differently
+        kernel = (None if columns.size == 0 else table if constant.size == 0
+                  else table.compress(varying, axis=1))
+        del table, bits                 # freed before the phase and the next block's table
+        if kernel is not None:
+            _exponentiate(kernel, delta)
+            kernel *= roots.take(_exponents(grid, columns))
+        yield constant, entries, columns, kernel
+
+
+def _exponents(grid: Grid, columns: np.ndarray) -> np.ndarray:
+    """(j . l) mod n for every point j and flat column l of ``columns``, a (size, columns) table.
+
+    Exact integer arithmetic: the products of the n indices of an axis with
+    the columns' indices on that axis, an n x columns table per axis, summed
+    over the axes by broadcasting and reduced mod n in place by a bit mask,
+    n being a power of two.  The table is freed once its roots are gathered.
+    """
+    n = grid.n_points
+    products = [np.multiply.outer(np.arange(n), l) for l in np.unravel_index(columns, grid.shape)]
+    exponents = products[0] if grid.dim == 1 else products[0][:, None] + products[1]
+    exponents &= n - 1
+    return exponents.reshape(grid.size, -1)
 
 
 @lru_cache(maxsize=8)

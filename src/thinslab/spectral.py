@@ -200,8 +200,10 @@ def xi_squared(grid: Grid) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _bracket_lattice(grid: Grid) -> np.ndarray:
-    """<xi> = (1+|xi|^2)^(1/2) on the shifted frequency lattice."""
-    return np.sqrt(1.0 + xi_squared(grid))
+    """<xi> = (1+|xi|^2)^(1/2) on the shifted frequency lattice (cached, read-only)."""
+    bracket = np.sqrt(1.0 + xi_squared(grid))
+    bracket.flags.writeable = False
+    return bracket
 
 
 def coefficient_norm(c: SpectralField, s: float) -> float:
@@ -216,12 +218,6 @@ def sobolev_norm(field: Field, s: float) -> float:
     return coefficient_norm(forward(field), s)
 
 
-def apply_multiplier(field: Field, multiplier: np.ndarray) -> Field:
-    """Fourier multiplier: forward transform, scale each coefficient, invert."""
-    c = forward(field).coeffs * multiplier
-    return inverse(SpectralField(field.grid, c))
-
-
 def apply_weight(field: Field, r: float) -> Field:
     """Apply the order-r weight operator (multiplier <xi>^r).
 
@@ -229,7 +225,8 @@ def apply_weight(field: Field, r: float) -> Field:
     """
     if r == 0:
         return field.copy()
-    return apply_multiplier(field, _bracket_lattice(field.grid) ** r)
+    c = forward(field).coeffs * _bracket_lattice(field.grid) ** r
+    return inverse(SpectralField(field.grid, c))
 
 
 def wave_packet(grid: Grid) -> Field:

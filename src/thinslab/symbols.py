@@ -208,7 +208,11 @@ MAX_QUADRATURE_ORDER = 1024   # leggauss builds an order x order companion matri
 
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int):
-    return leggauss(order)
+    """Read-only Gauss-Legendre (nodes, weights) of ``order`` on [-1, 1]."""
+    rule = leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def check_quadrature_order(order: int) -> None:

@@ -568,23 +568,16 @@ def _lattice_roots(shape, columns):
 @pytest.mark.parametrize("shape", [(8,), (16,), (32,), (64,), (128,), (256,), (512,),
                                    (16, 16), (64, 64)])
 def test_phases_are_exact_lattice_roots(shape):
-    # _phases holds the n-th roots of unity and the first block's phase at
-    # integer exponents, bitwise np.exp of 2 pi i r / n; a later block's
-    # phase, the table times its row phase, is the root to the rounding of
-    # its argument 2 pi r / n, at most a few ulps of 2 pi
+    # every top-rung block is phased by the n-th roots of unity at their
+    # integer exponents (j . l) mod n, each a single rounding of the exact
+    # root, bitwise np.exp of 2 pi i r / n.  A unimodular symbol that varies
+    # in x in every column, taken as itself (delta None), so each block is
+    # the symbol times its phases, bit for bit in every block (a product of
+    # row-major operands, as the block's is; numpy may round a product of
+    # operands in other layouts differently)
     grid = Grid(shape[0], 2 * np.pi, dim=len(shape))
-    n, width = grid.n_points, min(grid.size, 64)
-    roots, table = propagator._phases(grid)
-    assert roots.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
-    assert table.shape == (grid.size, width)
-    assert table.tobytes() == _lattice_roots(shape, slice(0, width)).tobytes()
-    assert not roots.flags.writeable and not table.flags.writeable
+    width = min(grid.size, 64)
 
-    # a unimodular symbol that varies in x in every column, taken as itself
-    # (delta None), so each block is the symbol times its phases: bitwise in
-    # the first block, whose phases are the table's (a product of row-major
-    # operands, as the block's is; numpy may round a product of operands in
-    # other layouts differently)
     def unimodular(x, xi):
         points, frequencies = (x, xi) if grid.dim > 1 else ((x,), (xi,))
         return np.exp(1j * (sum(points) + 0.5 * sum(frequencies)))
@@ -592,12 +585,13 @@ def test_phases_are_exact_lattice_roots(shape):
     xs = tuple(m.ravel()[:, None] for m in grid.meshes())
     xis = tuple(m.ravel()[None, :] for m in grid.frequency_meshes())
     symbol = unimodular(*((xs, xis) if grid.dim > 1 else (xs[0], xis[0])))
+    starts = []
     for constant, entries, columns, kernel in propagator._full_band(grid, unimodular, None):
         assert constant.size == entries.size == 0 and columns.size == width
         want = symbol.take(columns, axis=1) * _lattice_roots(shape, columns)
-        if columns[0] == 0:
-            assert kernel.tobytes() == want.tobytes()
-        assert np.abs(kernel - want).max() < 4e-15, columns[0]
+        assert kernel.tobytes() == want.tobytes(), columns[0]
+        starts.append(columns[0])
+    assert starts == list(range(0, grid.size, width))
 
 
 @pytest.mark.parametrize("points, columns", [((32,), 256), ((64,), 256), ((128,), 256),

@@ -5,8 +5,11 @@ import dataclasses
 import inspect
 import pathlib
 
+import numpy as np
+
 import thinslab
 from thinslab import propagator, symbols
+from thinslab.spectral import Grid
 
 # the package __init__ re-exports the library layers and none of harness or cli
 ORDER = ["spectral", "symbols", "propagator", "ansatz", "oneway", "__init__", "harness", "cli"]
@@ -100,8 +103,8 @@ def test_only_the_probe_and_the_top_rung_build_amplitude_rows():
     # every x-dependent slab is built from one phase-free amplitude table,
     # propagator._amplitude: the subgrid probe takes its rows and the top rung
     # its column blocks.  The amplitude carries no phase: only the top rung
-    # multiplies its blocks by the lattice roots of _phases, and there is no
-    # second kernel table beside it
+    # multiplies its blocks by lattice roots of unity, gathered at their
+    # exact exponents, and there is no second kernel table beside it
     namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
               for scope in _scopes_naming(ast.parse(path.read_text()), "_amplitude")}
     assert namers == {"propagator._probe", "propagator._full_band"}, namers
@@ -110,13 +113,14 @@ def test_only_the_probe_and_the_top_rung_build_amplitude_rows():
 
 
 def test_only_the_top_rung_names_the_phases():
-    # the top rung phases each amplitude block by lattice roots of unity and
-    # takes one transform per slab, so no skew index is left to gather it by
-    for name, want in (("_phases", {"propagator._full_band"}), ("_skew", set())):
+    # the top rung phases each amplitude block by the lattice roots of unity
+    # at their exact exponents, gathered per block: no cached phase table, no
+    # skew index and no screening callback that hands the amplitude a mask
+    for name in ("_phases", "_skew", "_screened"):
         namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
                   for scope in _scopes_naming(ast.parse(path.read_text()), name)}
-        assert namers == want, (name, namers)
-    assert not hasattr(propagator, "_skew")
+        assert not namers, (name, namers)
+        assert not hasattr(propagator, name), name
 
 
 def test_only_the_probe_and_dense_assembly_read_the_diagonal_index():
@@ -210,3 +214,53 @@ def test_every_export_is_used_or_declared_library_api():
     unused = [name for name in exported if name not in named and name not in LIBRARY_API]
     assert not unused, unused
     assert set(LIBRARY_API) <= set(exported) - named
+
+
+# every functools.lru_cache in the package, with what makes it worth holding
+CACHES = {
+    "propagator._band_layout": "the subgrid index arrays every probe and dense band matrix of a grid reads",
+    "propagator._cosine_transform": "the Chebyshev cosine-transform matrix every tile fit of a degree takes",
+    "spectral._shift": "the fftshift index every forward and inverse transform gathers through",
+    "spectral.xi_squared": "|xi|^2 of a grid, under <xi> and the one-way energy partition",
+    "spectral._bracket_lattice": "<xi> of a grid, read by every H^s norm, weight and slab matrix norm",
+    "symbols._gl_nodes": "the Gauss-Legendre rule of an order, read by every averaged slab of it",
+    "symbols._weierstrass_weights": "the weights of a Hoelder exponent, read by every profile evaluation",
+}
+
+
+def _arrays(value):
+    """Yield every ndarray in ``value``, a cached result: an array or a tuple of them."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    else:
+        assert isinstance(value, np.ndarray), type(value)
+        yield value
+
+
+def test_every_cache_is_declared_and_hands_out_read_only_arrays():
+    # a cache hands every caller the same arrays, so one in-place update by
+    # any caller (an H^s weight taken with **=, say) would corrupt every later
+    # result built from it: each cached array is read-only
+    cached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(decorator) for decorator in node.decorator_list):
+                cached.add(f"{path.stem}.{node.name}")
+    assert cached == set(CACHES), cached ^ set(CACHES)
+    grid, plane = Grid(64, 2 * np.pi), Grid(16, 2 * np.pi, dim=2)
+    calls = {
+        "propagator._band_layout": [(grid, 32), (plane, 8)],
+        "propagator._cosine_transform": [(8,)],
+        "spectral._shift": [(64, 1), (16, 2)],
+        "spectral.xi_squared": [(grid,), (plane,)],
+        "spectral._bracket_lattice": [(grid,), (plane,)],
+        "symbols._gl_nodes": [(5,)],
+        "symbols._weierstrass_weights": [(0.5,)],
+    }
+    writeable = [f"{name}{args}" for name in CACHES for args in calls[name]
+                 for array in _arrays(getattr(getattr(thinslab, name.split(".")[0]),
+                                              name.split(".")[1])(*args))
+                 if array.flags.writeable]
+    assert not writeable, writeable
