@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import propagator, spectral
-from .propagator import Averaged, Frozen, SlabSpec, DELTA_MAX_DEFAULT
+from .propagator import Averaged, Frozen, SlabSpec
 from .spectral import Field
 from .symbols import SymbolSpec
 
+DELTA_MAX_DEFAULT = 0.125
 _BOUNDARY_TOL = 1e-12
 
 
@@ -38,7 +39,7 @@ class PositionError(ValueError):
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Constant-step subdivision of [0, Z] into n_slabs slabs."""
+    """Constant-step subdivision of [0, Z]: the one owner of a march's step bound ``delta_max``."""
 
     Z: float
     n_slabs: int
@@ -113,13 +114,13 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
     arguments = [None] * k_full if arguments is None else arguments.tolist()
     block = 8       # 8 rows of 3968 band coefficients, 0.5 MB, at m = 64 and n = 128
     for k in range(k_full):
-        slab = SlabSpec(k * step, (k + 1) * step, spec, variant, sub.delta_max,
+        slab = SlabSpec(k * step, (k + 1) * step, spec, variant,
                         tuple(arguments[k:k - k % block + block]))
         c = propagator.apply_slab(slab, c)
         if observer is not None:
             observer(k + 1, (k + 1) * step, c)
     if rem > 0.0:
-        slab = SlabSpec(k_full * step, k_full * step + rem, spec, variant, sub.delta_max)
+        slab = SlabSpec(k_full * step, k_full * step + rem, spec, variant)
         c = propagator.apply_slab(slab, c)
     return spectral.inverse(c)
 
@@ -151,8 +152,6 @@ def reference_solution(spec: SymbolSpec, u0: Field, z: float, mode,
     if isinstance(mode, ExactMultiplier):
         return propagator.exact_multiplier_evolution(spec, 0.0, z, u0)
     if isinstance(mode, FineStep):
-        if mode.n_ref < 1:
-            raise ValueError("FineStep needs n_ref >= 1")
         sub = Subdivision(z, mode.n_ref, delta_max)
         return apply_ansatz(spec, sub, u0, variant=Averaged())
     raise TypeError(f"unknown reference mode {mode!r}")
@@ -189,7 +188,7 @@ def residual_norm(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float, s: fl
     z_bot = k_full * sub.step
 
     def partial(z_to: float) -> Field:
-        slab = SlabSpec(z_bot, z_to, spec, variant, sub.delta_max)
+        slab = SlabSpec(z_bot, z_to, spec, variant)
         return spectral.inverse(propagator.apply_slab(slab, prefix))
 
     u_minus, u_mid, u_plus = partial(z - h_z), partial(z), partial(z + h_z)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from . import ansatz, oneway, propagator, spectral, symbols
-from .ansatz import ExactMultiplier, FineStep, Subdivision
+from .ansatz import DELTA_MAX_DEFAULT, ExactMultiplier, FineStep, Subdivision
 from .oneway import ApertureConfig
 from .propagator import Averaged, Frozen, SlabSpec
 from .spectral import Field, Grid
@@ -80,7 +80,7 @@ class ExperimentConfig:
     reference: str = "auto"
     n_ref: int = 0               # 0 = auto (8x largest study N)
     seed: int = 0
-    delta_max: float = propagator.DELTA_MAX_DEFAULT
+    delta_max: float = DELTA_MAX_DEFAULT
     norm_points: int = 128
     quadrature_order: int = 0    # 0 = auto from the symbol's z-bandwidth
     compare_variants: bool = False
@@ -200,6 +200,10 @@ def resolve_config(scenario: str, file_map: dict | None = None,
     for name in ("s", "Z", "delta_max", "damping_scale"):
         if not np.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
+    if not np.isfinite(cfg.damping_scale * abs(cfg.tau)):
+        # the one-way damping c1 reaches damping_scale * |tau| outside theta2
+        raise ConfigError(f"damping_scale * |tau| must be finite, got "
+                          f"{cfg.damping_scale} * {abs(cfg.tau)}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.norm_points < 8 or cfg.norm_points & (cfg.norm_points - 1):

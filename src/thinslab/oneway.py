@@ -30,8 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import ansatz, spectral, symbols
-from .ansatz import Subdivision
-from .propagator import DELTA_MAX_DEFAULT
+from .ansatz import DELTA_MAX_DEFAULT, Subdivision
 from .spectral import Field, SpectralField
 from .symbols import SymbolSpec
 

@@ -13,7 +13,7 @@ slabs transforms once at its start and once at its end
 either frozen at the slab bottom, a(slab.z, x', xi), or replaced by its slab
 mean, which :func:`thinslab.symbols.averaged_symbol` takes; how the mean is
 taken follows from the symbol's z-declarations, which only that function
-reads.
+reads.  The exact evolution of an x-independent symbol is one Averaged slab.
 
 How a slab is taken is decided in one place, :func:`_operator`: as the
 Fourier multiplier of :func:`_multiplier` when the symbol does not depend
@@ -31,13 +31,13 @@ each taken at its exact integer exponent, and transformed once per slab.
 A band is held as
 its diagonals D[j, i] = A_(b_j)[i - b_j], entry [i, i - b_j] (mod n per
 axis).  :func:`_frequency_sum` applies the result on coefficients, for
-slabs, the operator a(z, x, D_x) and the exact multiplier evolution: a band
-through one strided view of the coefficients with no transform, the top
-rung with one, to which it adds its diagonal entries times their
-coefficients.  :func:`assemble_matrix` writes it down as a dense complex
-ndarray: a diagonal, scattered band diagonals, or the top rung's diagonal
-entries and the transforms of its x-varying columns.  So
-the matrix an H^s norm is taken from is the slab the march applies.
+slabs and the operator a(z, x, D_x): a band through one strided view of
+the coefficients with no transform, the top rung with one, to which it
+adds its diagonal entries times their coefficients.
+:func:`assemble_matrix` writes it down as a dense complex ndarray: a
+diagonal, scattered band diagonals, or the top rung's diagonal entries and
+the transforms of its x-varying columns.  So the matrix an H^s norm is
+taken from is the slab the march applies.
 
 The amplitude is built in one place, :func:`_amplitude`, on the integer
 lattice of :func:`_lattice`, x = j * spacing and xi = k * 2 pi / period,
@@ -87,7 +87,6 @@ from . import spectral, symbols
 from .spectral import Field, Grid, SpectralField
 from .symbols import SymbolSpec
 
-DELTA_MAX_DEFAULT = 0.125
 MATRIX_SIZE_LIMIT = 4096
 
 # the rows of a probe's _amplitude call and the input columns of a top-rung
@@ -96,7 +95,7 @@ _BLOCK = 64
 
 
 class SlabError(ValueError):
-    """Invalid slab geometry (ordering or thickness)."""
+    """Invalid slab geometry: a slab [z, z_prime] needs 0 <= z < z_prime, of any thickness."""
 
 
 class VariantError(ValueError):
@@ -161,16 +160,12 @@ class SlabSpec:
     z_prime: float
     spec: SymbolSpec
     variant: object = Frozen()
-    delta_max: float = DELTA_MAX_DEFAULT
     march: InitVar[tuple] = ()
     arguments: tuple = dataclass_field(init=False, compare=False)
 
     def __post_init__(self, march):
         if not (0.0 <= self.z < self.z_prime):
             raise SlabError(f"need 0 <= z < z_prime, got [{self.z}, {self.z_prime}]")
-        if self.thickness > self.delta_max * (1.0 + 1e-12):
-            raise SlabError(
-                f"slab too thick: {self.thickness:g} exceeds delta_max {self.delta_max:g}")
         if not isinstance(self.variant, (Frozen, Averaged)):
             raise VariantError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "arguments", tuple(march) or (
@@ -708,20 +703,19 @@ def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
 
 
 def exact_multiplier_evolution(spec: SymbolSpec, z0: float, z1: float, field: Field) -> Field:
-    """Exact evolution for x-independent symbols.
+    """Exact evolution for x-independent symbols: the one Averaged slab [z0, z1].
 
     Multiplies each coefficient with exp(-int_z0^z1 a(s, xi_k) ds); the
     z-integral is (z1 - z0) times the :func:`thinslab.symbols.averaged_symbol`
     mean at its default order: one table for a z-independent symbol, exact
-    for polynomial z-dependence of degree < 2*order otherwise.
+    for polynomial z-dependence of degree < 2*order otherwise.  That is
+    :func:`apply_slab` of ``SlabSpec(z0, z1, spec, Averaged())``, so the
+    interval is checked as a slab's: unless 0 <= z0 < z1, SlabError.
     """
     if not spec.x_independent:
         raise ContractViolation("exact_multiplier_evolution requires an x-independent symbol")
-    if not (z1 > z0):
-        raise SlabError(f"need z1 > z0, got [{z0}, {z1}]")
-    operator = _operator(field.grid, spec, z1 - z0, (None,), symbols.averaged_symbol,
-                         spec, z0, z1)
-    return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
+    slab = SlabSpec(z0, z1, spec, Averaged())
+    return spectral.inverse(apply_slab(slab, spectral.forward(field)))
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +787,10 @@ def semigroup_defect(spec: SymbolSpec, z: float, z_mid: float, z_top: float,
     exactly and the defect sits at roundoff.  ``seed`` is unused:
     the norm is exact and needs no random start vector.  It is kept so that
     callers which still pass it, such as the benchmark worker, keep working.
+    The three slabs are built first: unless 0 <= z < z_mid < z_top, one
+    raises SlabError before any matrix is assembled.
     """
-    if not (z < z_mid < z_top):
-        raise SlabError(f"need z < z_mid < z_top, got {z}, {z_mid}, {z_top}")
-    whole = assemble_matrix(SlabSpec(z, z_top, spec, variant), grid)
-    lower = assemble_matrix(SlabSpec(z, z_mid, spec, variant), grid)
-    upper = assemble_matrix(SlabSpec(z_mid, z_top, spec, variant), grid)
+    slabs = (SlabSpec(z, z_top, spec, variant), SlabSpec(z, z_mid, spec, variant),
+             SlabSpec(z_mid, z_top, spec, variant))
+    whole, lower, upper = (assemble_matrix(slab, grid) for slab in slabs)
     return operator_norm_hs(whole - upper @ lower, grid, s)

@@ -56,6 +56,8 @@ def test_resolve_config_precedence(tmp_path):
     assert cfg.s == 2.0
     assert cfg.variant == "averaged"   # scenario default survives
     assert cfg.delta_max == 1.0
+    # a library caller may pass a bool where the command line passes a string
+    assert resolve_config("varspeed", {}, {"compare_variants": True}).compare_variants is True
 
 
 def test_resolve_config_rejects_bad_values():
@@ -87,6 +89,21 @@ def test_resolve_config_rejects_bad_values():
         resolve_config("translation", {}, {"seed": "-1"})
     with pytest.raises(ConfigError):
         resolve_config("oneway-lens", {}, {"damping_scale": "nan"})
+
+
+@pytest.mark.parametrize("scenario", ["oneway-lens", "oneway-homogeneous"])
+def test_overflowing_damping_is_config_error(tmp_path, scenario):
+    # the damping symbol c1 reaches damping_scale * |tau| = 1e307 * 32, which
+    # overflows to inf; 1e306 * 32 is finite
+    out = tmp_path / "damp"
+    code = cli.main(["run", "--scenario", scenario, "--set", "damping_scale=1e307",
+                     "--output-dir", str(out)])
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "damping_scale * |tau| must be finite" in manifest["error"]
+    assert manifest["outputs"] == []
+    assert resolve_config(scenario, {}, {"damping_scale": "1e306"}).damping_scale == 1e306
 
 
 def test_config_echo_round_trips_types():
@@ -516,6 +533,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (tmp_path / "cli-out" / "manifest.json").exists()
 
 
+def test_cli_reads_a_config_file(tmp_path):
+    # the file's settings sit between the scenario defaults and --set; its
+    # scenario line is skipped, since --scenario names the scenario
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("scenario = varspeed\nn_points = 64\nNs = 1,4\nnorm_points = 64\n")
+    out = tmp_path / "from-file"
+    code = cli.main(["run", "--scenario", "translation", "--config", str(cfg_file),
+                     "--set", "Ns=1,8", "--output-dir", str(out)])
+    assert code == harness.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"] == "translation"
+    assert manifest["config"]["n_points"] == 64 and manifest["config"]["Ns"] == [1, 8]
+
+
+def test_cli_bad_config_file_value_echoes_the_keys_that_parse(tmp_path):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("n_points = 64\ns = high\n")
+    out = tmp_path / "bad-file"
+    code = cli.main(["run", "--scenario", "translation", "--config", str(cfg_file),
+                     "--output-dir", str(out)])
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "'s'" in manifest["error"]
+    assert manifest["config"]["n_points"] == 64 and manifest["config"]["s"] == 1.0
+
+
+def test_cli_unknown_scenario_without_output_dir_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--scenario", "nope"]) == harness.EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error: ") and printed.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_bad_set_pair(tmp_path):
     assert cli.main(["run", "--scenario", "translation",
                      "--set", "oops", "--output-dir", str(tmp_path)]) == 2
@@ -527,13 +579,17 @@ def test_cli_bad_set_pair(tmp_path):
     (["--set", "quadrature_order=1025"], "1024"),
     (["--set", "n_points=many"], "n_points"),
     (["--set", "oops"], "KEY=VALUE"),
+    (["--set", "Ns="], "non-empty integer list"),
+    (["--set", "Ns=8,x"], "comma-separated integers"),
+    (["--set", "compare_variants=maybe"], "expected a boolean"),
     (["--set", "variant=bogus"], "variant"),
     (["--set", "reference=bogus"], "reference"),
     (["--set", "norm_points=100"], "norm_points"),
     (["--set", "n_points=8192", "--set", "Ns=1", "--set", "norm_points=8192"],
      "dense-assembly limit 4096"),
 ], ids=["negative-seed", "nan-sobolev-index", "quadrature-order-over-cap",
-        "unparsable-value", "set-pair-without-equals", "unknown-variant", "unknown-reference",
+        "unparsable-value", "set-pair-without-equals", "empty-integer-list",
+        "non-integer-in-list", "non-boolean", "unknown-variant", "unknown-reference",
         "norm-points-not-power-of-two", "norm-sweep-over-matrix-limit"])
 def test_cli_rejected_config_leaves_manifest(tmp_path, capsys, flags, word):
     out = tmp_path / "D"
@@ -570,8 +626,10 @@ def test_cli_rejected_config_into_unwritable_directory(tmp_path, capsys):
     ["varspeed", "--set", "n_points=64", "--set", "Ns=8,16",    # n_ref below 8x the largest N
      "--set", "n_ref=64"],
     ["varspeed", "--set", "period=1e160"],                      # wave packet width overflows
+    ["oneway-lens", "--set", "theta2_deg=85"],                  # no propagating mode beyond theta2
 ], ids=["slab-too-thick", "grid-not-power-of-two", "norm-matrix-too-large",
-        "steep-mode-off-lattice", "fine-step-reference-too-coarse", "period-too-large"])
+        "steep-mode-off-lattice", "fine-step-reference-too-coarse", "period-too-large",
+        "no-mode-outside-theta2"])
 def test_cli_library_validation_is_config_error(tmp_path, flags):
     out = tmp_path / "bad"
     code = cli.main(["run", "--output-dir", str(out), "--scenario"] + flags)

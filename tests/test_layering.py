@@ -150,6 +150,21 @@ def test_one_builder_decides_how_a_slab_is_taken():
         assert namers == {"propagator._operator"}, (name, namers)
 
 
+def test_the_exact_evolution_is_one_slab_and_a_slab_checks_only_its_ordering():
+    # _operator serves a slab and the bare operator a(z, x, D_x); the exact
+    # multiplier evolution is the Averaged slab that apply_slab applies.  A
+    # slab owns 0 <= z < z_prime and ansatz.Subdivision the step bound, so a
+    # slab has no thickness bound of its own
+    namers = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope in _scopes_naming(ast.parse(path.read_text()), "_operator")}
+    assert namers == {"propagator._slab_operator", "propagator.apply_symbol_operator"}, namers
+    tree = ast.parse(inspect.getsource(propagator.exact_multiplier_evolution))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "apply_slab" in called, called
+    assert [field.name for field in dataclasses.fields(propagator.SlabSpec) if field.init] == [
+        "z", "z_prime", "spec", "variant"]
+
+
 def test_the_band_cell_is_the_one_store_of_band_coefficients():
     # a slab's band coefficients live in propagator._band_cell, which only
     # _band_coefficients fills and evicts from and reset_counts empties: no

@@ -57,8 +57,6 @@ def test_slab_spec_validation():
         SlabSpec(0.5, 0.5, spec)
     with pytest.raises(SlabError):
         SlabSpec(-0.1, 0.0, spec)
-    with pytest.raises(SlabError):
-        SlabSpec(0.0, 0.5, spec)          # exceeds default delta_max
     with pytest.raises(VariantError):
         SlabSpec(0.0, 0.1, spec, variant="frozen")
     s = SlabSpec(0.0, 0.125, spec)
@@ -109,7 +107,7 @@ def test_translation_slab_shifts(grid64):
     # b1 = xi translates by delta; one grid spacing shifts samples by one slot
     spec = get_symbol("translation")
     delta = grid64.spacing * 5
-    slab = SlabSpec(0.0, delta, spec, delta_max=1.0)
+    slab = SlabSpec(0.0, delta, spec)
     u = random_field(grid64, 1)
     v = slab_samples(slab, u)
     assert rel_err(v.values, np.roll(u.values, -5)) < 1e-12
@@ -184,6 +182,18 @@ def test_exact_multiplier_contract(grid64):
     u = random_field(grid64, 7)
     with pytest.raises(ContractViolation):
         exact_multiplier_evolution(get_symbol("varspeed"), 0.0, 1.0, u)
+
+
+def test_exact_multiplier_interval_is_a_slab(grid64):
+    # the exact evolution is the Averaged slab [z0, z1], of any thickness,
+    # and its interval takes the slab's one check, 0 <= z0 < z1
+    spec, u = get_symbol("halfwave"), random_field(grid64, 7)
+    for z0, z1 in ((0.5, 0.5), (0.5, 0.25), (-0.25, 0.5)):
+        with pytest.raises(SlabError):
+            exact_multiplier_evolution(spec, z0, z1, u)
+    got = exact_multiplier_evolution(spec, 1.0, 4.0, u)
+    want = propagator.apply_slab(SlabSpec(1.0, 4.0, spec, Averaged()), forward(u))
+    assert got.values.tobytes() == inverse(want).values.tobytes()
 
 
 def test_exact_multiplier_z_dependent(grid64):

@@ -240,15 +240,19 @@ def test_binary_rejects_corruption(tmp_path, grid64):
     trunc.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_field(trunc)
+    trunc.write_bytes(path.read_bytes()[:20])       # shorter than header and period
+    with pytest.raises(FormatError, match="truncated"):
+        read_field(trunc)
 
 
 @pytest.mark.parametrize("offset,fmt,value", [
+    (4, "<H", 2),                  # format version
     (6, "<H", 3),                  # dim
     (8, "<I", 100),                # n_points not a power of two
     (8, "<I", 0),
     (16, "<d", float("nan")),      # period
     (24, "<d", float("inf")),      # first sample's real part
-], ids=["dim-3", "n-points-100", "n-points-0", "nan-period", "non-finite-sample"])
+], ids=["format-version-2", "dim-3", "n-points-100", "n-points-0", "nan-period", "non-finite-sample"])
 def test_binary_rejects_invalid_grid_or_sample(tmp_path, grid64, offset, fmt, value):
     path = tmp_path / "u.tslb"
     write_field(path, random_field(grid64, 15))

@@ -48,6 +48,13 @@ def test_eval_rejects_nonfinite():
     with pytest.raises(EvaluationError) as err:
         eval_symbol(spec, 0.0, X, XI)
     assert "b1" in str(err.value)
+    # two finite components whose sum overflows: no component is at fault
+    big = np.finfo(float).max
+    spec = SymbolSpec(c1=lambda z, x, xi: np.full(np.broadcast(x, xi).shape, big),
+                      c0=lambda z, x, xi: np.full(np.broadcast(x, xi).shape, big))
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError) as err:
+        eval_symbol(spec, 0.0, X, XI)
+    assert str(err.value) == "symbol evaluation returned non-finite values"
 
 
 def test_averaged_symbol_quadratic():
