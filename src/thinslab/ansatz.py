@@ -98,19 +98,17 @@ def apply_ansatz(spec: SymbolSpec, sub: Subdivision, u0: Field, z: float | None 
     which the stability checks and the energy bookkeeping read without a
     transform; the march goes on from ``c``, so an observer only reads it.
     A z exactly on a subdivision point gets no partial slab.  The slab
-    arguments of the full slabs come from one
-    :func:`thinslab.propagator.slab_arguments` call over all of them; a
-    partial slab takes its own.  Every full slab carries the arguments of
-    itself and the later slabs of its block of 8, so a band cell takes their
-    band coefficients from one product.
+    arguments of the full slabs come from one ``variant.argument`` call over
+    all of them; a partial slab takes its own.  Every full slab carries the
+    arguments of itself and the later slabs of its block of 8, so a band
+    cell takes their band coefficients from one product.
     """
     if z is None:
         z = sub.Z
     k_full, rem = _split_depth(sub, z)
     c = spectral.forward(u0)
     step = sub.step
-    arguments = propagator.slab_arguments(spec, variant, np.arange(k_full) * step,
-                                          np.arange(1, k_full + 1) * step)
+    arguments = variant.argument(spec, np.arange(k_full) * step, np.arange(1, k_full + 1) * step)
     arguments = [None] * k_full if arguments is None else arguments.tolist()
     block = 8       # 8 rows of 3968 band coefficients, 0.5 MB, at m = 64 and n = 128
     for k in range(k_full):

@@ -9,11 +9,11 @@ a frequency sum with an output-point-dependent multiplier.  A slab maps
 Fourier coefficients to Fourier coefficients: :func:`apply_slab` takes and
 returns a :class:`thinslab.spectral.SpectralField`, so a composition of
 slabs transforms once at its start and once at its end
-(:func:`thinslab.ansatz.apply_ansatz`), not twice per slab.  The symbol is
-either frozen at the slab bottom, a(slab.z, x', xi), or replaced by its slab
-mean, which :func:`thinslab.symbols.averaged_symbol` takes; how the mean is
-taken follows from the symbol's z-declarations, which only that function
-reads.  The exact evolution of an x-independent symbol is one Averaged slab.
+(:func:`thinslab.ansatz.apply_ansatz`), not twice per slab.  A slab's
+variant takes the symbol, each through its own ``argument`` and ``table``:
+:class:`Frozen` at the slab bottom, a(slab.z, x', xi), and :class:`Averaged`
+as its slab mean.  The exact evolution of an x-independent symbol is one
+Averaged slab.
 
 How a slab is taken is decided in one place, :func:`_operator`: as the
 Fourier multiplier of :func:`_multiplier` when the symbol does not depend
@@ -112,7 +112,15 @@ class MatrixSizeError(ValueError):
 
 @dataclass(frozen=True)
 class Frozen:
-    """Freeze the symbol at the slab bottom."""
+    """Freeze the symbol at the slab bottom z; the operator a(z, x, D_x) is this rule at z."""
+
+    def argument(self, spec: SymbolSpec, z, z_prime):
+        """The :func:`thinslab.symbols.slab_argument` p at z, which may be an array."""
+        return symbols.slab_argument(spec, z)
+
+    def table(self, spec: SymbolSpec, z, z_prime, x, xi) -> np.ndarray:
+        """The symbol table a(z, x, xi) at the slab bottom."""
+        return symbols.eval_symbol(spec, z, x, xi)
 
 
 @dataclass(frozen=True)
@@ -131,29 +139,26 @@ class Averaged:
         if self.quadrature_order is not None:
             symbols.check_quadrature_order(self.quadrature_order)
 
+    def argument(self, spec: SymbolSpec, z, z_prime):
+        """The slab mean of p; z and z_prime may be arrays of slab bottoms and tops."""
+        return symbols.slab_argument(spec, z, z_prime, self.quadrature_order)
 
-def slab_arguments(spec: SymbolSpec, variant, z, z_prime):
-    """The :func:`thinslab.symbols.slab_argument` of slabs [z, z_prime] of one variant.
-
-    Frozen slabs take p at their bottom, Averaged ones the slab mean of p at
-    the variant's quadrature order.  z and z_prime may be arrays of slab
-    bottoms and tops, which take one profile call for all of them.
-    """
-    if isinstance(variant, Averaged):
-        return symbols.slab_argument(spec, z, z_prime, variant.quadrature_order)
-    return symbols.slab_argument(spec, z)
+    def table(self, spec: SymbolSpec, z, z_prime, x, xi) -> np.ndarray:
+        """The :func:`thinslab.symbols.averaged_symbol` slab mean over [z, z_prime]."""
+        return symbols.averaged_symbol(spec, z, z_prime, x, xi, self.quadrature_order)
 
 
 @dataclass(frozen=True)
 class SlabSpec:
     """One slab [z, z_prime] of a symbol evolution.
 
-    ``arguments`` holds the slab's :func:`slab_arguments` p, the one scalar
-    its table depends on (None when there is none), then the p of the later
-    slabs of its march block, whose band coefficients one Chebyshev product
-    takes.  Every construction derives it, a ``dataclasses.replace``
-    included: from ``march`` where a march passes them from one call, else
-    from the slab alone.  It does not take part in comparisons.
+    ``arguments`` holds the p of the ``variant``'s ``argument``, the one
+    scalar its ``table`` depends on (None when there is none), then the p of
+    the later slabs of its march block, whose band coefficients one
+    Chebyshev product takes.  Every construction derives it, a
+    ``dataclasses.replace`` included: from ``march`` where a march passes
+    them from one call, else from the slab alone.  It does not take part in
+    comparisons.
     """
 
     z: float
@@ -169,20 +174,11 @@ class SlabSpec:
         if not isinstance(self.variant, (Frozen, Averaged)):
             raise VariantError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "arguments", tuple(march) or (
-            slab_arguments(self.spec, self.variant, self.z, self.z_prime),))
+            self.variant.argument(self.spec, self.z, self.z_prime),))
 
     @property
     def thickness(self) -> float:
         return self.z_prime - self.z
-
-
-def _slab_symbol(slab: SlabSpec, x, xi) -> np.ndarray:
-    """The slab's effective symbol: its table at the slab bottom (Frozen) or
-    its :func:`thinslab.symbols.averaged_symbol` slab mean (Averaged)."""
-    if isinstance(slab.variant, Frozen):
-        return symbols.eval_symbol(slab.spec, slab.z, x, xi)
-    return symbols.averaged_symbol(slab.spec, slab.z, slab.z_prime, x, xi,
-                                   slab.variant.quadrature_order)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +679,8 @@ def _frequency_sum(c: SpectralField, operator) -> SpectralField:
 
 def _slab_operator(slab: SlabSpec, grid: Grid):
     """The :func:`_operator` of one slab on ``grid``, at its ``arguments``."""
-    return _operator(grid, slab.spec, slab.thickness, slab.arguments, _slab_symbol, slab)
+    return _operator(grid, slab.spec, slab.thickness, slab.arguments, slab.variant.table,
+                     slab.spec, slab.z, slab.z_prime)
 
 
 def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
@@ -696,9 +693,10 @@ def apply_slab(slab: SlabSpec, c: SpectralField) -> SpectralField:
 
 
 def apply_symbol_operator(spec: SymbolSpec, z: float, field: Field) -> Field:
-    """Apply the first-order operator a(z, x, D_x) itself (no exponential)."""
-    operator = _operator(field.grid, spec, None, (symbols.slab_argument(spec, z),),
-                         symbols.eval_symbol, spec, z)
+    """Apply the first-order operator a(z, x, D_x) itself: the Frozen rule at z, no exponential."""
+    rule = Frozen()
+    operator = _operator(field.grid, spec, None, (rule.argument(spec, z, None),), rule.table,
+                         spec, z, None)
     return spectral.inverse(_frequency_sum(spectral.forward(field), operator))
 
 

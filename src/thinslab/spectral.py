@@ -260,11 +260,7 @@ def write_field(path, field: Field) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, field.grid.dim, field.grid.n_points))
         fh.write(struct.pack("<d", field.grid.period))
-        flat = np.ravel(field.values)
-        inter = np.empty(2 * flat.size, dtype="<f8")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
 def read_field(path) -> Field:
@@ -291,8 +287,8 @@ def read_field(path) -> Field:
     payload = raw[_HEADER.size + 8:]
     if len(payload) != expected:
         raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
-    inter = np.frombuffer(payload, dtype="<f8")
-    values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
+    # a copy, so that the samples are writable, bit for bit the ones written
+    values = np.frombuffer(payload, "<c16").reshape(grid.shape).copy()
     try:
         return Field(grid, values)
     except GridError as exc:

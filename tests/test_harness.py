@@ -106,6 +106,20 @@ def test_overflowing_damping_is_config_error(tmp_path, scenario):
     assert resolve_config(scenario, {}, {"damping_scale": "1e306"}).damping_scale == 1e306
 
 
+@pytest.mark.parametrize("scenario", ["oneway-lens", "oneway-homogeneous"])
+def test_a_tau_whose_square_overflows_is_config_error(tmp_path, scenario):
+    # the steep mode of the mixed-mode datum leaves the lattice long before
+    # tau^2 overflows, so the datum's BandLimitError ends the run before the
+    # phase check of oneway-homogeneous squares tau
+    out = tmp_path / "tau"
+    code = cli.main(["run", "--scenario", scenario, "--set", "tau=1e160",
+                     "--set", "damping_scale=0", "--output-dir", str(out)])
+    assert code == harness.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "does not fit" in manifest["error"]
+
+
 def test_config_echo_round_trips_types():
     cfg = resolve_config("varspeed", {}, {})
     echo = config_echo(cfg)

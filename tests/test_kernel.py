@@ -141,7 +141,7 @@ def test_kernel_table_entry_does_not_depend_on_its_block(name, dim):
     everything = slice(None)
     for variant in (Frozen(), Averaged()):
         slab = SlabSpec(0.3, 0.3 + 1.0 / 64.0, spec, variant)
-        symbol = partial(propagator._slab_symbol, slab)
+        symbol = partial(slab.variant.table, slab.spec, slab.z, slab.z_prime)
         full = propagator._amplitude(grid, symbol, slab.thickness, everything, everything)
         assert full.shape == (grid.size, grid.size)
         oracle = slab_symbol(slab)

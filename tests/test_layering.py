@@ -165,6 +165,28 @@ def test_the_exact_evolution_is_one_slab_and_a_slab_checks_only_its_ordering():
         "z", "z_prime", "spec", "variant"]
 
 
+def test_each_variant_carries_its_own_rule():
+    # a slab's p and table come from its variant's argument and table, the
+    # only places in propagator that name the symbols functions a slab's
+    # symbol is taken by: no dispatcher on the variant beside them, and
+    # ansatz asks the variant
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for name in ("slab_arguments", "_slab_symbol"):
+            assert name not in defined and not any(_scopes_naming(tree, name)), (path.name, name)
+    tree = ast.parse((PACKAGE / "propagator.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    rules = {"slab_argument": ["Frozen.argument", "Averaged.argument"],
+             "eval_symbol": ["Frozen.table"], "averaged_symbol": ["Averaged.table"]}
+    for name, namers in rules.items():
+        assert [f"{cls.name}.{scope}" for cls in classes
+                for scope in _scopes_naming(cls, name)] == namers, name
+        assert len(list(_scopes_naming(tree, name))) == len(namers), name
+    ansatz = ast.parse((PACKAGE / "ansatz.py").read_text())
+    assert not [name for name in rules if any(_scopes_naming(ansatz, name))]
+
+
 def test_the_band_cell_is_the_one_store_of_band_coefficients():
     # a slab's band coefficients live in propagator._band_cell, which only
     # _band_coefficients fills and evicts from and reset_counts empties: no
